@@ -280,6 +280,14 @@ def _render_top(health: dict, forensics: Optional[dict]) -> str:
             f"lag={durability['journal_lag']} since checkpoint "
             f"#{durability['checkpoints_completed']}"
         )
+    batch_events = (health.get("engine") or {}).get("column_batch_events")
+    if batch_events:
+        lines.append(
+            "column batches: "
+            f"built={batch_events.get('build', 0)} "
+            f"patched={batch_events.get('patch', 0)} "
+            f"dropped={batch_events.get('drop', 0)}"
+        )
     cluster = health.get("cluster")
     if cluster is not None:
         routing = cluster.get("routing") or {}

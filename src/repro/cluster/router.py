@@ -573,8 +573,10 @@ class ClusterRouter:
         (the epoch moves), so a served scatter-read is always against a
         consistent cut no older than the last commit; a degraded merge
         over fewer shards never aliases the full one. Rows keep their
-        global rowids via ``restore``, so the merged touched-set prices
-        and records against exactly the same keys the owners track.
+        global rowids via ``HeapTable.copy_from`` (which does not
+        re-validate what the owner validated), so the merged
+        touched-set prices and records against exactly the same keys
+        the owners track.
         """
         if indexes is None:
             indexes = tuple(range(len(self.shards)))
@@ -597,9 +599,7 @@ class ClusterRouter:
                     heap = catalog.table(name)
                     if not merged.catalog.has_table(name):
                         merged.catalog.create_table(heap.schema)
-                    target = merged.catalog.table(name)
-                    for rowid, row in heap.scan():
-                        target.restore(rowid, row)
+                    merged.catalog.table(name).copy_from(heap)
         with self._merged_lock:
             self._merged_cache = (epochs, merged)
         return merged

@@ -363,10 +363,7 @@ class ClusterService:
                 catalog = primary.database.catalog
                 for name in catalog.table_names():
                     heap = catalog.table(name)
-                    database.catalog.create_table(heap.schema)
-                    target = database.catalog.table(name)
-                    for rowid, row in heap.scan():
-                        target.restore(rowid, row)
+                    database.catalog.create_table(heap.schema).copy_from(heap)
             member_id = f"shard-{index}-r{replica}"
             follower = DataProviderService(
                 database=database,

@@ -451,6 +451,18 @@ class DelayGuard:
             "engine_write_lock_hold_seconds",
             "Cumulative seconds the engine write lock has been held",
         ).set_function(lambda: rwlock.write_hold_seconds)
+        batch_events = registry.counter(
+            "engine_column_batch_events_total",
+            "Columnar views fully built, patched in place by a row "
+            "mutation, or dropped because a patch was not possible",
+            ("event",),
+        )
+        database = self.database
+        for event in ("build", "patch", "drop"):
+            batch_events.set_function(
+                lambda name=event: database.column_batch_counts()[name],
+                event=event,
+            )
         registry.gauge(
             "guard_parse_cache_hits", "Statement parse-cache hits"
         ).set_function(lambda: parse_cache_info().hits)

@@ -218,6 +218,23 @@ class Database:
         """How many SELECTs each engine path served (observability)."""
         return dict(getattr(self.executor, "path_counts", {}) or {})
 
+    def column_batch_counts(self) -> Dict[str, int]:
+        """What writes did to the tables' columnar views (observability).
+
+        ``build`` full transpositions, ``patch`` single-row patches,
+        ``drop`` views thrown away because a patch was impossible or
+        over its copy budget — summed over the tables that exist now,
+        so DROP TABLE takes its table's share with it (a scraper sees
+        an ordinary counter reset).
+        """
+        counts = {"build": 0, "patch": 0, "drop": 0}
+        for name in self.catalog.table_names():
+            table = self.catalog.table(name)
+            counts["build"] += table.batch_builds
+            counts["patch"] += table.batch_patches
+            counts["drop"] += table.batch_drops
+        return counts
+
     def close(self) -> None:
         """Release process-level resources (scan workers). Idempotent."""
         if self._scan_pool is not None:

@@ -9,7 +9,9 @@ Concurrency audit: ``scan``/``get``/``lookup_pk``/``rowids`` never
 mutate table state — reads under the engine's shared read lock are safe
 against each other. ``scan`` iterates the live row dict, so it must not
 interleave with a mutator: the engine guarantees that by running
-INSERT/UPDATE/DELETE/DDL under the exclusive write side.
+INSERT/UPDATE/DELETE/DDL under the exclusive write side. The same
+exclusion is what lets ``_notify`` patch the table's columnar view in
+place (see :mod:`repro.engine.vectorized.columns`).
 """
 
 from __future__ import annotations
@@ -32,14 +34,21 @@ class HeapTable:
         self._next_rowid = 1
         self._rowid_stride = 1
         #: monotonic mutation counter: bumped on every insert/update/
-        #: delete/restore. The vectorized executor keys its cached
-        #: columnar snapshot on it, and fork-based scan workers verify
-        #: it per task so a stale worker can never answer for a table
-        #: that moved underneath it.
+        #: delete/restore. The columnar view carries the version it
+        #: reflects, and fork-based scan workers verify it per task so
+        #: a stale worker can never answer for a table that moved
+        #: underneath it.
         self._version = 0
-        #: cached columnar snapshot (built by
-        #: :meth:`column_batch`), valid while ``_version`` matches.
+        #: columnar view (built by :meth:`column_batch`, patched by
+        #: :meth:`_notify`), valid while its version matches ``_version``.
         self._column_batch = None
+        #: what became of the view, for the guard's registry: full
+        #: builds, single-row patches, and drops (patch impossible or
+        #: over budget). Patches and drops happen under the write lock
+        #: and are exact; readers racing to build may undercount a build.
+        self.batch_builds = 0
+        self.batch_patches = 0
+        self.batch_drops = 0
         self._pk_index: Optional[Dict[SQLValue, int]] = (
             {} if schema.primary_key else None
         )
@@ -73,7 +82,19 @@ class HeapTable:
         self, event: str, rowid: int, row: Row, old: Optional[Row] = None
     ) -> None:
         self._version += 1
-        self._column_batch = None
+        batch = self._column_batch
+        if batch is not None:
+            # The heap already holds the change; bring the view along.
+            # Whatever the patch cannot do exactly costs only a rebuild.
+            try:
+                patched = batch.apply(event, rowid, row, old, self._version)
+            except Exception:
+                patched = False
+            if patched:
+                self.batch_patches += 1
+            else:
+                self._column_batch = None
+                self.batch_drops += 1
         for observer in self._observers:
             observer(event, rowid, row, old)
 
@@ -191,11 +212,29 @@ class HeapTable:
         The rowid must be free; primary-key uniqueness is enforced.
         Observers see an ordinary "insert", keeping indexes consistent.
         """
+        self._place(rowid, self.schema.validate_row(values))
+
+    def copy_from(self, source: "HeapTable") -> None:
+        """Take every row of ``source`` in at its own rowid.
+
+        For a heap with the same column definitions (the router's
+        merged read view, a follower seeded from its primary): the rows
+        were validated when ``source`` stored them, so only what can
+        clash between two heaps — rowid and primary key — is checked.
+        """
+        if source.schema.columns != self.schema.columns:
+            raise ConstraintError(
+                f"table {self.name!r} cannot copy rows of a table with "
+                "different columns"
+            )
+        for rowid, row in source.scan():
+            self._place(rowid, row)
+
+    def _place(self, rowid: int, row: Row) -> None:
         if rowid in self._rows:
             raise ConstraintError(
                 f"rowid {rowid} already occupied in table {self.name!r}"
             )
-        row = self.schema.validate_row(values)
         if self._pk_index is not None:
             key = row[self._pk_position]
             if key in self._pk_index:
@@ -221,20 +260,23 @@ class HeapTable:
         return self._version
 
     def column_batch(self):
-        """The columnar snapshot of this table at its current version.
+        """The columnar view of this table at its current version.
 
-        Built lazily and cached until the next mutation. Reads under
-        the engine's shared lock may race to build it; the builders
-        produce identical snapshots from identical state, so the last
-        assignment winning is benign.
+        Built lazily on the first read and from then on patched by
+        every mutation (:meth:`_notify`), so it is rebuilt only after
+        a patch had to drop it. Reads under the engine's shared lock
+        may race to build it; the builders produce identical views
+        from identical state, so the last assignment winning is benign.
         """
         batch = self._column_batch
         if batch is not None and batch.version == self._version:
+            batch.unread_copies = 0
             return batch
         from .vectorized.columns import ColumnBatch
 
         batch = ColumnBatch.from_table(self)
         self._column_batch = batch
+        self.batch_builds += 1
         return batch
 
     # -- primary key fast path ---------------------------------------------

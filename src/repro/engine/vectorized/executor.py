@@ -3,8 +3,9 @@
 :class:`VectorizedExecutor` subclasses the classic
 :class:`~repro.engine.executor.Executor` and overrides only the bound
 SELECT path. Instead of materialising a dict context per row, it works
-over *positions* into cached :class:`~repro.engine.vectorized.columns.
-ColumnBatch` snapshots: a working row is a tuple of per-source
+over *positions* into each table's :class:`~repro.engine.vectorized.
+columns.ColumnBatch` view, which only a writer holding the engine's
+exclusive lock patches: a working row is a tuple of per-source
 positions (``-1`` marks an outer-join null extension). Predicates
 compile into batch evaluators (:mod:`.compiler`), equi-joins become
 positional hash joins, and aggregation gathers value lists straight

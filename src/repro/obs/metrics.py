@@ -156,37 +156,43 @@ class _LabelledValues(Metric):
         self._overflow_key = tuple(
             OVERFLOW_LABEL for _ in self.label_names
         )
-        self._callback: Optional[Callable[[], float]] = None
+        #: series key -> callback; ``()`` is the unlabelled series.
+        self._callbacks: Dict[Tuple[str, ...], Callable[[], float]] = {}
 
-    def set_function(self, callback: Callable[[], float]) -> "_LabelledValues":
-        """Read the metric from ``callback`` at every collection.
+    def set_function(
+        self, callback: Callable[[], float], **labels: str
+    ) -> "_LabelledValues":
+        """Read one series from ``callback`` at every collection.
 
-        Only unlabelled metrics can be callback-backed. This is how
-        hot-path totals stay free: the instrumented code keeps its own
-        cheap bookkeeping (e.g. :class:`~repro.core.guard.GuardStats`)
-        and the registry reads it only when someone scrapes. A callback
-        that raises is reported as absent rather than failing the
-        scrape. For counters the callback must be monotonic — it
-        exposes an already-monotonic total, it does not make one.
+        This is how hot-path totals stay free: the instrumented code
+        keeps its own cheap bookkeeping (e.g.
+        :class:`~repro.core.guard.GuardStats`) and the registry reads
+        it only when someone scrapes. An unlabelled metric takes one
+        callback; a labelled one takes one per series, named by
+        ``labels``. A callback that raises is reported as absent rather
+        than failing the scrape. For counters the callback must be
+        monotonic — it exposes an already-monotonic total, it does not
+        make one.
         """
-        if self.label_names:
+        if self.label_names and not labels:
             raise MetricError(
-                f"{self.type} {self.name} has labels; "
-                "callbacks must be unlabelled"
+                f"{self.type} {self.name} has labels; an unlabelled "
+                "callback cannot back it (name the series it computes)"
             )
-        self._callback = callback
+        self._callbacks[self._key(labels)] = callback
         return self
 
-    def _evaluate(self) -> Optional[float]:
-        if self._callback is None:
+    def _evaluate(self, key: Tuple[str, ...]) -> Optional[float]:
+        callback = self._callbacks.get(key)
+        if callback is None:
             return None
         try:
-            return float(self._callback())
+            return float(callback())
         except Exception:
             return None
 
-    def _check_writable(self) -> None:
-        if self._callback is not None:
+    def _check_writable(self, key: Tuple[str, ...]) -> None:
+        if key in self._callbacks:
             raise MetricError(
                 f"{self.type} {self.name} is callback-backed; "
                 "it cannot be written directly"
@@ -215,38 +221,39 @@ class _LabelledValues(Metric):
             return key
         return self._overflow_key
 
+    def _items(self) -> List[Tuple[Tuple[str, ...], float]]:
+        """Every (key, value): written series, then callback-backed
+        ones, skipping a callback that raises."""
+        with self._lock:
+            items = list(self._values.items())
+        for key in list(self._callbacks):
+            evaluated = self._evaluate(key)
+            if evaluated is not None:
+                items.append((key, evaluated))
+        return items
+
     def value(self, **labels) -> float:
         """Current value of one series (0 for a series never touched)."""
-        evaluated = self._evaluate()
+        key = self._key(labels)
+        evaluated = self._evaluate(key)
         if evaluated is not None:
             return evaluated
-        key = self._key(labels)
         with self._lock:
             return self._values.get(key, 0.0)
 
     def total(self) -> float:
         """Sum across every series (== value() when unlabelled)."""
-        evaluated = self._evaluate()
-        if evaluated is not None:
-            return evaluated
-        with self._lock:
-            return sum(self._values.values())
+        return sum(value for _, value in self._items())
 
     def series(self) -> List[Tuple[Dict[str, str], float]]:
         """All (labels, value) pairs, insertion-ordered."""
-        with self._lock:
-            items = list(self._values.items())
         return [
             (dict(zip(self.label_names, key)), value)
-            for key, value in items
+            for key, value in self._items()
         ]
 
     def snapshot(self) -> Dict:
-        evaluated = self._evaluate()
-        if evaluated is not None:
-            return {"type": self.type, "help": self.help, "value": evaluated}
-        with self._lock:
-            items = list(self._values.items())
+        items = self._items()
         payload: Dict = {"type": self.type, "help": self.help}
         if self.label_names:
             payload["label_names"] = list(self.label_names)
@@ -260,14 +267,8 @@ class _LabelledValues(Metric):
         return payload
 
     def render(self) -> List[str]:
-        if self._callback is not None:
-            evaluated = self._evaluate()
-            if evaluated is None:
-                return []
-            return [f"{self.name} {_format(evaluated)}"]
-        with self._lock:
-            items = list(self._values.items())
-        if not items and not self.label_names:
+        items = self._items()
+        if not items and not self.label_names and not self._callbacks:
             items = [((), 0.0)]
         return [
             f"{self.name}{_label_text(self.label_names, key)} {_format(value)}"
@@ -300,8 +301,8 @@ class Counter(_LabelledValues):
             raise MetricError(
                 f"counter {self.name} cannot decrease (got {amount})"
             )
-        self._check_writable()
         key = self._key(labels)
+        self._check_writable(key)
         with self._lock:
             slot = self._slot(key)
             self._values[slot] = self._values.get(slot, 0.0) + amount
@@ -314,15 +315,15 @@ class Gauge(_LabelledValues):
 
     def set(self, value: float, **labels) -> None:
         """Set one series to ``value``."""
-        self._check_writable()
         key = self._key(labels)
+        self._check_writable(key)
         with self._lock:
             self._values[self._slot(key)] = float(value)
 
     def inc(self, amount: float = 1.0, **labels) -> None:
         """Add ``amount`` (may be negative) to one series."""
-        self._check_writable()
         key = self._key(labels)
+        self._check_writable(key)
         with self._lock:
             slot = self._slot(key)
             self._values[slot] = self._values.get(slot, 0.0) + amount

@@ -1648,6 +1648,10 @@ class DelayServer:
             if hasattr(self.service, "cluster_health")
             else None
         )
+        # Read from the registry series, so `repro top` and a metrics
+        # scrape can never disagree (absent on a cluster: shard guards
+        # run without a registry).
+        batch_events = self.obs.registry.get("engine_column_batch_events_total")
         return {
             "ok": True,
             "status": "draining" if self._draining.is_set() else "serving",
@@ -1668,6 +1672,16 @@ class DelayServer:
                 "cache_fast_path_hits": self.cache_fast_path_hits,
             },
             "cluster": cluster,
+            "engine": (
+                {
+                    "column_batch_events": {
+                        labels["event"]: int(value)
+                        for labels, value in batch_events.series()
+                    }
+                }
+                if batch_events is not None
+                else None
+            ),
             "slo": self.slo.report(),
             "durability": self.service.durability_health(),
             "staleness": guard.refresh_staleness_gauges(),

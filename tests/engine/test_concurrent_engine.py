@@ -9,12 +9,14 @@ index entries, writers not starved, and reentrancy for the owning
 thread.
 """
 
+import sys
 import threading
 import time
 
 import pytest
 
 from repro.engine import Database, LockError, ReadWriteLock
+from repro.engine.vectorized import ColumnBatch
 
 
 def make_db(rows=200):
@@ -249,6 +251,107 @@ class TestConcurrentReadersAndWriters:
             assert (rowid_value,) in hit.rows, (
                 f"index lost id={rowid_value} (a={a_value})"
             )
+
+    def test_patched_column_batch_never_shows_a_reader_half_a_write(self):
+        """Writes patch the table's columnar view in place instead of
+        replacing it, so the lock is now all that keeps a reader off a
+        half-patched list or numpy array. The writer keeps a == b in
+        every row and inserts and deletes rows two at a time, in one
+        statement each; point, range and COUNT(*) readers on the
+        vectorized tier must never see otherwise."""
+        base = 200
+        database = make_db(rows=base)
+        table = database.catalog.table("t")
+        database.execute("SELECT id FROM t WHERE a >= 0 AND b >= 0")
+        stop = threading.Event()
+        violations = []
+
+        def check(sql, problem):
+            result = database.execute(sql)
+            message = problem(result.rows)
+            if result.execution_path != "vectorized":
+                message = f"served by {result.execution_path}"
+            if message:
+                violations.append((sql, message))
+                stop.set()
+
+        def point_reader():
+            key = 0
+            while not stop.is_set():
+                key = key % base + 1
+                check(
+                    f"SELECT a, b FROM t WHERE id = {key}",
+                    lambda rows: None
+                    if len(rows) == 1 and rows[0][0] == rows[0][1]
+                    else f"torn point read {rows}",
+                )
+
+        def range_reader():
+            while not stop.is_set():
+                check(
+                    f"SELECT id, a, b FROM t WHERE id > {base} AND a = b",
+                    lambda rows: None
+                    if len(rows) % 2 == 0
+                    and all(id_ == a == b for id_, a, b in rows)
+                    else f"odd or torn range {rows[:4]}",
+                )
+
+        def count_reader():
+            while not stop.is_set():
+                check(
+                    "SELECT COUNT(*) FROM t WHERE a = b",
+                    lambda rows: None
+                    if rows[0][0] >= base and rows[0][0] % 2 == 0
+                    else f"count {rows}",
+                )
+
+        def writer():
+            for round_number in range(150):
+                if stop.is_set():
+                    return
+                key = round_number % base + 1
+                shift = key + 1000 * (round_number + 1)
+                database.execute(
+                    f"UPDATE t SET a = {shift}, b = {shift} WHERE id = {key}"
+                )
+                low = base + 1 + 2 * round_number
+                database.execute(
+                    f"INSERT INTO t VALUES ({low}, {low}, {low}), "
+                    f"({low + 1}, {low + 1}, {low + 1})"
+                )
+                if round_number % 3 == 2:
+                    gone = low - 4
+                    database.execute(
+                        f"DELETE FROM t WHERE id >= {gone} AND id <= {gone + 1}"
+                    )
+                # Reading its own write back also keeps the view "read"
+                # however the readers are scheduled, so its copy budget
+                # never runs out and the patch count below is exact.
+                check(
+                    f"SELECT a, b FROM t WHERE id = {key}",
+                    lambda rows: None
+                    if rows == [(shift, shift)]
+                    else f"lost update {rows}",
+                )
+            stop.set()
+
+        readers = [
+            threading.Thread(target=target)
+            for target in (point_reader, range_reader, count_reader) * 2
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            run_threads(readers + [threading.Thread(target=writer)])
+        finally:
+            sys.setswitchinterval(interval)
+            stop.set()
+        assert violations == []
+        # Every read was served by one view, patched by every write.
+        assert table.batch_builds == 1 and table.batch_drops == 0
+        assert table.batch_patches == 150 * 3 + 50 * 2
+        live, fresh = table.column_batch(), ColumnBatch.from_table(table)
+        assert live.rowids == fresh.rowids and live.columns == fresh.columns
 
     def test_writer_not_starved_by_reader_stream(self):
         """Writer preference: a writer queued behind a continuous

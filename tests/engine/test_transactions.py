@@ -193,3 +193,35 @@ class TestRestoreTable:
         heap = db.catalog.table("t")
         heap.restore(100, [50, "z"])
         assert heap.insert([51, "w"]) > 100
+
+
+class TestCopyFrom:
+    def test_copy_keeps_rowids_rows_and_indexes(self, db):
+        db.execute("DELETE FROM t WHERE id = 2")
+        target = Database()
+        target.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        target.execute("CREATE INDEX idx_v ON t (v)")
+        heap = target.catalog.table("t")
+        heap.copy_from(db.catalog.table("t"))
+        assert list(heap.scan()) == list(db.catalog.table("t").scan())
+        assert heap.lookup_pk(3) == 3
+        assert target.query("SELECT id FROM t WHERE v = 'c'") == [(3,)]
+        assert heap.insert([4, "d"]) > 3
+
+    def test_copy_rejects_clashing_rowid_and_key(self, db):
+        source = db.catalog.table("t")
+        other = Database()
+        other.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        other.execute("INSERT INTO t VALUES (7, 'x')")  # rowid 1
+        with pytest.raises(ConstraintError, match="occupied"):
+            other.catalog.table("t").copy_from(source)
+        other.catalog.table("t").restore(9, [1, "y"])
+        other.catalog.table("t").delete(1)
+        with pytest.raises(ConstraintError, match="duplicate"):
+            other.catalog.table("t").copy_from(source)
+
+    def test_copy_rejects_different_columns(self, db):
+        other = Database()
+        other.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        with pytest.raises(ConstraintError, match="different columns"):
+            other.catalog.table("t").copy_from(db.catalog.table("t"))

@@ -111,6 +111,32 @@ class TestGauge:
         with pytest.raises(MetricError, match="unlabelled"):
             gauge.set_function(lambda: 1.0)
 
+    def test_callback_per_labelled_series(self):
+        state = {"a": 1, "b": 2}
+        counter = Counter("events_total", label_names=("event",))
+        for name in state:
+            counter.set_function(lambda key=name: state[key], event=name)
+        counter.inc(5, event="written")
+        state["b"] = 7
+        assert counter.value(event="b") == 7
+        assert counter.value(event="written") == 5
+        assert counter.total() == 13
+        assert counter.series() == [
+            ({"event": "written"}, 5.0),
+            ({"event": "a"}, 1.0),
+            ({"event": "b"}, 7.0),
+        ]
+        assert counter.snapshot()["total"] == 13
+        assert 'events_total{event="b"} 7' in counter.render()
+        with pytest.raises(MetricError, match="callback-backed"):
+            counter.inc(event="a")
+        # one broken series does not take the others down
+        counter.set_function(lambda: 1 / 0, event="a")
+        assert [labels for labels, _ in counter.series()] == [
+            {"event": "written"},
+            {"event": "b"},
+        ]
+
 
 class TestHistogram:
     def test_count_sum_min_max_exact(self):

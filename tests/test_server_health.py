@@ -112,6 +112,35 @@ class TestHealthOp:
         finally:
             server.stop()
 
+    def test_column_batch_events_in_health_scrape_and_top(self, server):
+        """Writes after the first read patch the columnar view; the
+        health op, a scrape and `repro top` all read the same series."""
+        from repro.cli import _render_top
+
+        with DelayClient(*server.address) as client:
+            client.register("writer")
+            client.query("SELECT * FROM t WHERE id = 1", identity="writer")
+            for i in range(10):
+                client.query(
+                    f"UPDATE t SET v = 'x{i}' WHERE id = {i + 1}",
+                    identity="writer",
+                )
+            client.query("SELECT * FROM t WHERE id = 2", identity="writer")
+            health = client.health()
+            text = client.metrics("prometheus")["text"]
+            scraped = client.metrics()["metrics"]
+        events = {"build": 1, "patch": 10, "drop": 0}
+        assert health["engine"]["column_batch_events"] == events
+        assert 'engine_column_batch_events_total{event="patch"} 10' in text
+        series = scraped["engine_column_batch_events_total"]["series"]
+        assert {
+            entry["labels"]["event"]: entry["value"] for entry in series
+        } == events
+        assert (
+            "column batches: built=1 patched=10 dropped=0"
+            in _render_top(health, None)
+        )
+
     def test_shed_feeds_slo_and_audit(self, tmp_path):
         audit_service = build_service(
             audit_path=str(tmp_path / "audit.jsonl")
