@@ -14,11 +14,6 @@ aspiration: scans and join-aggregates clear 5x with a wide margin;
 the projecting join and grouped aggregation spend most of their time
 materialising output rows in Python, so their floors are lower.
 
-The worker-pool benchmark needs real parallel hardware: on a
-single-core runner M forked scanners time-share one core and measure
-the scheduler, so the ratio assertion is gated on >= 2 usable cores
-(same convention as ``test_cluster_throughput.py``).
-
 Run with::
 
     pytest benchmarks/test_vectorized_throughput.py --benchmark-only
@@ -32,7 +27,6 @@ import pytest
 from repro.engine import Database, Executor, VectorizedExecutor
 from repro.engine.parser import parse
 from repro.engine.vectorized import HAVE_NUMPY
-from repro.engine.vectorized.workers import HAVE_FORK, available_cores
 
 SCAN_ROWS = int(os.environ.get("VEC_BENCH_ROWS", "50000"))
 JOIN_ROWS = int(os.environ.get("VEC_BENCH_JOIN_ROWS", "20000"))
@@ -63,8 +57,7 @@ def db():
             for i in range(1, JOIN_ROWS + 1)
         ],
     )
-    yield database
-    database.close()
+    return database
 
 
 def _classic_seconds(db, statement):
@@ -147,49 +140,3 @@ class TestVectorizedSpeedup:
             "SELECT grp, COUNT(*), SUM(score) FROM s GROUP BY grp",
             floor=1.5,
         )
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-class TestWorkerPoolScan:
-    def test_parallel_scan_correct_and_counted(self, benchmark, db):
-        """Always runs: the pool must serve scans and agree with local."""
-        db.configure_execution(scan_workers=2, parallel_scan_min_rows=1024)
-        statement = parse("SELECT COUNT(*) FROM s WHERE score > 42.5")
-        expected = Executor(db.catalog).execute(statement)
-        result = benchmark(db.executor.execute, statement)
-        assert repr(result.rows) == repr(expected.rows)
-        assert db.scan_pool.served >= 1
-        benchmark.extra_info["pool_served"] = db.scan_pool.served
-        benchmark.extra_info["pool_fallbacks"] = db.scan_pool.fallbacks
-        db.configure_execution()  # back to single-process for peers
-
-    @pytest.mark.skipif(
-        available_cores() < 2,
-        reason="parallel speedup needs >= 2 usable cores",
-    )
-    def test_parallel_scan_speedup_on_multicore(self, benchmark, db):
-        """Only on real parallel hardware: 2 workers must beat 1.
-
-        The filter below is numpy-ineligible (arithmetic over two
-        columns), so each chunk costs real per-row Python work — the
-        shape where forked scanners pay off.
-        """
-        sql = "SELECT COUNT(*) FROM s WHERE score * 2 > id"
-        statement = parse(sql)
-        db.configure_execution(scan_workers=available_cores())
-        pooled = db.executor
-        local = VectorizedExecutor(db.catalog)
-        expected = local.execute(statement)
-
-        started = time.perf_counter()
-        local.execute(statement)
-        local_seconds = time.perf_counter() - started
-
-        result = benchmark(pooled.execute, statement)
-        assert repr(result.rows) == repr(expected.rows)
-        pooled_seconds = benchmark.stats.stats.min
-        ratio = local_seconds / pooled_seconds
-        benchmark.extra_info["parallel_speedup_x"] = round(ratio, 2)
-        print(f"\n  {sql}\n  local/pooled = {ratio:.1f}x")
-        assert ratio >= 1.2
-        db.configure_execution()

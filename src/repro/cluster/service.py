@@ -73,7 +73,10 @@ class ClusterGuard:
         sleep: bool = True,
         deadline_at: Optional[float] = None,
         partial_results: bool = False,
-    ) -> GuardedResult:
+        cache_only: bool = False,
+    ) -> Optional[GuardedResult]:
+        if cache_only:
+            return None  # no result cache here: every probe misses
         return self._cluster.router.execute(
             sql_or_statement,
             identity=identity,

@@ -92,15 +92,6 @@ class GuardConfig:
             rows/rowids/touched, so pricing and popularity are
             unaffected either way. False pins the classic executor
             (ablation / debugging).
-        scan_workers: fork this many read-only scan worker processes
-            for large full scans (0, the default, stays single-
-            process). Workers snapshot the database via fork and are
-            respawned on any committed mutation; any worker failure
-            falls back to the identical in-process scan. Requires
-            ``vectorized_execution``.
-        parallel_scan_min_rows: smallest full scan dispatched to the
-            worker pool; smaller scans cost more in pipe traffic than
-            they save.
     """
 
     policy: str = "popularity"
@@ -131,8 +122,6 @@ class GuardConfig:
     forensics_max_keys_per_identity: int = 100_000
     node_id: Optional[str] = None
     vectorized_execution: bool = True
-    scan_workers: int = 0
-    parallel_scan_min_rows: int = 4096
 
     _POLICIES = ("popularity", "update", "both", "fixed", "none")
     _STORES = ("memory", "write_behind", "space_saving", "counting_sample")
@@ -188,20 +177,6 @@ class GuardConfig:
             raise ConfigError(
                 "result_cache_ttl without result_cache_size has no "
                 "effect; set a cache size to enable the cache"
-            )
-        if self.scan_workers < 0:
-            raise ConfigError(
-                f"scan_workers must be >= 0, got {self.scan_workers}"
-            )
-        if self.scan_workers > 0 and not self.vectorized_execution:
-            raise ConfigError(
-                "scan_workers requires vectorized_execution; the classic "
-                "executor has no parallel scan path"
-            )
-        if self.parallel_scan_min_rows < 1:
-            raise ConfigError(
-                f"parallel_scan_min_rows must be >= 1, "
-                f"got {self.parallel_scan_min_rows}"
             )
         if not 0 < self.forensics_coverage_threshold <= 1:
             raise ConfigError(

@@ -329,19 +329,11 @@ class DelayGuard:
             )
         if self.config.parse_cache_size is not None:
             configure_parse_cache(self.config.parse_cache_size)
-        if (
-            not self.config.vectorized_execution
-            or self.config.scan_workers > 0
-            or self.config.parallel_scan_min_rows != 4096
-        ):
+        if not self.config.vectorized_execution:
             # Only reconfigure when the config deviates from the engine
-            # defaults: a Database may be shared (tests, embedding) and
+            # default: a Database may be shared (tests, embedding) and
             # rebuilding its executor resets the path counters.
-            self.database.configure_execution(
-                vectorized=self.config.vectorized_execution,
-                scan_workers=self.config.scan_workers,
-                parallel_scan_min_rows=self.config.parallel_scan_min_rows,
-            )
+            self.database.configure_execution(vectorized=False)
         if self.obs.enabled:
             self._register_metrics()
         self.pipeline = QueryPipeline(self)

@@ -51,7 +51,7 @@ from .schema import Column, TableSchema, schema
 from .table import HeapTable
 from .transactions import TransactionError, UndoLog
 from .types import DataType, SQLValue
-from .vectorized import ScanWorkerPool, VectorizedExecutor
+from .vectorized import VectorizedExecutor
 
 __all__ = [
     "AccessPath",
@@ -78,7 +78,6 @@ __all__ = [
     "ReplayedEntry",
     "ResultSet",
     "SQLValue",
-    "ScanWorkerPool",
     "TableSchema",
     "TransactionError",
     "TypeMismatchError",

@@ -109,7 +109,6 @@ class Database:
         # classic row-at-a-time path statement-by-statement, emitting
         # bit-identical results either way (see repro.engine.vectorized).
         self.executor: Executor = VectorizedExecutor(self.catalog)
-        self._scan_pool = None
         self.stats = EngineStats()
         #: Engine-level reader/writer lock: SELECT/EXPLAIN share the
         #: read side, everything that mutates takes the write side.
@@ -163,56 +162,17 @@ class Database:
 
     # -- execution engine selection ------------------------------------------
 
-    def configure_execution(
-        self,
-        vectorized: bool = True,
-        scan_workers: int = 0,
-        parallel_scan_min_rows: int = 4096,
-    ) -> None:
+    def configure_execution(self, vectorized: bool = True) -> None:
         """Choose the SELECT execution engine.
 
         Args:
             vectorized: use the columnar executor (falls back to the
                 classic path per statement); False pins the classic
                 row-at-a-time executor.
-            scan_workers: fork this many read-only scan worker
-                processes for large full scans (0 disables; silently
-                stays in-process where fork is unavailable).
-            parallel_scan_min_rows: smallest full scan handed to the
-                worker pool.
-
-        Always tears down any previous worker pool first, so calling
-        with defaults is also the clean shutdown path.
         """
         with self.write_txn():
-            if self._scan_pool is not None:
-                self._scan_pool.close()
-                self._scan_pool = None
-            if not vectorized:
-                self.executor = Executor(self.catalog)
-                return
-            pool = None
-            if scan_workers > 0:
-                from .vectorized.workers import ScanWorkerPool
-
-                pool = ScanWorkerPool(
-                    self.catalog,
-                    workers=scan_workers,
-                    epoch=lambda: self._mutation_epoch,
-                )
-                if not pool.start():
-                    pool = None
-            self._scan_pool = pool
-            self.executor = VectorizedExecutor(
-                self.catalog,
-                scan_pool=pool,
-                parallel_scan_min_rows=parallel_scan_min_rows,
-            )
-
-    @property
-    def scan_pool(self):
-        """The active scan worker pool, or None."""
-        return self._scan_pool
+            executor = VectorizedExecutor if vectorized else Executor
+            self.executor = executor(self.catalog)
 
     def execution_path_counts(self) -> Dict[str, int]:
         """How many SELECTs each engine path served (observability)."""
@@ -234,12 +194,6 @@ class Database:
             counts["patch"] += table.batch_patches
             counts["drop"] += table.batch_drops
         return counts
-
-    def close(self) -> None:
-        """Release process-level resources (scan workers). Idempotent."""
-        if self._scan_pool is not None:
-            self._scan_pool.close()
-            self._scan_pool = None
 
     def set_rowid_allocation(self, offset: int, stride: int) -> None:
         """Allocate rowids from residue class ``offset + 1 (mod stride)``.

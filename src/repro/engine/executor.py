@@ -82,9 +82,9 @@ class ResultSet:
         rowcount: rows affected, for DML statements.
         statement_kind: "select" | "insert" | "update" | "delete" | "ddl".
         execution_path: which engine path produced this result —
-            "classic" (row-at-a-time), "vectorized", "parallel"
-            (vectorized + scan workers), or "cached" (thawed from the
-            result cache). Observability only; never affects content.
+            "classic" (row-at-a-time), "vectorized", or "cached"
+            (thawed from the result cache). Observability only; never
+            affects content.
     """
 
     columns: List[str] = field(default_factory=list)

@@ -35,9 +35,7 @@ class HeapTable:
         self._rowid_stride = 1
         #: monotonic mutation counter: bumped on every insert/update/
         #: delete/restore. The columnar view carries the version it
-        #: reflects, and fork-based scan workers verify it per task so
-        #: a stale worker can never answer for a table that moved
-        #: underneath it.
+        #: reflects.
         self._version = 0
         #: columnar view (built by :meth:`column_batch`, patched by
         #: :meth:`_notify`), valid while its version matches ``_version``.

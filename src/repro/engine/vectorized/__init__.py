@@ -16,16 +16,11 @@ ordering, because the delay guard prices queries, maintains popularity
 counts, and keys its result cache off them. The differential harness
 in ``tests/engine/test_vectorized_equivalence.py`` enforces this over
 a statement corpus plus seeded fuzzing.
-
-:mod:`.workers` layers a fork-based read-only scan-worker pool on top
-so large full scans use every core while DML stays on the
-single-writer path.
 """
 
 from .columns import ColumnBatch, HAVE_NUMPY
 from .compiler import NotVectorizable, compile_filter
 from .executor import VectorizedExecutor
-from .workers import ScanWorkerPool
 
 __all__ = [
     "ColumnBatch",
@@ -33,5 +28,4 @@ __all__ = [
     "NotVectorizable",
     "compile_filter",
     "VectorizedExecutor",
-    "ScanWorkerPool",
 ]

@@ -20,8 +20,7 @@ Safety argument (why no reader sees a half-patched or stale view):
 * Nothing outlives the statement: a ``ResultSet`` holds fresh lists of
   row tuples, rowids and ``touched`` pairs, never a batch list or array
   (compiled filters and ``Tri`` masks that alias one die with the
-  statement). Forked scan workers patch nothing; they see the view as
-  of the fork and check ``HeapTable.version`` per task.
+  statement).
 * ``apply`` stamps ``version`` last. A patch that raises, meets an
   event it does not know, or exceeds the copy budget below makes the
   table *drop* the batch; ``HeapTable.column_batch`` then rebuilds

@@ -113,32 +113,12 @@ class MultiResolver:
 
 
 class VectorizedExecutor(Executor):
-    """Columnar SELECT execution with classic fallback.
+    """Columnar SELECT execution with classic fallback."""
 
-    Args:
-        catalog: the shared catalog.
-        scan_pool: optional
-            :class:`~repro.engine.vectorized.workers.ScanWorkerPool` for
-            multi-process full scans (read path only).
-        parallel_scan_min_rows: full scans below this row count stay
-            in-process — forking pipes cost more than they save.
-    """
-
-    def __init__(
-        self,
-        catalog: Catalog,
-        scan_pool=None,
-        parallel_scan_min_rows: int = 4096,
-    ):
+    def __init__(self, catalog: Catalog):
         super().__init__(catalog)
-        self.scan_pool = scan_pool
-        self.parallel_scan_min_rows = parallel_scan_min_rows
         #: dispatch counters, surfaced by the guard's observability.
-        self.path_counts: Dict[str, int] = {
-            "vectorized": 0,
-            "parallel": 0,
-            "classic": 0,
-        }
+        self.path_counts: Dict[str, int] = {"vectorized": 0, "classic": 0}
 
     # -- dispatch -----------------------------------------------------------
 
@@ -150,7 +130,8 @@ class VectorizedExecutor(Executor):
             result.execution_path = "classic"
             self.path_counts["classic"] += 1
             return result
-        self.path_counts[result.execution_path] += 1
+        result.execution_path = "vectorized"
+        self.path_counts["vectorized"] += 1
         return result
 
     # -- planning -----------------------------------------------------------
@@ -173,7 +154,6 @@ class VectorizedExecutor(Executor):
                 if name not in shared:
                     key_map[name] = (source_index, column_index)
 
-        parallel = False
         if statement.joins:
             tuples = self._joined_tuples(statement, sources, batches, key_map)
             if statement.where is not None:
@@ -183,25 +163,21 @@ class VectorizedExecutor(Executor):
                 mask = batch_filter(MultiView(batches, tuples))
                 tuples = [tuples[i] for i in mask.true_positions()]
         else:
-            tuples, parallel = self._single_table_tuples(
+            tuples = self._single_table_tuples(
                 statement, sources[0], batches[0]
             )
 
-        path = "parallel" if parallel else "vectorized"
         if statement.group_by:
-            result = self._vector_grouped(
+            return self._vector_grouped(
                 statement, sources, batches, key_map, shared, tuples
             )
-        elif any(item.aggregate for item in statement.items):
-            result = self._vector_aggregate(
+        if any(item.aggregate for item in statement.items):
+            return self._vector_aggregate(
                 statement, sources, batches, key_map, tuples
             )
-        else:
-            result = self._vector_plain(
-                statement, sources, batches, key_map, tuples
-            )
-        result.execution_path = path
-        return result
+        return self._vector_plain(
+            statement, sources, batches, key_map, tuples
+        )
 
     # -- row sourcing ---------------------------------------------------------
 
@@ -210,7 +186,7 @@ class VectorizedExecutor(Executor):
         statement: SelectStatement,
         source,
         batch: ColumnBatch,
-    ) -> Tuple[List[PosTuple], bool]:
+    ) -> List[PosTuple]:
         """Filtered positions for a single-table SELECT.
 
         Uses the same planner access path as the classic executor, so
@@ -234,18 +210,7 @@ class VectorizedExecutor(Executor):
             selected = (
                 list(range(len(batch))) if positions is None else positions
             )
-            return [(p,) for p in selected], False
-
-        if (
-            positions is None
-            and self.scan_pool is not None
-            and len(batch) >= self.parallel_scan_min_rows
-        ):
-            hits = self.scan_pool.filter_positions(
-                table, label, statement.where, len(batch)
-            )
-            if hits is not None:
-                return [(p,) for p in hits], True
+            return [(p,) for p in selected]
 
         batch_filter = compile_filter(
             statement.where, SingleTableResolver(batch, label)
@@ -254,7 +219,7 @@ class VectorizedExecutor(Executor):
         hits = mask.true_positions()
         if positions is not None:
             hits = [positions[i] for i in hits]
-        return [(p,) for p in hits], False
+        return [(p,) for p in hits]
 
     def _joined_tuples(
         self,

@@ -431,14 +431,14 @@ class DataProviderService:
         return payload
 
     def close(self) -> None:
-        """Release process-level engine resources (scan worker pool).
+        """Nothing to release on a single node.
 
-        Idempotent, and deliberately leaves the journal attached: a
-        service may be closed and its database re-wrapped, but a
-        journal close is a durability decision the owner makes
+        Exists so a caller can close this service and
+        :class:`~repro.cluster.ClusterService` (which stops its gossip
+        and monitor loops) alike. Deliberately leaves the journal
+        attached: closing it is a durability decision the owner makes
         explicitly.
         """
-        self.database.close()
 
     # -- state persistence ----------------------------------------------------------
 

@@ -1,18 +1,16 @@
-"""Unit tests for the vectorized executor and its scan worker pool.
+"""Unit tests for the vectorized executor.
 
 The equivalence harness (``test_vectorized_equivalence``) proves
 *what* the vectorized path returns; these tests pin down *how* it is
-selected — dispatch, per-statement fallback, configuration knobs,
-worker-pool lifecycle — and the two hot-path bugs the refactor fixed
-(integer precision above 2**53, aggregate LIMIT/OFFSET).
+selected — dispatch, per-statement fallback, the configuration knob —
+and the two hot-path bugs the refactor fixed (integer precision above
+2**53, aggregate LIMIT/OFFSET).
 """
 
 import pytest
 
 from repro.core.config import GuardConfig
-from repro.core.errors import ConfigError
-from repro.engine import Database, Executor, ScanWorkerPool, VectorizedExecutor
-from repro.engine.vectorized.workers import HAVE_FORK
+from repro.engine import Database, Executor, VectorizedExecutor
 
 BIG = 2**53
 
@@ -28,8 +26,7 @@ def db():
         "t",
         [(i, i % 3, BIG + i, float(i)) for i in range(1, 41)],
     )
-    yield database
-    database.close()
+    return database
 
 
 class TestDispatch:
@@ -108,85 +105,8 @@ class TestPrecisionRegressions:
 
 
 class TestConfigKnobs:
-    def test_scan_workers_require_vectorized_execution(self):
-        with pytest.raises(ConfigError):
-            GuardConfig(vectorized_execution=False, scan_workers=2).validate()
-
-    def test_negative_scan_workers_rejected(self):
-        with pytest.raises(ConfigError):
-            GuardConfig(scan_workers=-1).validate()
-
-    def test_parallel_scan_min_rows_floor(self):
-        with pytest.raises(ConfigError):
-            GuardConfig(parallel_scan_min_rows=0).validate()
-
     def test_defaults_validate(self):
         GuardConfig().validate()
-
-
-@pytest.mark.skipif(not HAVE_FORK, reason="fork start method unavailable")
-class TestScanWorkerPool:
-    def test_parallel_path_used_and_identical(self, db):
-        classic = [
-            row for row in db.query("SELECT id FROM t WHERE grp = 1")
-        ]
-        db.configure_execution(scan_workers=2, parallel_scan_min_rows=1)
-        assert db.scan_pool is not None and db.scan_pool.alive
-        rows = db.query("SELECT id FROM t WHERE grp = 1")
-        assert rows == classic
-        assert db.execution_path_counts()["parallel"] >= 1
-        assert db.scan_pool.served >= 1
-
-    def test_mutation_respawns_pool_and_results_stay_fresh(self, db):
-        db.configure_execution(scan_workers=2, parallel_scan_min_rows=1)
-        db.query("SELECT id FROM t WHERE grp = 0")  # fork + first scan
-        db.execute("INSERT INTO t VALUES (99, 1, 0, 0.0)")
-        rows = db.query("SELECT id FROM t WHERE grp = 1")
-        assert (99,) in rows
-        assert db.scan_pool.respawns >= 1
-
-    def test_indexed_lookup_stays_local(self, db):
-        db.configure_execution(scan_workers=2, parallel_scan_min_rows=1)
-        served_before = db.scan_pool.served
-        db.query("SELECT id FROM t WHERE id = 5")  # pk access path
-        assert db.scan_pool.served == served_before
-
-    def test_small_scans_stay_local(self, db):
-        db.configure_execution(scan_workers=2, parallel_scan_min_rows=10_000)
-        db.query("SELECT id FROM t WHERE grp = 1")
-        assert db.scan_pool.served == 0
-
-    def test_dead_pool_falls_back_to_local_scan(self, db):
-        import os as _os
-        import signal as _signal
-
-        db.configure_execution(scan_workers=2, parallel_scan_min_rows=1)
-        for pid in db.scan_pool._pids:
-            _os.kill(pid, _signal.SIGKILL)
-            db.scan_pool._reap(pid, timeout=2.0)
-        rows = db.query("SELECT id FROM t WHERE grp = 1")
-        assert rows == [(i,) for i in range(1, 41) if i % 3 == 1]
-
-    def test_close_is_idempotent(self, db):
-        db.configure_execution(scan_workers=2)
-        db.close()
-        db.close()
-        assert db.scan_pool is None
-
-    def test_standalone_pool_filters_exact_positions(self, db):
-        from repro.engine.parser import parse
-
-        statement = parse("SELECT id FROM t WHERE grp = 1")
-        table = db.catalog.table("t")
-        with ScanWorkerPool(db.catalog, workers=2) as pool:
-            positions = pool.filter_positions(
-                table, "t", statement.where, len(table.column_batch())
-            )
-        grp = table.column_batch().columns[1]  # (id, grp, v, s)
-        expected = [
-            index for index, value in enumerate(grp) if value == 1
-        ]
-        assert positions == expected
 
 
 class TestGuardWiring:

@@ -1,5 +1,7 @@
 """Tests for the TCP server and client."""
 
+import json
+import socket
 import threading
 import time
 
@@ -15,10 +17,9 @@ from repro.server import (
 from repro.service import DataProviderService
 
 
-@pytest.fixture
-def service():
+def make_service(**guard_options):
     provider = DataProviderService(
-        guard_config=GuardConfig(cap=0.001),
+        guard_config=GuardConfig(cap=0.001, **guard_options),
         account_policy=AccountPolicy(daily_query_quota=100),
     )
     provider.database.execute(
@@ -31,9 +32,26 @@ def service():
 
 
 @pytest.fixture
+def service():
+    return make_service()
+
+
+@pytest.fixture
 def server(service):
     with DelayServer(service) as running:
         yield running
+
+
+def raw_exchange(address, *lines):
+    """Send raw request lines on one socket; return the decoded answers."""
+    with socket.create_connection(address, timeout=10) as sock:
+        stream = sock.makefile("rwb")
+        answers = []
+        for line in lines:
+            stream.write(line + b"\n")
+            stream.flush()
+            answers.append(json.loads(stream.readline()))
+        return answers
 
 
 class TestProtocol:
@@ -91,12 +109,19 @@ class TestProtocol:
                 client._call({"op": "dance"})
 
     def test_bad_json_line(self, server):
-        response = server.handle_request("{not json")
-        assert response["ok"] is False
+        bad, ping = raw_exchange(
+            server.address, b"{not json", b'{"op": "ping"}'
+        )
+        assert bad["ok"] is False
+        assert bad["error"].startswith("bad json")
+        assert ping == {"ok": True, "op": "pong"}  # connection survives
 
     def test_non_dict_request(self, server):
-        response = server.handle_request('"hello"')
-        assert response["ok"] is False
+        bad, ping = raw_exchange(
+            server.address, b'"hello"', b'{"op": "ping"}'
+        )
+        assert bad == {"ok": False, "error": "request must be {'op': ...}"}
+        assert ping == {"ok": True, "op": "pong"}
 
 
 class TestRobustness:
@@ -129,21 +154,39 @@ class TestRobustness:
                 client.ping()
 
     def test_handler_error_is_isolated_and_recorded(
-        self, service, server, monkeypatch
+        self, service, monkeypatch
     ):
+        """Wherever the crash happens: on a worker thread (no result
+        cache), or on the I/O loop while it answers a cache probe."""
+
         def boom(*args, **kwargs):
             raise RuntimeError("kaboom")
 
-        monkeypatch.setattr(service.guard, "execute", boom)
-        with DelayClient(*server.address) as client:
-            client.register("erin")
-            with pytest.raises(ServerError, match="internal server error"):
-                client.query("SELECT * FROM t WHERE id = 1",
-                             identity="erin")
-            # The connection (and server) survive the crash.
-            assert client.ping()
-        assert len(server.handler_errors) == 1
-        assert isinstance(server.handler_errors[0], RuntimeError)
+        cached = make_service(result_cache_size=8)
+        sql = "SELECT * FROM t WHERE id = 1"
+        for provider in (service, cached):
+            with DelayServer(provider) as server:
+                with DelayClient(*server.address, timeout=10) as client:
+                    client.register("erin")
+                    if provider is cached:
+                        client.query(sql, identity="erin")  # prime the entry
+                        hit = client.query(sql, identity="erin")
+                        assert hit["cached"] is True
+                        assert server.cache_fast_path_hits == 1
+                    monkeypatch.setattr(provider.guard, "execute", boom)
+                    with pytest.raises(ServerError) as excinfo:
+                        client.query(sql, identity="erin")
+                    assert excinfo.value.payload == {
+                        "ok": False,
+                        "error": "internal server error: kaboom",
+                        "reason": "internal_error",
+                    }
+                    # The connection (and server) survive the crash.
+                    assert client.ping()
+                    scrape = client.metrics()["metrics"]
+            assert len(server.handler_errors) == 1
+            assert isinstance(server.handler_errors[0], RuntimeError)
+            assert scrape["server_handler_errors_total"]["value"] == 1
 
     def test_stop_drains_active_connections(self, service):
         server = DelayServer(service, drain_timeout=2.0)
