@@ -67,13 +67,36 @@ metrics registry (``metrics`` op, JSON or Prometheus exposition).
 Concurrency model
 -----------------
 
-There is **no global statement lock**: worker threads run the guard's
-staged pipeline (:mod:`repro.core.pipeline`) directly, the engine
-arbitrates data access with a writer-preferring read/write lock, and
-trackers/stats carry their own internal locks. The server's one
-remaining lock covers registration only. A penalised query never
-blocks another client: its delay waits in the parking lot while the
-workers serve everyone else.
+There is **no global statement lock**: whichever thread serves a
+request runs the guard's staged pipeline (:mod:`repro.core.pipeline`)
+directly, the engine arbitrates data access with a writer-preferring
+read/write lock, and trackers/stats carry their own internal locks.
+The server's one remaining lock covers registration only. A penalised
+query never blocks another client: its delay waits in the parking lot
+while the threads serve everyone else.
+
+The worker pool exists for *concurrent* requests. Under one GIL a
+hand-off buys parallelism only while a second request is waiting; for
+a request that arrives alone it costs two Python threads contending
+for the interpreter (measured: +~190 µs of server CPU per point read,
+against 97 µs for the whole round trip when the worker has nothing to
+run). So the I/O loop is the worker of first resort for **reads**: a
+``query`` whose statement parses to a SELECT, on the only connection
+the current ``select`` turn made readable, with the admission queue
+empty and no worker busy, is served by the loop itself and its
+response written in the same turn. The moment a second request is
+waiting — two readable connections in one turn, a queued request, a
+busy worker — every request takes the bounded priority queue, so
+displacement, ``queue_full`` sheds, deadline-in-queue aborts and the
+``max_queue``/``max_workers`` bounds mean what they always meant. What
+the loop **never** runs, however idle the pool: DML, DDL and
+transaction statements (they take the engine's write lock and fsync
+the journal) and every other op (``checkpoint``, ``report``,
+``metrics``, ``health``, ``register``, …: they snapshot, fsync or
+serialise large payloads). A real-clock delay is parked, never slept,
+on either route. The price is head-of-line: while the loop runs a
+lone read, a request arriving behind it waits for that one statement
+before it is read.
 
 Per-connection robustness: reads are bounded by ``read_timeout`` and
 ``max_request_bytes``; a handler crash is recorded in
@@ -86,18 +109,23 @@ query's multi-hour sleep.
 One serving path
 ----------------
 
-Every request is answered by one function,
-``DelayServer._answer``, reached from two places: a worker thread
-that popped it from the admission queue, and — for a query on a guard
-that has a result cache — the I/O loop itself, which first asks the
-guard for a ``cache_only`` answer. A cache hit is authorized, priced,
-recorded and delayed exactly like a worker-served query and never
-costs a queue round trip; a miss returns before anything is charged
-and the request is admitted as usual. Both callers share the one
-query execution, the one response builder, the one delay hand-off
-(served inline on a simulated clock, parked on a real one) and the one
-mapping from exceptions to responses, so an unexpected exception is
-isolated and recorded wherever it is raised.
+Every request is answered by one function, ``DelayServer._answer``,
+with three callers: the I/O loop for a lone read on an idle pool (one
+full pipeline pass); the I/O loop for a query on a guard that has a
+result cache, when the read is not alone (a ``cache_only`` pass: a
+hit is authorized, priced, recorded and delayed exactly like any
+other query and never costs a queue round trip, a miss returns before
+anything is charged and the request is admitted as usual); and a
+worker thread for everything else. All three share the one query
+execution, the one response builder, the one delay hand-off (served
+inline on a simulated clock, parked on a real one) and the one mapping
+from exceptions to responses, so an unexpected exception is isolated
+and recorded wherever it is raised. Which thread served a query is
+counted (``server_queries_served_total{by="loop"|"worker"}``), as is
+the time a queued request waited for a worker
+(``server_queue_wait_seconds``); a response produced on the loop
+thread is written directly, one produced anywhere else is queued for
+the loop and wakes it.
 
 Modules: :mod:`.wire` (constants, validation, response shapes),
 :mod:`.admission` (admission queue, delay parking lot), :mod:`.ioloop`

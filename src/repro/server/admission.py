@@ -66,6 +66,14 @@ class AdmissionQueue:
         with self._cond:
             return len(self._heap)
 
+    def empty(self) -> bool:
+        """Whether nothing is queued, read without the lock.
+
+        The I/O loop asks this once per request; one attribute read is
+        atomic, and a stale answer only sends a read through the queue.
+        """
+        return not self._heap
+
     def offer(self, request: Request) -> Tuple[bool, Optional[Request]]:
         """Try to admit ``request``.
 

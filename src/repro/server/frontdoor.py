@@ -12,6 +12,8 @@ from typing import Deque, Dict, List, Optional, Tuple
 from ..core.clock import VirtualClock
 from ..core.errors import AccessDenied, ConfigError, DelayDefenseError
 from ..engine.errors import EngineError
+from ..engine.parser.ast import SelectStatement
+from ..engine.parser.parser import parse_cached
 from ..obs import SloTracker, build_info
 from ..service import DataProviderService
 from ..testing.faults import fire, injector
@@ -120,8 +122,9 @@ class DelayServer:
         self.max_connections = max_connections
         self.max_parked = max_parked
         self.overload_retry_after = overload_retry_after
-        #: lifetime count of queries answered on the I/O loop straight
-        #: from the result cache (no worker-pool round trip).
+        #: lifetime count of result-cache hits answered on the I/O loop
+        #: (no worker-pool round trip), by the cache probe or as a lone
+        #: read; only the loop thread writes it.
         self.cache_fast_path_hits = 0
         #: recent unexpected exceptions that escaped request handling,
         #: newest last, bounded so a long-running server cannot leak; a
@@ -210,6 +213,16 @@ class DelayServer:
             "server_shed_total",
             "Requests shed by overload protection, by shed point",
             ("reason",),
+        )
+        self._m_served = registry.counter(
+            "server_queries_served_total",
+            "Queries answered with a result, by the thread that ran them",
+            ("by",),
+        )
+        self._m_queue_wait = registry.histogram(
+            "server_queue_wait_seconds",
+            "Time from a request's arrival to a worker taking it "
+            "off the admission queue",
         )
         registry.gauge(
             "server_in_flight_connections",
@@ -415,17 +428,23 @@ class DelayServer:
         io = self._io
         if io is None:
             return
-        io.submit(("send", conn, wire.encode(payload), close_after))
+        io.send(conn, wire.encode(payload), close_after)
 
     # -- request intake (I/O loop thread) --------------------------------------
 
-    def _dispatch_line(self, conn: Connection, line: str) -> None:
+    def _dispatch_line(
+        self, conn: Connection, line: str, alone: bool
+    ) -> None:
         """Parse, validate, and admit one request line (I/O thread).
 
         Anything that can be answered without a worker — parse errors,
         invalid fields, admission sheds, result-cache hits — is
         answered here, so a saturated worker pool never delays the
-        fast rejection path.
+        fast rejection path. So is a read nobody else is waiting
+        behind: ``alone`` says this connection is the only one the
+        current select turn made readable, and with the queue empty
+        and every worker idle a hand-off would buy no parallelism,
+        only a second thread contending for the GIL.
         """
         received_at = time.monotonic()
         try:
@@ -470,12 +489,20 @@ class DelayServer:
             priority=payload.get("priority", wire.PRIORITY_DEFAULT),
         )
         conn.busy = True
-        if (
-            op == "query"
-            and self.service.guard.result_cache is not None
-            and self._answer(request, cache_only=True)
-        ):
-            return
+        if op == "query":
+            if (
+                alone
+                and self._queue.empty()
+                and not self._busy_workers
+                and self._is_select(payload.get("sql"))
+            ):
+                self._reply(request, self._answer(request, by="loop"))
+                return
+            if self.service.guard.result_cache is not None:
+                response = self._answer(request, by="loop", cache_only=True)
+                if response is not _PROBE_MISS:
+                    self._reply(request, response)
+                    return
         admitted, victim = self._queue.offer(request)
         if victim is not None:
             self._shed_at_queue(
@@ -485,6 +512,24 @@ class DelayServer:
             self._shed_at_queue(
                 request, f"admission queue full ({self.max_queue})"
             )
+
+    @staticmethod
+    def _is_select(sql: Optional[str]) -> bool:
+        """Whether ``sql`` parses to a SELECT.
+
+        Only reads may run on the I/O loop: DML, DDL and transaction
+        statements take the engine's write lock and fsync the journal.
+        ``parse_cached`` fills the normalisation and statement caches
+        the pipeline's parse stage reads, so serving the statement
+        lexes nothing a second time.
+        """
+        if not sql:
+            return False
+        try:
+            statement = parse_cached(sql)
+        except Exception:  # noqa: BLE001 — the worker's parse reports it
+            return False
+        return isinstance(statement, SelectStatement)
 
     def _shed_at_queue(self, request: Request, detail: str) -> None:
         self._note_shed("queue_full")
@@ -497,7 +542,7 @@ class DelayServer:
             ),
         )
 
-    # -- the serving path (I/O loop probe and worker threads) ------------------
+    # -- the serving path (worker threads and the I/O loop) --------------------
 
     def _worker_loop(self) -> None:
         while True:
@@ -506,28 +551,53 @@ class DelayServer:
                 return
             with self._conn_cond:
                 self._busy_workers += 1
+            if self.obs.enabled:
+                self._m_queue_wait.observe(
+                    time.monotonic() - request.received_at
+                )
             try:
-                self._answer(request)
+                response = self._answer(request)
             finally:
+                # Before the hand-off, not after it: a closed-loop
+                # client's next request can reach the loop before this
+                # thread runs again, and must not find the worker that
+                # just answered it still busy.
                 with self._conn_cond:
                     self._busy_workers -= 1
+            self._reply(request, response)
 
-    def _answer(self, request: Request, cache_only: bool = False) -> bool:
-        """Serve one request and send, or park, its response.
+    def _reply(self, request: Request, response: Optional[Dict]) -> None:
+        """Send what :meth:`_answer` returned (None: a parked delay
+        answers later)."""
+        if response is not None:
+            self._send_response(
+                request.conn,
+                response,
+                close_after=response.get("op") == "bye",
+            )
 
-        Both entry points end here: a worker thread with an admitted
-        request of any op, and the I/O loop with ``cache_only`` set for
-        a query it may be able to answer from the result cache. Every
-        exception becomes a response: denials and refused statements
-        are the request's fault; anything else is a server bug,
-        recorded in :attr:`handler_errors` (tests assert that list is
-        empty) without killing the thread that hit it.
+    def _answer(
+        self, request: Request, by: str = "worker", cache_only: bool = False
+    ) -> Optional[Dict]:
+        """Serve one request and return its response.
 
-        Returns False only when a cache probe missed: nothing was
-        charged or sent, and the request still needs a worker.
+        One function, three callers: a worker thread with an admitted
+        request of any op; the I/O loop (``by="loop"``) with a SELECT
+        that arrived alone at an idle pool; and the I/O loop with
+        ``cache_only`` set for a query it may be able to answer from
+        the result cache. Every exception becomes a response: denials
+        and refused statements are the request's fault; anything else
+        is a server bug, recorded in :attr:`handler_errors` (tests
+        assert that list is empty) without killing the thread that hit
+        it.
+
+        Returns None when the priced delay was parked and the parking
+        lot sends the response later, and ``_PROBE_MISS`` when a cache
+        probe missed: nothing was charged, and the request still needs
+        a worker.
         """
         try:
-            if not cache_only:
+            if by == "worker":
                 # Worker entry only: a stall rule must not block the loop.
                 fire("server.handler")
             if (
@@ -538,37 +608,27 @@ class DelayServer:
                 # work the client no longer wants.
                 raise AccessDenied("deadline_exceeded")
             if request.op == "query":
-                response = self._serve_query(request, cache_only)
-            else:
-                response = self._ops.get(request.op, self._handle_unknown)(
-                    request.payload
-                )
+                return self._serve_query(request, by, cache_only)
+            return self._ops.get(request.op, self._handle_unknown)(
+                request.payload
+            )
         except AccessDenied as denied:
             self.slo.note("denied")
             if self.obs.enabled:
                 self._m_denied.inc(reason=denied.reason or "denied")
-            response = wire.denied_response(denied)
+            return wire.denied_response(denied)
         except (EngineError, DelayDefenseError) as error:
             # A refused or malformed statement is the request's fault,
             # not the server's: a denial for SLO purposes, not an error.
             self.slo.note("denied")
-            response = {"ok": False, "error": str(error)}
+            return {"ok": False, "error": str(error)}
         except Exception as error:  # noqa: BLE001 — isolate the thread
             self._record_handler_error(error)
             self.slo.note("error")
-            response = wire.internal_error_response(error)
-        if response is _PROBE_MISS:
-            return False
-        if response is not None:  # None: a parked delay answers later
-            self._send_response(
-                request.conn,
-                response,
-                close_after=response.get("op") == "bye",
-            )
-        return True
+            return wire.internal_error_response(error)
 
     def _serve_query(
-        self, request: Request, cache_only: bool
+        self, request: Request, by: str, cache_only: bool
     ) -> Optional[Dict]:
         """Execute a query once and serve its delay once.
 
@@ -592,8 +652,10 @@ class DelayServer:
         )
         if result is None:
             return _PROBE_MISS
-        if cache_only:
+        if by == "loop" and result.cached:
             self.cache_fast_path_hits += 1
+        if self.obs.enabled:
+            self._m_served.inc(by=by)
         # SLO latency deliberately excludes the priced delay served
         # below: the delay is the defense working, not slowness.
         self.slo.note(
@@ -738,7 +800,10 @@ class DelayServer:
         # Read from the registry series, so `repro top` and a metrics
         # scrape can never disagree (absent on a cluster: shard guards
         # run without a registry).
-        batch_events = self.obs.registry.get("engine_column_batch_events_total")
+        registry = self.obs.registry
+        batch_events = registry.get("engine_column_batch_events_total")
+        served = registry.get("server_queries_served_total")
+        queue_wait = registry.get("server_queue_wait_seconds")
         return {
             "ok": True,
             "status": "draining" if self._draining.is_set() else "serving",
@@ -757,6 +822,23 @@ class DelayServer:
                 "shed_counts": dict(self.shed_counts),
                 "handler_errors_total": self.handler_errors_total,
                 "cache_fast_path_hits": self.cache_fast_path_hits,
+                "queries_served": (
+                    {
+                        by: int(served.value(by=by))
+                        for by in ("loop", "worker")
+                    }
+                    if served is not None
+                    else None
+                ),
+                "queue_wait_seconds": (
+                    {
+                        "count": queue_wait.count,
+                        "mean": queue_wait.mean(),
+                        "max": queue_wait.max,
+                    }
+                    if queue_wait is not None
+                    else None
+                ),
             },
             "cluster": cluster,
             "engine": (

@@ -7,7 +7,7 @@ import socket
 import threading
 import time
 from collections import deque
-from typing import Deque, Dict, Tuple
+from typing import Deque, Dict, Optional, Tuple
 
 from ..testing.faults import fire
 from . import wire
@@ -25,6 +25,7 @@ class Connection:
         "inbuf",
         "outbuf",
         "busy",
+        "pumping",
         "close_after_write",
         "last_activity",
         "closed",
@@ -37,6 +38,8 @@ class Connection:
         #: a request from this connection has not been answered yet;
         #: further complete lines wait in ``inbuf``.
         self.busy = False
+        #: ``_pump`` is dispatching this connection's lines right now.
+        self.pumping = False
         self.close_after_write = False
         self.last_activity = time.monotonic()
         self.closed = False
@@ -46,7 +49,7 @@ class IOLoop(threading.Thread):
     """Owns the listener and every connection of one ``DelayServer``.
 
     Complete request lines go to ``server._dispatch_line`` on this
-    thread; responses come back from any thread through :meth:`submit`.
+    thread; responses come back from any thread through :meth:`send`.
     """
 
     def __init__(self, server, listener: socket.socket):
@@ -59,6 +62,15 @@ class IOLoop(threading.Thread):
         self._wake_r.setblocking(False)
         self._wake_w.setblocking(False)
         self._running = True
+        #: the connection this select turn made readable, when it is
+        #: the only one; None when none or several are.
+        self._lone_reader: Optional[Connection] = None
+        # Idle connections are swept on a timer, not once per turn (a
+        # turn is a request): a quarter of the timeout bounds how long
+        # a connection can outlive it.
+        timeout = server.read_timeout
+        self._sweep_every = None if timeout is None else timeout / 4
+        self._next_sweep = time.monotonic()
         self.connections: Dict[int, Connection] = {}
         self._listener.setblocking(False)
         self._selector.register(listener, selectors.EVENT_READ, "accept")
@@ -67,6 +79,19 @@ class IOLoop(threading.Thread):
         )
 
     # -- cross-thread API ----------------------------------------------------
+
+    def send(
+        self, conn: Connection, data: bytes, close_after: bool = False
+    ) -> None:
+        """Deliver ``data`` on ``conn`` (any thread).
+
+        The loop thread writes it now; any other thread queues it and
+        wakes the loop.
+        """
+        if threading.get_ident() == self.ident:
+            self._enqueue_send(conn, data, close_after)
+        else:
+            self.submit(("send", conn, data, close_after))
 
     def submit(self, command: Tuple) -> None:
         """Queue a command for the loop thread and wake it."""
@@ -90,8 +115,18 @@ class IOLoop(threading.Thread):
 
     def run(self) -> None:
         try:
+            tick = 0.2
+            if self._sweep_every is not None:
+                tick = min(tick, self._sweep_every)
             while self._running:
-                events = self._selector.select(timeout=0.2)
+                events = self._selector.select(timeout=tick)
+                readers = [
+                    key.data
+                    for key, mask in events
+                    if mask & selectors.EVENT_READ
+                    and type(key.data) is Connection
+                ]
+                self._lone_reader = readers[0] if len(readers) == 1 else None
                 self._drain_commands()
                 for key, mask in events:
                     if key.data == "accept":
@@ -202,26 +237,39 @@ class IOLoop(threading.Thread):
         self._pump(conn)
 
     def _pump(self, conn: Connection) -> None:
-        """Dispatch complete lines while the connection is idle."""
-        limit = self._server.max_request_bytes
-        while not conn.busy and not conn.closed:
-            newline = conn.inbuf.find(b"\n")
-            # An unterminated line is judged by its length so far.
-            if (len(conn.inbuf) if newline < 0 else newline) > limit:
-                conn.inbuf.clear()  # the connection closes; serve no more
-                self._enqueue_send(
-                    conn,
-                    wire.encode(wire.too_large_response(limit)),
-                    close_after=True,
-                )
-                return
-            if newline < 0:
-                return
-            raw = bytes(conn.inbuf[:newline])
-            del conn.inbuf[: newline + 1]
-            line = raw.decode("utf-8", errors="replace").strip()
-            if line:
-                self._server._dispatch_line(conn, line)
+        """Dispatch complete lines while the connection is idle.
+
+        Not reentrant: a line answered on this thread comes back here
+        through ``_enqueue_send`` while the loop below is still
+        running, and that loop — not a nested one — takes the next
+        line, so a burst of pipelined lines iterates.
+        """
+        if conn.pumping:
+            return
+        conn.pumping = True
+        try:
+            limit = self._server.max_request_bytes
+            alone = self._lone_reader is conn
+            while not conn.busy and not conn.closed:
+                newline = conn.inbuf.find(b"\n")
+                # An unterminated line is judged by its length so far.
+                if (len(conn.inbuf) if newline < 0 else newline) > limit:
+                    conn.inbuf.clear()  # the connection closes; serve no more
+                    self._enqueue_send(
+                        conn,
+                        wire.encode(wire.too_large_response(limit)),
+                        close_after=True,
+                    )
+                    return
+                if newline < 0:
+                    return
+                raw = bytes(conn.inbuf[:newline])
+                del conn.inbuf[: newline + 1]
+                line = raw.decode("utf-8", errors="replace").strip()
+                if line:
+                    self._server._dispatch_line(conn, line, alone)
+        finally:
+            conn.pumping = False
 
     # -- write side ----------------------------------------------------------
 
@@ -270,10 +318,13 @@ class IOLoop(threading.Thread):
     # -- lifecycle -----------------------------------------------------------
 
     def _sweep_idle(self) -> None:
-        timeout = self._server.read_timeout
-        if timeout is None:
+        if self._sweep_every is None:
             return
         now = time.monotonic()
+        if now < self._next_sweep:
+            return
+        self._next_sweep = now + self._sweep_every
+        timeout = self._server.read_timeout
         for conn in list(self.connections.values()):
             if (
                 not conn.busy

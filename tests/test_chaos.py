@@ -56,6 +56,34 @@ def service():
     return make_service()
 
 
+def wedge_worker(server, client, results, name="blocker"):
+    """Occupy one worker for as long as the armed stall lasts.
+
+    Sends a ``report`` from a thread: an op the I/O loop never runs
+    itself, so it reaches the worker entry and with it an armed
+    ``server.handler`` stall (a lone SELECT on an idle pool would be
+    served by the loop and never wedge anything). Returns the thread
+    once a worker has the request; its ``(status, response-or-error,
+    seconds)`` lands in ``results[name]``.
+    """
+
+    def run():
+        start = time.perf_counter()
+        try:
+            response = client.report()
+            results[name] = ("ok", response, time.perf_counter() - start)
+        except ServerError as error:
+            results[name] = ("denied", error, time.perf_counter() - start)
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    deadline = time.monotonic() + 2.0
+    while not server._busy_workers and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert server._busy_workers == 1, "no worker took the wedge"
+    return thread
+
+
 def raw_request(address, payload, timeout=2.0):
     """One request over a raw socket; returns (response, seconds)."""
     with socket.create_connection(address, timeout=timeout) as sock:
@@ -141,17 +169,13 @@ class TestAdmissionQueue:
                             "denied", error, time.perf_counter() - start
                         )
 
-                threads = []
-                for name, client in (
-                    ("blocker", blocker),
-                    ("queued", queued),
-                    ("shed", shed),
-                ):
+                # Deterministic arrival order: blocker grabs the
+                # worker, queued fills the queue, shed overflows it.
+                threads = [wedge_worker(server, blocker, results)]
+                for name, client in (("queued", queued), ("shed", shed)):
                     thread = threading.Thread(target=run, args=(name, client))
                     thread.start()
                     threads.append(thread)
-                    # Deterministic arrival order: blocker grabs the
-                    # worker, queued fills the queue, shed overflows it.
                     time.sleep(0.15)
                 for thread in threads:
                     thread.join(timeout=5)
@@ -191,9 +215,8 @@ class TestAdmissionQueue:
                     except ServerError as error:
                         results[name] = ("denied", error)
 
-                threads = []
+                threads = [wedge_worker(server, blocker, results)]
                 for name, client, priority in (
-                    ("blocker", blocker, 5),
                     ("low", low, 1),
                     ("high", high, 8),
                 ):
@@ -250,12 +273,15 @@ class TestDeadlines:
         with injected_faults() as faults:
             faults.stall("server.handler", seconds=0.3, times=1)
             with DelayServer(service, max_workers=1) as server:
-                with DelayClient(*server.address) as client:
-                    with pytest.raises(ServerError) as excinfo:
-                        client.query(
-                            "SELECT * FROM t WHERE id = 1",
-                            deadline_ms=50,
-                        )
+                with DelayClient(*server.address) as blocker:
+                    wedged = wedge_worker(server, blocker, {})
+                    with DelayClient(*server.address) as client:
+                        with pytest.raises(ServerError) as excinfo:
+                            client.query(
+                                "SELECT * FROM t WHERE id = 1",
+                                deadline_ms=50,
+                            )
+                    wedged.join(timeout=5)
         assert excinfo.value.reason == "deadline_exceeded"
 
     def test_client_never_retries_deadline_exceeded(self):
@@ -612,15 +638,11 @@ class TestClientRetries:
                     )
 
                 threads = [
-                    threading.Thread(
-                        target=run_blocking, args=("blocker", blocker)
-                    ),
+                    wedge_worker(server, blocker, outcome),
                     threading.Thread(
                         target=run_blocking, args=("queued", queued)
                     ),
                 ]
-                threads[0].start()
-                time.sleep(0.1)
                 threads[1].start()
                 time.sleep(0.1)
                 # First attempt is shed (worker wedged + queue full);

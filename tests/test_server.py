@@ -15,12 +15,16 @@ from repro.server import (
     ServerError,
 )
 from repro.service import DataProviderService
+from repro.testing import injected_faults
+
+from .test_chaos import wedge_worker
 
 
-def make_service(**guard_options):
+def make_service(quota=100, service_options=(), **guard_options):
     provider = DataProviderService(
         guard_config=GuardConfig(cap=0.001, **guard_options),
-        account_policy=AccountPolicy(daily_query_quota=100),
+        account_policy=AccountPolicy(daily_query_quota=quota),
+        **dict(service_options),
     )
     provider.database.execute(
         "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)"
@@ -52,6 +56,17 @@ def raw_exchange(address, *lines):
             stream.flush()
             answers.append(json.loads(stream.readline()))
         return answers
+
+
+def query_line(sql, identity, **fields):
+    request = {"op": "query", "sql": sql, "identity": identity, **fields}
+    return json.dumps(request).encode() + b"\n"
+
+
+def served_by(server):
+    """How many queries each kind of thread has answered with a result."""
+    counter = server.obs.registry.get("server_queries_served_total")
+    return {by: counter.value(by=by) for by in ("loop", "worker")}
 
 
 class TestProtocol:
@@ -156,23 +171,37 @@ class TestRobustness:
     def test_handler_error_is_isolated_and_recorded(
         self, service, monkeypatch
     ):
-        """Wherever the crash happens: on a worker thread (no result
-        cache), or on the I/O loop while it answers a cache probe."""
+        """Wherever the crash happens: on a worker thread (a write never
+        runs anywhere else), on the I/O loop while it answers a cache
+        probe (a worker is busy, so the read is not alone), or on the
+        I/O loop while it serves a lone read on an idle pool."""
 
         def boom(*args, **kwargs):
             raise RuntimeError("kaboom")
 
-        cached = make_service(result_cache_size=8)
-        sql = "SELECT * FROM t WHERE id = 1"
-        for provider in (service, cached):
-            with DelayServer(provider) as server:
+        select = "SELECT * FROM t WHERE id = 1"
+        update = "UPDATE t SET v = 'x' WHERE id = 1"
+        for route, provider, sql in (
+            ("worker", service, update),
+            ("probe", make_service(result_cache_size=8), select),
+            ("lone", make_service(), select),
+        ):
+            with injected_faults() as faults, DelayServer(
+                provider
+            ) as server:
                 with DelayClient(*server.address, timeout=10) as client:
                     client.register("erin")
-                    if provider is cached:
+                    if route == "probe":
                         client.query(sql, identity="erin")  # prime the entry
                         hit = client.query(sql, identity="erin")
                         assert hit["cached"] is True
                         assert server.cache_fast_path_hits == 1
+                        faults.stall("server.handler", seconds=0.5, times=1)
+                        blocker = DelayClient(*server.address)
+                        wedged = wedge_worker(server, blocker, {})
+                    entries = faults.on_fire(
+                        "server.handler", lambda: None, times=None
+                    )
                     monkeypatch.setattr(provider.guard, "execute", boom)
                     with pytest.raises(ServerError) as excinfo:
                         client.query(sql, identity="erin")
@@ -181,9 +210,15 @@ class TestRobustness:
                         "error": "internal server error: kaboom",
                         "reason": "internal_error",
                     }
-                    # The connection (and server) survive the crash.
+                    # Only the worker route passes the worker entry.
+                    assert entries.fired == (1 if route == "worker" else 0)
+                    if route == "probe":
+                        wedged.join(timeout=5)
+                        blocker.close()
+                    # The connection, the loop and the server survive.
                     assert client.ping()
                     scrape = client.metrics()["metrics"]
+            assert server.handler_errors_total == 1, route
             assert len(server.handler_errors) == 1
             assert isinstance(server.handler_errors[0], RuntimeError)
             assert scrape["server_handler_errors_total"]["value"] == 1
@@ -206,6 +241,221 @@ class TestRobustness:
             DelayServer(service, max_request_bytes=0)
         with pytest.raises(ConfigError):
             DelayServer(service, drain_timeout=-1)
+
+
+class TestLoopServedReads:
+    """A lone read on an idle pool is served by the I/O loop itself;
+    everything else, and every read once anyone is waiting, takes the
+    queue and a worker exactly as before."""
+
+    def test_lone_read_matches_worker_served_read_byte_for_byte(
+        self, tmp_path
+    ):
+        sql = "SELECT * FROM t WHERE id = 3"
+        answers = {}
+        for route in ("loop", "worker"):
+            provider = make_service(
+                service_options={"audit_path": tmp_path / f"{route}.audit"}
+            )
+            with injected_faults() as faults, DelayServer(
+                provider, max_workers=2
+            ) as server:
+                with DelayClient(*server.address) as client:
+                    client.register("alice")
+                if route == "worker":
+                    # One of the two workers is busy, so the read is
+                    # queued for the other one.
+                    faults.stall("server.handler", seconds=0.5, times=1)
+                    blocker = DelayClient(*server.address)
+                    wedged = wedge_worker(server, blocker, {})
+                entries = faults.on_fire(
+                    "server.handler", lambda: None, times=None
+                )
+                waits = server.obs.registry.get("server_queue_wait_seconds")
+                waited = waits.count
+                with socket.create_connection(
+                    server.address, timeout=10
+                ) as sock:
+                    stream = sock.makefile("rwb")
+                    stream.write(query_line(sql, "alice"))
+                    stream.flush()
+                    answers[route] = stream.readline()
+                if route == "worker":
+                    assert entries.fired == 1
+                    assert waits.count == waited + 1
+                    assert served_by(server) == {"loop": 0, "worker": 1}
+                    wedged.join(timeout=5)
+                    blocker.close()
+                else:
+                    # Never queued, never at the worker entry.
+                    assert entries.fired == 0
+                    assert waits.count == waited
+                    assert server._busy_workers == 0
+                    assert served_by(server) == {"loop": 1, "worker": 0}
+                with DelayClient(*server.address) as client:
+                    state = client.health()["server"]
+                assert state["queries_served"][route] == 1
+                assert state["queue_wait_seconds"]["count"] >= 1
+            # Charged, priced, recorded and audited exactly once.
+            assert provider.accounts.account("alice").queries_issued == 1
+            assert provider.guard.stats.queries == 1
+            assert provider.guard.popularity.total_requests == 1
+            provider.obs.audit.flush()
+            kinds = provider.obs.audit.stats()["by_kind"]
+            assert kinds["query_served"] == 1
+            assert kinds["delay_priced"] == 1
+            provider.close()
+        assert json.loads(answers["loop"])["rows"] == [[3, "v3"]]
+        assert json.loads(answers["loop"])["delay"] > 0
+        assert answers["loop"] == answers["worker"]
+
+    def test_waiting_reads_are_popped_in_priority_order(
+        self, service, monkeypatch
+    ):
+        executed = []
+        real_execute = service.guard.execute
+
+        def recording_execute(sql, **kwargs):
+            executed.append(sql)
+            return real_execute(sql, **kwargs)
+
+        monkeypatch.setattr(service.guard, "execute", recording_execute)
+        with injected_faults() as faults, DelayServer(
+            service, max_workers=1
+        ) as server:
+            with DelayClient(*server.address) as client:
+                client.register("alice")
+            faults.stall("server.handler", seconds=0.6, times=1)
+            blocker = DelayClient(*server.address)
+            wedged = wedge_worker(server, blocker, {})
+            entries = faults.on_fire(
+                "server.handler", lambda: None, times=None
+            )
+            socks = []
+            for depth, priority in enumerate((1, 9, 5), start=1):
+                sock = socket.create_connection(server.address, timeout=10)
+                sock.sendall(
+                    query_line(
+                        f"SELECT * FROM t WHERE id = {priority}",
+                        "alice",
+                        priority=priority,
+                    )
+                )
+                socks.append(sock)
+                deadline = time.monotonic() + 2.0
+                while (
+                    server.queue_depth < depth
+                    and time.monotonic() < deadline
+                ):
+                    time.sleep(0.005)
+                # Each read, alone in its select turn or not, waits
+                # behind the busy worker: nothing ran ahead of it.
+                assert server.queue_depth == depth
+                assert executed == []
+            answers = [
+                json.loads(sock.makefile("rb").readline()) for sock in socks
+            ]
+            for sock in socks:
+                sock.close()
+            assert entries.fired == 3
+            assert served_by(server) == {"loop": 0, "worker": 3}
+            wedged.join(timeout=5)
+            blocker.close()
+        assert [answer["rows"][0][0] for answer in answers] == [1, 9, 5]
+        assert executed == [
+            f"SELECT * FROM t WHERE id = {priority}" for priority in (9, 5, 1)
+        ]
+
+    def test_writes_and_other_ops_always_take_a_worker(self, tmp_path):
+        provider = make_service(
+            service_options={"snapshot_path": tmp_path / "t.snapshot"}
+        )
+        with injected_faults() as faults, DelayServer(provider) as server:
+            with DelayClient(*server.address) as client:
+                client.register("alice")
+                entries = faults.on_fire(
+                    "server.handler", lambda: None, times=None
+                )
+                # One connection, an idle pool: every one of these
+                # arrives as alone as a request can be.
+                calls = [
+                    lambda: client.query(
+                        "INSERT INTO t (id, v) VALUES (50, 'new')",
+                        identity="alice",
+                    ),
+                    lambda: client.query(
+                        "UPDATE t SET v = 'changed' WHERE id = 50",
+                        identity="alice",
+                    ),
+                    lambda: client.query(
+                        "DELETE FROM t WHERE id = 50", identity="alice"
+                    ),
+                    client.checkpoint,
+                    client.report,
+                ]
+                for expected, call in enumerate(calls, start=1):
+                    assert call()["ok"] is True
+                    assert entries.fired == expected
+                assert served_by(server) == {"loop": 0, "worker": 3}
+                # ... and a read, on the same idle pool, does not.
+                client.query("SELECT * FROM t WHERE id = 1", identity="alice")
+                assert entries.fired == len(calls)
+                assert served_by(server) == {"loop": 1, "worker": 3}
+        provider.close()
+
+    def test_pipelined_burst_is_answered_in_order_on_the_loop(
+        self, monkeypatch
+    ):
+        provider = make_service(quota=1000, result_cache_size=8)
+        ids = [1 + index % 5 for index in range(300)]
+        with DelayServer(provider) as server:
+            with DelayClient(*server.address) as client:
+                client.register("alice")
+                for item in range(1, 6):  # prime the five cache entries
+                    client.query(
+                        f"SELECT * FROM t WHERE id = {item}", identity="alice"
+                    )
+            submitted = []
+            real_submit = server._io.submit
+
+            def counting_submit(command):
+                submitted.append(command)
+                real_submit(command)
+
+            monkeypatch.setattr(server._io, "submit", counting_submit)
+            with socket.create_connection(
+                server.address, timeout=10
+            ) as sock:
+                sock.sendall(
+                    b"".join(
+                        query_line(
+                            f"SELECT * FROM t WHERE id = {item}", "alice"
+                        )
+                        for item in ids
+                    )
+                )
+                stream = sock.makefile("rb")
+                answers = [json.loads(stream.readline()) for _ in ids]
+                # A response produced on the loop thread is written in
+                # the same turn: nothing crossed the wake socketpair.
+                assert submitted == []
+                # A line behind one that needs a worker still waits
+                # for that one's answer.
+                sock.sendall(
+                    query_line("SELECT * FROM t WHERE id = 2", "alice")
+                    + b'{"op": "ping"}\n'
+                    + query_line("SELECT * FROM t WHERE id = 4", "alice")
+                )
+                tail = [json.loads(stream.readline()) for _ in range(3)]
+            assert server.cache_fast_path_hits == 302
+        assert all(answer["cached"] for answer in answers)
+        assert [answer["rows"] for answer in answers] == [
+            [[item, f"v{item}"]] for item in ids
+        ]
+        assert tail[0]["rows"] == [[2, "v2"]]
+        assert tail[1] == {"ok": True, "op": "pong"}
+        assert tail[2]["rows"] == [[4, "v4"]]
+        assert not server.handler_errors
 
 
 class TestClientRetry:
