@@ -7,14 +7,20 @@ updates feed the update-rate tracker, and the §2.4 account limits apply
 counts live in the proxy, exactly as §2.3/§4.4 recommend via external
 count storage).
 
-How accounting works: the incoming SQL is parsed with this library's
-own parser (so only its SQL subset is accepted — a real deployment
-would fail closed on statements it cannot attribute). For a SELECT, the
-proxy runs a companion query ``SELECT rowid FROM <table> [WHERE ...]
-[ORDER BY ...] [LIMIT ...]`` to learn exactly which rows the user's
-query touches, charges and records them, then runs the user's original
-query for the results. DML statements likewise resolve their affected
-rowids first.
+The proxy hosts the same :class:`~repro.core.pipeline.QueryPipeline`
+as the native guard (quota, result limit, pricing, recording, the one
+sleep are that module's code) and swaps in one stage,
+:class:`SQLiteExecuteStage`. The incoming SQL is parsed with this
+library's own parser (so only its SQL subset is accepted — a real
+deployment would fail closed on statements it cannot attribute). For a
+SELECT, the stage runs a companion query ``SELECT rowid FROM <table>
+[WHERE ...] [ORDER BY ...] [LIMIT ...]`` to learn exactly which rows the
+user's query touches, then the user's original query for the results;
+the pipeline charges and records those rowids. DML statements likewise
+resolve their affected rowids first.
+
+Stage order is the native guard's: parse precedes authorize, so a
+statement that does not parse no longer spends the caller's quota.
 
 Joins, GROUP BY and subqueries are rejected by the proxy (attribution
 through SQLite would need rowid plumbing per table); the native engine
@@ -24,32 +30,23 @@ guard supports them.
 from __future__ import annotations
 
 import sqlite3
-import time
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.accounts import AccountManager
 from ..core.clock import Clock, VirtualClock
 from ..core.config import GuardConfig
-from ..core.delay_policy import (
-    DelayPolicy,
-    FixedDelayPolicy,
-    NoDelayPolicy,
-    PopularityDelayPolicy,
-    UpdateRateDelayPolicy,
-)
 from ..core.errors import ConfigError
 from ..core.guard import GuardStats
-from ..core.popularity import PopularityTracker
-from ..core.update_tracker import UpdateRateTracker
-from ..engine.errors import EngineError, ParseError
+from ..core.pipeline import ExecuteStage, PipelineHost, QueryContext
+from ..engine.executor import ResultSet
 from ..engine.parser.ast import (
     DeleteStatement,
     InsertStatement,
     SelectStatement,
     UpdateStatement,
 )
-from ..engine.parser.parser import parse_cached
+from ..obs import Observability
 
 
 @dataclass
@@ -64,7 +61,55 @@ class ProxyResult:
     statement_kind: str = "select"
 
 
-class SQLiteDelayProxy:
+class SQLiteExecuteStage(ExecuteStage):
+    """The proxy's execute stage: attribute rowids, then run ``sqlite3``."""
+
+    def run(self, ctx: QueryContext) -> None:
+        proxy = self.host
+        statement, sql = ctx.statement, ctx.sql_or_statement
+        connection = proxy.connection
+        if isinstance(statement, SelectStatement):
+            if statement.joins or statement.group_by:
+                raise ConfigError(
+                    "the SQLite proxy cannot attribute joins or GROUP BY; "
+                    "use the native engine guard for those"
+                )
+            rowids = proxy._rowids_for(statement)
+            cursor = connection.execute(sql)
+            rows = cursor.fetchall()
+            ctx.result = ResultSet(
+                columns=[desc[0] for desc in cursor.description or []],
+                rows=rows,
+                rowids=rowids,
+                table=statement.table,
+                rowcount=len(rows),
+            )
+        elif isinstance(
+            statement, (InsertStatement, UpdateStatement, DeleteStatement)
+        ):
+            inserting = isinstance(statement, InsertStatement)
+            rowids = [] if inserting else proxy._rowids_for(statement)
+            cursor = connection.execute(sql)
+            connection.commit()
+            if inserting:
+                last = cursor.lastrowid or 0
+                count = cursor.rowcount if cursor.rowcount > 0 else 1
+                rowids = list(range(last - count + 1, last + 1))
+            kind = type(statement).__name__.replace("Statement", "").lower()
+            ctx.result = ResultSet(
+                rowids=rowids,
+                table=statement.table,
+                rowcount=len(rowids),
+                statement_kind=kind,
+            )
+        else:
+            # DDL and transaction control pass straight through.
+            connection.execute(sql)
+            connection.commit()
+            ctx.result = ResultSet(statement_kind="ddl")
+
+
+class SQLiteDelayProxy(PipelineHost):
     """Wraps a ``sqlite3.Connection`` with the delay defense.
 
     Args:
@@ -84,6 +129,8 @@ class SQLiteDelayProxy:
     ([(1, 'x')], 3.0)
     """
 
+    execute_stage = SQLiteExecuteStage
+
     def __init__(
         self,
         connection: sqlite3.Connection,
@@ -96,37 +143,9 @@ class SQLiteDelayProxy:
         self.clock = clock if clock is not None else VirtualClock()
         self.accounts = accounts
         self.stats = GuardStats()
-        self.popularity = PopularityTracker(decay_rate=self.config.decay_rate)
-        self.update_rates = UpdateRateTracker(
-            clock=self.clock,
-            time_constant=self.config.update_time_constant,
-        )
-        self.last_update_times = {}
-        self.policy = self._build_policy()
-
-    # -- policy -----------------------------------------------------------
-
-    def _build_policy(self) -> DelayPolicy:
-        config = self.config
-        if config.policy == "none":
-            return NoDelayPolicy()
-        if config.policy == "fixed":
-            return FixedDelayPolicy(config.fixed_delay)
-        if config.policy == "update":
-            return UpdateRateDelayPolicy(
-                tracker=self.update_rates,
-                population=self.population,
-                c=config.update_c,
-                cap=config.cap,
-            )
-        return PopularityDelayPolicy(
-            tracker=self.popularity,
-            population=self.population,
-            cap=config.cap,
-            beta=config.beta,
-            unit=config.unit,
-            mode=config.popularity_mode,
-        )
+        self.obs = Observability.disabled()
+        self._init_trackers()
+        self._start_lifecycle()
 
     def population(self) -> int:
         """Total rows across all user tables in the SQLite database."""
@@ -145,10 +164,6 @@ class SQLiteDelayProxy:
     # -- statement handling ----------------------------------------------------
 
     @staticmethod
-    def _where_sql(statement) -> str:
-        return f" WHERE {statement.where}" if statement.where else ""
-
-    @staticmethod
     def _tail_sql(statement: SelectStatement) -> str:
         parts = []
         if statement.order_by:
@@ -163,21 +178,15 @@ class SQLiteDelayProxy:
                 parts.append(f" OFFSET {statement.offset}")
         return "".join(parts)
 
-    def _rowids_for_select(self, statement: SelectStatement) -> List[int]:
-        has_aggregate = any(item.aggregate for item in statement.items)
-        sql = (
-            f'SELECT rowid FROM "{statement.table}"'
-            + self._where_sql(statement)
-        )
-        if not has_aggregate:
+    def _rowids_for(self, statement) -> List[int]:
+        """The rowids ``statement`` touches (the companion query)."""
+        sql = f'SELECT rowid FROM "{statement.table}"'
+        if statement.where:
+            sql += f" WHERE {statement.where}"
+        if isinstance(statement, SelectStatement) and not any(
+            item.aggregate for item in statement.items
+        ):
             sql += self._tail_sql(statement)
-        return [row[0] for row in self.connection.execute(sql)]
-
-    def _rowids_for_dml(self, statement) -> List[int]:
-        sql = (
-            f'SELECT rowid FROM "{statement.table}"'
-            + self._where_sql(statement)
-        )
         return [row[0] for row in self.connection.execute(sql)]
 
     def execute(
@@ -194,115 +203,18 @@ class SQLiteDelayProxy:
         :class:`~repro.core.errors.ConfigError` for attributable-but-
         unsupported shapes (joins, GROUP BY, subqueries).
         """
-        accounting_start = time.perf_counter()
-        if self.accounts is not None:
-            if identity is None:
-                raise ConfigError(
-                    "this proxy requires an identity for every query"
-                )
-            try:
-                self.accounts.authorize_query(identity)
-            except Exception:
-                self.stats.note_denied()
-                raise
-        statement = parse_cached(sql)
-        if isinstance(statement, SelectStatement):
-            if statement.joins or statement.group_by:
-                raise ConfigError(
-                    "the SQLite proxy cannot attribute joins or GROUP BY; "
-                    "use the native engine guard for those"
-                )
-        accounting = time.perf_counter() - accounting_start
-
-        if isinstance(statement, SelectStatement):
-            return self._execute_select(
-                statement, sql, identity, record, sleep, accounting
-            )
-        if isinstance(statement, (InsertStatement, UpdateStatement,
-                                  DeleteStatement)):
-            return self._execute_dml(statement, sql, accounting)
-        # DDL and transaction control pass straight through.
-        engine_start = time.perf_counter()
-        self.connection.execute(sql)
-        self.connection.commit()
-        self.stats.note_query(
-            0.0, time.perf_counter() - engine_start, accounting
+        ctx = QueryContext(
+            sql_or_statement=sql, identity=identity, record=record, sleep=sleep
         )
-        return ProxyResult(statement_kind="ddl")
-
-    def _execute_select(
-        self, statement, sql, identity, record, sleep, accounting
-    ) -> ProxyResult:
-        accounting_start = time.perf_counter()
-        table_key = statement.table.lower()
-        rowids = self._rowids_for_select(statement)
-        keys = [(table_key, rowid) for rowid in rowids]
-        per_tuple = [self.policy.delay_for(key) for key in keys]
-        delay = (
-            sum(per_tuple)
-            if self.config.charge_returned_tuples
-            else max(per_tuple, default=0.0)
-        )
-        if record and self.config.record_accesses:
-            for key in keys:
-                self.popularity.record(key)
-        if self.accounts is not None and identity is not None:
-            self.accounts.record_retrieval(identity, len(keys))
-        accounting += time.perf_counter() - accounting_start
-
-        engine_start = time.perf_counter()
-        cursor = self.connection.execute(sql)
-        rows = cursor.fetchall()
-        engine_elapsed = time.perf_counter() - engine_start
-
-        self.stats.note_select(delay, len(keys))
-        self.stats.note_query(delay, engine_elapsed, accounting)
-        if delay > 0 and sleep:
-            self.clock.sleep(delay)
+        self.pipeline.serve(ctx)
+        result = ctx.result
         return ProxyResult(
-            rows=rows,
-            columns=[desc[0] for desc in cursor.description or []],
-            delay=delay,
-            rowids=rowids,
-            rowcount=len(rows),
-            statement_kind="select",
-        )
-
-    def _execute_dml(self, statement, sql, accounting) -> ProxyResult:
-        accounting_start = time.perf_counter()
-        table_key = statement.table.lower()
-        if isinstance(statement, InsertStatement):
-            affected_before: List[int] = []
-        else:
-            affected_before = self._rowids_for_dml(statement)
-        accounting += time.perf_counter() - accounting_start
-
-        engine_start = time.perf_counter()
-        cursor = self.connection.execute(sql)
-        self.connection.commit()
-        engine_elapsed = time.perf_counter() - engine_start
-
-        accounting_start = time.perf_counter()
-        if isinstance(statement, InsertStatement):
-            last = cursor.lastrowid or 0
-            count = cursor.rowcount if cursor.rowcount > 0 else 1
-            rowids = list(range(last - count + 1, last + 1))
-        else:
-            rowids = affected_before
-        if self.config.record_updates:
-            now = self.clock.now()
-            for rowid in rowids:
-                key = (table_key, rowid)
-                self.update_rates.record_update(key)
-                self.last_update_times[key] = now
-        accounting += time.perf_counter() - accounting_start
-
-        kind = type(statement).__name__.replace("Statement", "").lower()
-        self.stats.note_query(0.0, engine_elapsed, accounting)
-        return ProxyResult(
-            rowids=rowids,
-            rowcount=len(rowids),
-            statement_kind=kind,
+            rows=result.rows,
+            columns=result.columns,
+            delay=ctx.delay,
+            rowids=result.rowids,
+            rowcount=result.rowcount,
+            statement_kind=result.statement_kind,
         )
 
     # -- analysis --------------------------------------------------------------

@@ -6,6 +6,16 @@ query, priced from the global merged view, served once** — never
 per-shard sleeps (summing M per-shard prices computed against M
 under-counted views is exactly the vulnerability sharding introduces).
 
+The router hosts the same :class:`~repro.core.pipeline.QueryPipeline`
+as a single node's guard — admit, authorize, the result limit, price,
+record, forensics, the one sleep, the trace and audit envelope are that
+module's code, not a copy. What is the router's own is the *execute*
+stage, :class:`RouteStage`, and the answers to the pipeline's three
+questions: the owner's policy prices a single-shard read and a live
+reference shard's prices a scatter; reads are recorded at each tuple's
+owning shard; updates were already recorded by the shards that applied
+them.
+
 Routing by statement kind:
 
 - **DDL** (CREATE/DROP/EXPLAIN targets) broadcasts to every shard —
@@ -18,29 +28,30 @@ Routing by statement kind:
   proves a partition key, otherwise broadcasts — partitions are
   disjoint, so the broadcast touches each affected row exactly once.
 - **SELECT** takes the single-shard fast path when a partition-key
-  equality proves one owner (the owner prices from its gossip-merged
-  tracker view against the *global* population, so the price equals
-  the single-node price up to gossip staleness). Anything else —
-  scans, joins, aggregates — executes against a merged read-only
-  engine built from every shard's rows under their read locks (cached
-  per cluster-wide mutation-epoch vector), is priced **once** at the
-  coordinator from the merged touched-set, and is recorded at each
-  tuple's owning shard so the owners stay the authoritative count
-  holders.
+  equality proves one owner: the owner executes it (its result cache
+  serves repeats) and its policy — a gossip-merged tracker view against
+  the *global* population — prices it, so the price equals the
+  single-node price up to gossip staleness. Anything else — scans,
+  joins, aggregates — executes against a merged read-only engine built
+  from every shard's rows under their read locks (cached per
+  cluster-wide mutation-epoch vector) and is priced **once** from the
+  merged touched-set. Either way the reads are recorded at each tuple's
+  owning shard, so the owners stay the authoritative count holders.
 """
 
 from __future__ import annotations
 
 import threading
-import time
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.accounts import AccountManager
 from ..core.clock import Clock
 from ..core.config import GuardConfig
-from ..core.detection import CoverageMonitor
+from ..core.delay_policy import DelayPolicy
 from ..core.errors import AccessDenied, ConfigError, ShardUnavailable
 from ..core.guard import GuardedResult, GuardStats
+from ..core.pipeline import ExecuteStage, PipelineHost, QueryContext
 from ..engine.database import Database
 from ..engine.errors import EngineError
 from ..engine.executor import ResultSet
@@ -52,15 +63,48 @@ from ..engine.parser.ast import (
     TransactionStatement,
     UpdateStatement,
 )
-from ..engine.parser.normalize import normalize_sql
-from ..engine.parser.parser import parse_cached
-from ..obs import ForensicsMonitor, Observability
+from ..obs import Observability
 from .sharding import ShardMap, pk_values_from_where, render_insert_sql
 
 Key = Tuple[str, int]
 
 
-class ClusterRouter:
+@dataclass
+class RouteContext(QueryContext):
+    """A query's state plus what routing it decided."""
+
+    #: serve a scatter from the live shards when some are down.
+    partial_results: bool = False
+    #: the one shard that answered alone, or None for a scatter.
+    single: Optional[int] = None
+    #: the policy that prices this read: the owner's, or for a scatter
+    #: a live reference shard's.
+    policy: Optional[DelayPolicy] = None
+    #: which shards answered a degraded scatter (None when complete).
+    coverage: Optional[Dict] = None
+
+
+class RouteStage(ExecuteStage):
+    """The cluster's execute stage: route, scatter, split or broadcast."""
+
+    def run(self, ctx: RouteContext) -> None:
+        router, statement, source = self.host, ctx.statement, ctx.source
+        if isinstance(statement, TransactionStatement):
+            raise ConfigError(
+                "explicit transactions are not supported through the "
+                "cluster router (statements are atomic per shard)"
+            )
+        if isinstance(statement, SelectStatement):
+            ctx.result = router._route_select(ctx, statement, source)
+        elif isinstance(statement, InsertStatement):
+            ctx.result = router._execute_insert(statement, source)
+        elif isinstance(statement, (UpdateStatement, DeleteStatement)):
+            ctx.result = router._execute_dml(statement, source)
+        else:
+            ctx.result = router._broadcast(statement, source)
+
+
+class ClusterRouter(PipelineHost):
     """Routes statements across shards; prices one global delay.
 
     Args:
@@ -81,6 +125,8 @@ class ClusterRouter:
             count.
     """
 
+    execute_stage = RouteStage
+
     def __init__(
         self,
         shards: Sequence,
@@ -99,23 +145,6 @@ class ClusterRouter:
         self.obs = obs if obs is not None else Observability.disabled()
         self.population = population
         self.stats = GuardStats()
-        #: cluster-wide extraction forensics over the global population.
-        self.forensics: Optional[ForensicsMonitor] = None
-        if config.forensics:
-            self.forensics = ForensicsMonitor(
-                CoverageMonitor(
-                    population=population,
-                    coverage_threshold=config.forensics_coverage_threshold,
-                    novelty_threshold=config.forensics_novelty_threshold,
-                    window=config.forensics_window,
-                    min_requests=config.forensics_min_requests,
-                    max_identities=config.forensics_max_identities,
-                    max_keys_per_identity=(
-                        config.forensics_max_keys_per_identity
-                    ),
-                ),
-                audit=self.obs.audit if self.obs.enabled else None,
-            )
         self._merged_lock = threading.Lock()
         self._merged_cache: Optional[Tuple[tuple, Database]] = None
         #: routing counters for cluster health.
@@ -126,6 +155,7 @@ class ClusterRouter:
         self.shard_failures = 0
         self.unavailable_denials = 0
         self.partial_scatter_queries = 0
+        self._start_lifecycle()
 
     # -- shard availability --------------------------------------------------
 
@@ -155,7 +185,7 @@ class ClusterRouter:
             default=0.0,
         )
         self.unavailable_denials += 1
-        self.stats.note_denied()
+        self.note_denial("shard_unavailable")
         self._emit_audit(
             "cluster_shard_unavailable", shards=sorted(indexes)
         )
@@ -188,49 +218,49 @@ class ClusterRouter:
         sleep: bool = True,
         deadline_at: Optional[float] = None,
         partial_results: bool = False,
-    ) -> GuardedResult:
+        cache_only: bool = False,
+    ) -> Optional[GuardedResult]:
         """Route one statement; charge and serve its single delay.
 
         ``partial_results`` opts a scatter SELECT into degraded-mode
         serving: with one or more replica groups down it answers from
         the live shards and attaches per-shard coverage metadata to
         the result instead of failing closed — never silently partial.
+        ``cache_only`` is the server's probe (see
+        :meth:`~repro.core.guard.DelayGuard.execute`): the router keeps
+        no result cache, so it misses — None, nothing charged.
         """
-        started = time.perf_counter()
-        if isinstance(sql_or_statement, str):
-            statement = parse_cached(normalize_sql(sql_or_statement))
-            source = sql_or_statement
-        else:
-            statement = sql_or_statement
-            source = None
-        if isinstance(statement, TransactionStatement):
-            raise ConfigError(
-                "explicit transactions are not supported through the "
-                "cluster router (statements are atomic per shard)"
+        ctx = RouteContext(
+            sql_or_statement=sql_or_statement,
+            identity=identity,
+            record=record,
+            sleep=sleep,
+            deadline_at=deadline_at,
+            cache_only=cache_only,
+            partial_results=partial_results,
+        )
+        if not self.pipeline.serve(ctx):
+            return None
+        if ctx.result.statement_kind == "select" and self.obs.audit is not None:
+            self._emit_audit(
+                "cluster_select",
+                shards=(
+                    [ctx.single]
+                    if ctx.single is not None
+                    else sorted(self._by_owner(ctx.keys))
+                ),
+                identity=identity,
+                delay=ctx.delay,
+                tuples=len(ctx.keys),
             )
-        if self.accounts is not None:
-            if identity is None:
-                raise ConfigError(
-                    "this cluster requires an identity for every query"
-                )
-            try:
-                self.accounts.authorize_query(identity)
-            except Exception:
-                self.stats.note_denied()
-                raise
-        if isinstance(statement, SelectStatement):
-            return self._execute_select(
-                statement, source, identity, record, sleep, deadline_at,
-                started, partial_results,
-            )
-        if isinstance(statement, InsertStatement):
-            result = self._execute_insert(statement, source)
-        elif isinstance(statement, (UpdateStatement, DeleteStatement)):
-            result = self._execute_dml(statement, source)
-        else:
-            result = self._broadcast(statement, source)
-        self.stats.note_query(0.0, time.perf_counter() - started, 0.0)
-        return GuardedResult(result=result, delay=0.0, identity=identity)
+        return GuardedResult(
+            result=ctx.result,
+            delay=ctx.delay,
+            per_tuple_delays=ctx.per_tuple,
+            identity=identity,
+            trace=ctx.trace,
+            coverage=ctx.coverage,
+        )
 
     # -- writes and DDL ------------------------------------------------------
 
@@ -259,7 +289,7 @@ class ClusterRouter:
             raise
         except Exception as error:
             self.shard_failures += 1
-            self.stats.note_denied()
+            self.note_denial("shard_unavailable")
             self._emit_audit(
                 "cluster_shard_failure",
                 shard=index,
@@ -401,102 +431,37 @@ class ClusterRouter:
 
     # -- reads ---------------------------------------------------------------
 
-    def _execute_select(
-        self,
-        statement: SelectStatement,
-        source,
-        identity: Optional[str],
-        record: bool,
-        sleep: bool,
-        deadline_at: Optional[float],
-        started: float,
-        partial_results: bool = False,
-    ) -> GuardedResult:
-        single = self._single_shard_for(statement)
-        engine_seconds = 0.0
-        coverage = None
-        if single is not None:
-            guard = self._shard_guard(single)
-            try:
-                guarded = guard.execute(
-                    source if source is not None else statement,
-                    record=record,
-                    sleep=False,
-                    deadline_at=deadline_at,
-                )
-            except AccessDenied as denied:
-                if denied.reason == "deadline_exceeded":
-                    self.stats.note_deadline_abort()
-                else:
-                    self.stats.note_denied()
-                raise
+    def _route_select(
+        self, ctx: RouteContext, statement: SelectStatement, source
+    ) -> ResultSet:
+        """The owner alone when the key proves one, else a scatter."""
+        ctx.single = self._single_shard_for(statement)
+        if ctx.single is not None:
+            result = self._shard_execute(ctx.single, statement, source)
             self.single_shard_queries += 1
-            keys = self._result_keys(guarded.result)
-            shards = [single]
-            delay = guarded.delay
-            per_tuple = guarded.per_tuple_delays
-            result_set = guarded.result
-        else:
-            self.scatter_queries += 1
-            answering = self._available_indexes()
-            missing = sorted(
-                set(range(len(self.shards))) - set(answering)
-            )
-            if missing and not partial_results:
-                # Fail closed: a silently partial scan would both hide
-                # rows and under-price the touched-set.
-                raise self._deny_unavailable(missing)
-            if missing:
-                self.partial_scatter_queries += 1
-                coverage = {
-                    "partial": True,
-                    "shards_total": len(self.shards),
-                    "shards_answered": answering,
-                    "shards_missing": missing,
-                }
-            merged = self._merged_database(tuple(answering))
-            engine_started = time.perf_counter()
-            result_set = merged.execute(statement, tracked=True)
-            engine_seconds = time.perf_counter() - engine_started
-            keys = self._result_keys(result_set)
-            # One global price from the merged touched-set, computed at
-            # the coordinator's gossip-merged trackers (the first live
-            # shard; every shard converges on the same global view).
-            per_tuple = self._reference_shard().guard.policy.delays_for(
-                keys
-            )
-            if self.config.charge_returned_tuples:
-                delay = sum(per_tuple)
-            else:
-                delay = max(per_tuple, default=0.0)
-            if deadline_at is not None and delay > 0:
-                if delay > deadline_at - time.monotonic():
-                    self.stats.note_deadline_abort()
-                    raise AccessDenied(
-                        "deadline_exceeded", retry_after=delay
-                    )
-            shards = self._record_at_owners(keys, record)
-        if self.accounts is not None and identity is not None:
-            self.accounts.record_retrieval(identity, len(keys))
-        self.stats.note_query(delay, engine_seconds, 0.0)
-        self.stats.note_select(delay, len(keys))
-        if self.forensics is not None and identity is not None:
-            self.forensics.observe(identity, keys, delay=delay)
-        self._emit_audit(
-            "cluster_select",
-            shards=shards,
-            identity=identity,
-            delay=delay,
-            tuples=len(keys),
-        )
-        if sleep and delay > 0:
-            self.clock.sleep(delay)
-        return GuardedResult(
-            result=result_set,
-            delay=delay,
-            per_tuple_delays=list(per_tuple),
-            identity=identity,
-            coverage=coverage,
+            ctx.policy = self.shards[ctx.single].guard.policy
+            return result
+        self.scatter_queries += 1
+        answering = self._available_indexes()
+        missing = sorted(set(range(len(self.shards))) - set(answering))
+        if missing and not ctx.partial_results:
+            # Fail closed: a silently partial scan would both hide
+            # rows and under-price the touched-set.
+            raise self._deny_unavailable(missing)
+        if missing:
+            self.partial_scatter_queries += 1
+            ctx.coverage = {
+                "partial": True,
+                "shards_total": len(self.shards),
+                "shards_answered": answering,
+                "shards_missing": missing,
+            }
+        # One global price from the merged touched-set, computed at a
+        # live shard's gossip-merged trackers (every shard converges on
+        # the same global view).
+        ctx.policy = self._reference_shard().guard.policy
+        return self._merged_database(tuple(answering)).execute(
+            statement, tracked=True
         )
 
     def _single_shard_for(
@@ -525,41 +490,36 @@ class ClusterRouter:
             return owners.pop()
         return None
 
-    def _result_keys(self, result: ResultSet) -> List[Key]:
-        """The charged tuple keys for a SELECT result."""
-        if result.touched:
-            return list(result.touched)
-        if result.table is None:
-            return []
-        table = result.table.lower()
-        return [(table, rowid) for rowid in result.rowids]
+    # -- the pipeline's three questions --------------------------------------
 
-    def _record_at_owners(
-        self, keys: List[Key], record: bool
-    ) -> List[int]:
-        """Record scatter-read accesses into each owner's tracker.
+    def pricing_policy(self, ctx: RouteContext) -> DelayPolicy:
+        return ctx.policy
 
-        Owners stay the authoritative holders of their partition's
-        counts — gossip then carries these increments to every peer.
-        Returns the touched shard indexes (for the audit event).
-        """
+    def _by_owner(self, keys: List[Key]) -> Dict[int, List[Key]]:
         by_owner: Dict[int, List[Key]] = {}
         for key in keys:
             owner = self.shard_map.owner_of_rowid(key[1])
             by_owner.setdefault(owner, []).append(key)
-        if record and self.config.record_accesses:
-            for owner, owned in by_owner.items():
-                if not self._is_available(owner):
-                    # Partial-mode reads never return a down owner's
-                    # rows; this is pure defence-in-depth. Recording at
-                    # a live peer keeps the mass in the global view —
-                    # gossip carries it onward, never understating.
-                    self._reference_shard().guard.popularity.record_many(
-                        owned
-                    )
-                    continue
-                self.shards[owner].guard.popularity.record_many(owned)
-        return sorted(by_owner)
+        return by_owner
+
+    def record_reads(self, ctx: RouteContext) -> None:
+        """Record the accesses into each owner's tracker.
+
+        Owners stay the authoritative holders of their partition's
+        counts — gossip then carries these increments to every peer.
+        """
+        for owner, owned in self._by_owner(ctx.keys).items():
+            if not self._is_available(owner):
+                # Partial-mode reads never return a down owner's
+                # rows; this is pure defence-in-depth. Recording at
+                # a live peer keeps the mass in the global view —
+                # gossip carries it onward, never understating.
+                self._reference_shard().guard.popularity.record_many(owned)
+                continue
+            self.shards[owner].guard.popularity.record_many(owned)
+
+    def record_updates(self, result: ResultSet) -> None:
+        """Nothing to do: each shard recorded what it applied."""
 
     # -- the merged read view ------------------------------------------------
 

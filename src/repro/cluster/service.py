@@ -39,7 +39,7 @@ from ..engine.database import Database
 from ..engine.journal import WriteAheadJournal
 from ..obs import Observability
 from ..obs.health import replication_summary
-from ..service import DataProviderService, ServiceReport
+from ..service import DataProviderService, ServiceReport, build_report
 from .gossip import GossipCoordinator
 from .replication import GroupMonitor, ReplicaGroup, ReplicaMember
 from .router import ClusterRouter
@@ -50,11 +50,15 @@ class ClusterGuard:
     """The router dressed in :class:`~repro.core.guard.DelayGuard`'s API.
 
     :class:`~repro.server.DelayServer` and the CLI talk to
-    ``service.guard``; this adapter forwards queries to the router and
-    aggregates the read-only surfaces (stats, forensics, staleness,
-    extraction cost) cluster-wide. ``result_cache`` is None: the
-    server's I/O-loop fast path is a single-guard optimisation and
-    simply stays off for clusters.
+    ``service.guard``; this adapter forwards queries to the router —
+    the cluster's :class:`~repro.core.pipeline.PipelineHost`, so a
+    cluster query runs the same lifecycle stages, metrics and traces as
+    a single node's — and aggregates the read-only surfaces (stats,
+    forensics, staleness, extraction cost) cluster-wide.
+    ``result_cache`` is None, as the router's is: the server's I/O-loop
+    cache probe is a single-guard optimisation and stays off for
+    clusters (a ``cache_only`` probe sent anyway misses in the
+    pipeline's own probe order).
     """
 
     result_cache = None
@@ -62,29 +66,8 @@ class ClusterGuard:
     def __init__(self, cluster: "ClusterService"):
         self._cluster = cluster
         self.config = cluster.config
-
-    # -- the server's query surface -----------------------------------------
-
-    def execute(
-        self,
-        sql_or_statement,
-        identity: Optional[str] = None,
-        record: bool = True,
-        sleep: bool = True,
-        deadline_at: Optional[float] = None,
-        partial_results: bool = False,
-        cache_only: bool = False,
-    ) -> Optional[GuardedResult]:
-        if cache_only:
-            return None  # no result cache here: every probe misses
-        return self._cluster.router.execute(
-            sql_or_statement,
-            identity=identity,
-            record=record,
-            sleep=sleep,
-            deadline_at=deadline_at,
-            partial_results=partial_results,
-        )
+        #: the server's query surface is the router's front door itself.
+        self.execute = cluster.router.execute
 
     @property
     def stats(self):
@@ -180,8 +163,9 @@ class ClusterService:
         shard_count: number of shards (M).
         guard_config: the cluster-wide defense configuration. Each
             shard runs a copy with ``node_id="shard-i"`` (its stable
-            gossip origin) and forensics off — extraction forensics
-            watches *global* coverage and runs once, at the router.
+            gossip origin) and with forensics and the result limit off
+            — both judge the *whole* answer and run once, in the
+            router's pipeline.
         account_policy: §2.4 account defenses, enforced at the router
             (shards never see identities, so budgets are global).
         clock: the shared cluster clock (virtual by default). All
@@ -309,7 +293,10 @@ class ClusterService:
 
     def _shard_config(self, index: int) -> GuardConfig:
         return dataclasses.replace(
-            self.config, node_id=f"shard-{index}", forensics=False
+            self.config,
+            node_id=f"shard-{index}",
+            forensics=False,
+            max_result_rows=None,
         )
 
     def _shard_paths(
@@ -474,29 +461,7 @@ class ClusterService:
         passes through the router exactly once — counting shard-side
         executions too would double-book scatter reads.
         """
-        stats = self.router.stats
-        merged = self.guard.popularity
-        snapshot = merged.snapshot()[:top_k]
-        total = max(merged.decayed_total, 1.0)
-        top = [
-            (table, rowid, count / total)
-            for (table, rowid), count in snapshot
-        ]
-        max_cost = (
-            self.guard.max_extraction_cost()
-            if self.config.cap is not None
-            else None
-        )
-        return ServiceReport(
-            users=len(self.accounts.accounts) if self.accounts else 0,
-            queries=stats.queries,
-            denied=stats.denied,
-            median_user_delay=stats.median_delay(),
-            total_delay_charged=stats.total_delay,
-            extraction_cost=self.guard.extraction_cost(),
-            max_extraction_cost=max_cost,
-            top_tuples=top,
-        )
+        return build_report(self.guard, self.accounts, top_k)
 
     def checkpoint(self) -> int:
         """Checkpoint every shard; returns the highest journal seq."""

@@ -509,3 +509,17 @@ class SpaceSavingStore(CountStore):
     def __len__(self) -> int:
         with self._lock:
             return len(self._counts)
+
+
+def count_store_from_config(config) -> CountStore:
+    """The store a :class:`~repro.core.config.GuardConfig` names."""
+    kind = config.count_store
+    if kind == "memory":
+        return InMemoryCountStore()
+    if kind == "write_behind":
+        return WriteBehindCountStore(cache_size=config.count_cache_size)
+    if kind == "space_saving":
+        return SpaceSavingStore(capacity=config.count_capacity)
+    if kind == "counting_sample":
+        return CountingSampleStore(capacity=config.count_capacity)
+    raise ConfigError(f"unknown count store {kind!r}")  # pragma: no cover

@@ -267,3 +267,40 @@ class CompositeDelayPolicy(DelayPolicy):
     def describe(self) -> str:
         inner = ", ".join(policy.describe() for policy in self.policies)
         return f"{self.combine}({inner})"
+
+
+def policy_from_config(
+    config,
+    popularity: PopularityTracker,
+    update_rates: UpdateRateTracker,
+    population: Population,
+) -> DelayPolicy:
+    """The policy a :class:`~repro.core.config.GuardConfig` names.
+
+    The one builder every front door prices through, so
+    ``policy="both"`` means ``max(popularity, update-rate)`` on all of
+    them.
+    """
+    if config.policy == "none":
+        return NoDelayPolicy()
+    if config.policy == "fixed":
+        return FixedDelayPolicy(config.fixed_delay)
+    by_popularity = PopularityDelayPolicy(
+        tracker=popularity,
+        population=population,
+        cap=config.cap,
+        beta=config.beta,
+        unit=config.unit,
+        mode=config.popularity_mode,
+    )
+    if config.policy == "popularity":
+        return by_popularity
+    by_update_rate = UpdateRateDelayPolicy(
+        tracker=update_rates,
+        population=population,
+        c=config.update_c,
+        cap=config.cap,
+    )
+    if config.policy == "update":
+        return by_update_rate
+    return CompositeDelayPolicy([by_popularity, by_update_rate], combine="max")

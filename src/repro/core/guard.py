@@ -30,31 +30,14 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 from ..engine.database import Database
 from ..engine.executor import ResultSet
 from ..engine.parser.parser import configure_parse_cache, parse_cache_info
-from ..obs import ForensicsMonitor, Histogram, Observability, QueryTrace
+from ..obs import Histogram, Observability, QueryTrace
 from .accounts import AccountManager
 from .clock import Clock, VirtualClock
 from .config import GuardConfig
-from .detection import CoverageMonitor
-from .counts import (
-    CountingSampleStore,
-    CountStore,
-    InMemoryCountStore,
-    SpaceSavingStore,
-    WriteBehindCountStore,
-)
-from .delay_policy import (
-    CompositeDelayPolicy,
-    DelayPolicy,
-    FixedDelayPolicy,
-    NoDelayPolicy,
-    PopularityDelayPolicy,
-    UpdateRateDelayPolicy,
-)
-from .errors import AccessDenied, ConfigError
-from .pipeline import QueryContext, QueryPipeline
-from .popularity import PopularityTracker
+from .delay_policy import DelayPolicy
+from .errors import ConfigError
+from .pipeline import PipelineHost, QueryContext
 from .result_cache import ResultCache
-from .update_tracker import UpdateRateTracker
 
 #: Guard-level tuple key: (lower-cased table name, rowid).
 TupleKey = Tuple[str, int]
@@ -227,7 +210,7 @@ class GuardStats:
         return accounting / engine
 
 
-class DelayGuard:
+class DelayGuard(PipelineHost):
     """Wraps a database so every retrieval pays its popularity price.
 
     Args:
@@ -275,23 +258,7 @@ class DelayGuard:
         #: would divide every delay by the shard count).
         self._population_provider = population_provider
         self._population_cache: Optional[Tuple[int, int]] = None
-        self.popularity = PopularityTracker(
-            store=self._build_store(),
-            decay_rate=self.config.decay_rate,
-            origin=self.config.node_id,
-        )
-        self.update_rates = UpdateRateTracker(
-            clock=self.clock,
-            time_constant=self.config.update_time_constant,
-            origin=self.config.node_id,
-        )
-        #: key -> clock time of last update (for staleness evaluation).
-        #: Guarded by ``_updates_lock`` — the old server statement lock
-        #: used to serialise writers to this dict; without that gate the
-        #: guard must protect it itself.
-        self.last_update_times: Dict[TupleKey, float] = {}
-        self._updates_lock = threading.Lock()
-        self.policy = policy if policy is not None else self._build_policy()
+        self._init_trackers(policy)
         #: delay-aware result cache (None unless configured): hits skip
         #: only the execute stage; pricing and recording always run.
         self.result_cache = (
@@ -304,29 +271,6 @@ class DelayGuard:
             else None
         )
         self.obs = obs if obs is not None else Observability()
-        #: live extraction forensics (None unless configured): a
-        #: CoverageMonitor fed by the pipeline's forensics stage,
-        #: risk-scored and exported by the obs-layer ForensicsMonitor.
-        self.forensics: Optional[ForensicsMonitor] = None
-        if self.config.forensics:
-            self.forensics = ForensicsMonitor(
-                CoverageMonitor(
-                    population=self.population,
-                    coverage_threshold=(
-                        self.config.forensics_coverage_threshold
-                    ),
-                    novelty_threshold=(
-                        self.config.forensics_novelty_threshold
-                    ),
-                    window=self.config.forensics_window,
-                    min_requests=self.config.forensics_min_requests,
-                    max_identities=self.config.forensics_max_identities,
-                    max_keys_per_identity=(
-                        self.config.forensics_max_keys_per_identity
-                    ),
-                ),
-                audit=self.obs.audit if self.obs.enabled else None,
-            )
         if self.config.parse_cache_size is not None:
             configure_parse_cache(self.config.parse_cache_size)
         if not self.config.vectorized_execution:
@@ -334,70 +278,23 @@ class DelayGuard:
             # default: a Database may be shared (tests, embedding) and
             # rebuilding its executor resets the path counters.
             self.database.configure_execution(vectorized=False)
+        self._start_lifecycle()
         if self.obs.enabled:
             self._register_metrics()
-        self.pipeline = QueryPipeline(self)
 
     # -- construction helpers ----------------------------------------------
 
     def _register_metrics(self) -> None:
-        """Create the guard's metric handles and state gauges.
-
-        The unlabelled totals are callback-backed views over
-        :attr:`stats` — the hot path pays nothing for them, and a scrape
-        can never disagree with the stats because they are read from the
-        same fields. Only the labelled metrics (denials by reason,
-        per-identity delay) are event-driven, and both sit on cold or
-        delay-charged paths.
+        """The state gauges of this host's engine, trackers and caches
+        (the per-query series are the lifecycle's:
+        :meth:`~repro.core.pipeline.PipelineHost._register_lifecycle_metrics`).
         """
         registry = self.obs.registry
-        stats = self.stats
-        registry.counter(
-            "guard_queries_total", "Statements executed through the guard"
-        ).set_function(lambda: stats.queries)
-        registry.counter(
-            "guard_selects_total", "SELECT statements served"
-        ).set_function(lambda: stats.selects)
-        self._m_denied = registry.counter(
-            "guard_denied_total", "Queries refused", ("reason",)
-        )
-        registry.counter(
-            "guard_tuples_charged_total", "Base tuples charged a delay"
-        ).set_function(lambda: stats.tuples_charged)
-        registry.counter(
-            "guard_delay_seconds_total", "Total delay charged (seconds)"
-        ).set_function(lambda: stats.total_delay)
-        registry.counter(
-            "guard_engine_seconds_total",
-            "Time spent parsing and executing statements (seconds)",
-        ).set_function(lambda: stats.engine_seconds)
-        registry.counter(
-            "guard_accounting_seconds_total",
-            "Time spent on guard accounting (seconds)",
-        ).set_function(lambda: stats.accounting_seconds)
-        registry.counter(
-            "guard_deadline_aborts_total",
-            "Queries refused because their deadline budget ran out",
-        ).set_function(lambda: stats.deadline_aborts)
-        registry.counter(
-            "guard_shed_total",
-            "Requests sacrificed by overload shedding",
-        ).set_function(lambda: stats.shed)
         self._m_execution_path = registry.counter(
             "guard_execution_path_total",
             "Statements served per engine execution path",
             ("path",),
         )
-        self._m_identity_delay = registry.counter(
-            "guard_identity_delay_seconds_total",
-            "Delay charged per identity (seconds); extraction-detection "
-            "raw material",
-            ("identity",),
-        )
-        # The canonical delay distribution IS the stats histogram:
-        # registering the same object means a scrape and GuardStats can
-        # never disagree.
-        registry.register(self.stats.delay_histogram)
         registry.gauge(
             "guard_population", "Protected tuples (N in the formulas)"
         ).set_function(self.population)
@@ -487,8 +384,6 @@ class DelayGuard:
                 registry.gauge(
                     f"guard_result_cache_{stat}", help_text
                 ).set_function(lambda name=stat: cache.info()[name])
-        if self.forensics is not None:
-            self.forensics.register_metrics(registry)
         # Per-table staleness-guarantee gauges. Labelled gauges cannot
         # be callback-backed, so they are refreshed on demand by
         # refresh_staleness_gauges() (the server's health op does).
@@ -509,44 +404,6 @@ class DelayGuard:
             "spread over the table's current extraction time",
             ("table",),
         )
-
-    def _build_store(self) -> CountStore:
-        kind = self.config.count_store
-        if kind == "memory":
-            return InMemoryCountStore()
-        if kind == "write_behind":
-            return WriteBehindCountStore(cache_size=self.config.count_cache_size)
-        if kind == "space_saving":
-            return SpaceSavingStore(capacity=self.config.count_capacity)
-        if kind == "counting_sample":
-            return CountingSampleStore(capacity=self.config.count_capacity)
-        raise ConfigError(f"unknown count store {kind!r}")  # pragma: no cover
-
-    def _build_policy(self) -> DelayPolicy:
-        config = self.config
-        if config.policy == "none":
-            return NoDelayPolicy()
-        if config.policy == "fixed":
-            return FixedDelayPolicy(config.fixed_delay)
-        popularity = PopularityDelayPolicy(
-            tracker=self.popularity,
-            population=self.population,
-            cap=config.cap,
-            beta=config.beta,
-            unit=config.unit,
-            mode=config.popularity_mode,
-        )
-        if config.policy == "popularity":
-            return popularity
-        update = UpdateRateDelayPolicy(
-            tracker=self.update_rates,
-            population=self.population,
-            c=config.update_c,
-            cap=config.cap,
-        )
-        if config.policy == "update":
-            return update
-        return CompositeDelayPolicy([popularity, update], combine="max")
 
     # -- sizing ----------------------------------------------------------------
 
@@ -658,71 +515,8 @@ class DelayGuard:
             deadline_at=deadline_at,
             cache_only=cache_only,
         )
-        if not self.obs.enabled:
-            self.pipeline.run(ctx)
-            if cache_only and not ctx.cache_hit:
-                return None
-            return GuardedResult(
-                result=ctx.result,
-                delay=ctx.delay,
-                per_tuple_delays=ctx.per_tuple,
-                identity=identity,
-                cached=ctx.cache_hit,
-            )
-        tracer = self.obs.tracer
-        ctx.trace = QueryTrace(
-            "query",
-            identity=identity,
-            sql=sql_or_statement
-            if isinstance(sql_or_statement, str)
-            else None,
-        )
-        audit = self.obs.audit
-        try:
-            self.pipeline.run(ctx)
-        except AccessDenied as denied:
-            tracer.finish(ctx.trace.finish("denied", reason=denied.reason))
-            if audit is not None:
-                audit.emit(
-                    "query_deadline_aborted"
-                    if denied.reason == "deadline_exceeded"
-                    else "query_denied",
-                    trace_id=ctx.trace.trace_id,
-                    identity=identity,
-                    reason=denied.reason,
-                    retry_after=getattr(denied, "retry_after", None),
-                )
-            raise
-        except Exception as error:
-            tracer.finish(ctx.trace.finish("error", reason=str(error)))
-            raise
-        if cache_only and not ctx.cache_hit:
-            # Fast-path probe missed: discard the probe trace (the full
-            # pipeline run that follows will record its own) and hand
-            # the query back unexecuted and uncharged.
+        if not self.pipeline.serve(ctx):
             return None
-        tracer.finish(
-            ctx.trace.finish(
-                "ok", delay=ctx.delay, rows=ctx.result.rowcount
-            )
-        )
-        if audit is not None:
-            audit.emit(
-                "query_cached" if ctx.cache_hit else "query_served",
-                trace_id=ctx.trace.trace_id,
-                identity=identity,
-                delay=ctx.delay,
-                rows=ctx.result.rowcount,
-                table=ctx.result.table,
-            )
-            if ctx.delay > 0:
-                audit.emit(
-                    "delay_priced",
-                    trace_id=ctx.trace.trace_id,
-                    identity=identity,
-                    delay=ctx.delay,
-                    tuples=len(ctx.keys),
-                )
         return GuardedResult(
             result=ctx.result,
             delay=ctx.delay,

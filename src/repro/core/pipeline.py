@@ -1,9 +1,7 @@
-"""The guard lifecycle as an explicit staged pipeline.
+"""The query lifecycle as an explicit staged pipeline.
 
-Historically the whole query lifecycle lived in one ~250-line
-``DelayGuard._serve`` method, and the server wrapped every call in a
-global statement lock. This module decomposes the lifecycle into small
-stage objects run in a fixed order:
+The paper's guarantee is one lifecycle, and this module is its only
+implementation:
 
     admit → parse → authorize → cache → execute → cache_store
           → account → price → record → forensics → sleep
@@ -14,11 +12,25 @@ declares which Table 5 cost bucket its time lands in: *parse* and
 *execute* feed ``engine_seconds``, the accounting stages feed
 ``accounting_seconds``, and *sleep* is the product, charged to neither.
 
+Hosts: three front doors run this pipeline, each a
+:class:`PipelineHost` — :class:`~repro.core.guard.DelayGuard` over the
+native engine, :class:`~repro.cluster.router.ClusterRouter` over the
+shards, and :class:`~repro.adapters.sqlite_proxy.SQLiteDelayProxy` over
+``sqlite3``. A host swaps exactly one stage, *execute* (its
+``execute_stage`` class: how a parsed statement becomes a
+:class:`~repro.engine.executor.ResultSet` with its ``touched`` tuples),
+and may answer three questions the stages ask — which policy prices
+these keys, where these reads are recorded, where these updates are
+recorded. Everything else — quota, the result limit, one delay priced
+before this statement's own record, deadlines, forensics, the single
+sleep, the trace and audit envelope (:meth:`QueryPipeline.serve`) — is
+the same code for all three.
+
 Concurrency: no stage holds the engine lock except *execute*, which
 delegates to :meth:`repro.engine.database.Database.execute` — the engine
 takes its own read/write lock there (shared for SELECT/EXPLAIN,
 exclusive for DML/DDL). Everything else synchronises on the component
-it touches (tracker locks, the account manager's lock, the guard's
+it touches (tracker locks, the account manager's lock, the host's
 update-times lock), so concurrent queries overlap everywhere except
 inside conflicting engine statements. *price* reads each tuple's counts
 through the policy's :meth:`~repro.core.delay_policy.DelayPolicy.delays_for`,
@@ -28,13 +40,13 @@ snapshot instead of re-locking per tuple.
 Denial taxonomy: every refusal is a structured
 :class:`~repro.core.errors.AccessDenied` with a machine-readable
 ``reason`` — ``result_limit``, ``deadline_exceeded``, ``query_quota``,
-``registration_rate``, ``subnet_rate``, and (cluster-level, raised by
-the router rather than a stage) ``shard_unavailable`` with the dead
-shard indexes and a ``retry_after`` covering the failover window. The
-server maps them all onto one wire shape; nothing in the stack ever
-surfaces a raw infrastructure exception to a client.
+``registration_rate``, ``subnet_rate``, and (from the cluster's execute
+stage) ``shard_unavailable`` with the dead shard indexes and a
+``retry_after`` covering the failover window. The server maps them all
+onto one wire shape; nothing in the stack ever surfaces a raw
+infrastructure exception to a client.
 
-The *cache* / *cache_store* pair (skipped entirely unless the guard has
+The *cache* / *cache_store* pair (skipped entirely unless the host has
 a :class:`~repro.core.result_cache.ResultCache`) serves repeated
 SELECTs without touching the engine. Deliberately, a hit replaces
 **only** the execute stage: account, price, record, and sleep still run
@@ -45,6 +57,7 @@ delay — the cache saves engine CPU, never the defense's price.
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
@@ -52,13 +65,17 @@ from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 from ..engine.parser.ast import SelectStatement
 from ..engine.parser.normalize import normalize_sql
 from ..engine.parser.parser import parse_cached
-from ..obs import QueryTrace, delay_buckets
+from ..obs import ForensicsMonitor, QueryTrace, delay_buckets
+from .counts import count_store_from_config
+from .delay_policy import DelayPolicy, policy_from_config
+from .detection import CoverageMonitor
 from .errors import AccessDenied, ConfigError
+from .popularity import PopularityTracker
 from .result_cache import CachedResult
+from .update_tracker import UpdateRateTracker
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.executor import ResultSet
-    from .guard import DelayGuard
 
 #: Bucket bounds for the per-stage latency histograms: stages run in
 #: microseconds (accounting) up to tens of seconds (sleep).
@@ -107,6 +124,12 @@ class QueryContext:
     #: work, so its cost must not vanish from Table 5).
     count_query_on_denial: bool = False
 
+    @property
+    def source(self) -> Optional[str]:
+        """The SQL text as submitted (None for a pre-parsed statement)."""
+        text = self.sql_or_statement
+        return text if isinstance(text, str) else None
+
 
 class Stage:
     """One pipeline step.
@@ -122,8 +145,8 @@ class Stage:
     name = "stage"
     bucket: Optional[str] = None
 
-    def __init__(self, guard: "DelayGuard"):
-        self.guard = guard
+    def __init__(self, host: "PipelineHost"):
+        self.host = host
 
     def applies(self, ctx: QueryContext) -> bool:
         """Whether this stage runs for this query (skipped silently)."""
@@ -134,18 +157,18 @@ class Stage:
 
 
 class AdmitStage(Stage):
-    """Reject unidentified callers when the guard enforces accounts."""
+    """Reject unidentified callers when the host enforces accounts."""
 
     name = "admit"
     bucket = "accounting"
 
     def applies(self, ctx: QueryContext) -> bool:
-        return self.guard.accounts is not None
+        return self.host.accounts is not None
 
     def run(self, ctx: QueryContext) -> None:
         if ctx.identity is None:
             raise ConfigError(
-                "this guard requires an identity for every query"
+                "an identity is required for every query"
             )
 
 
@@ -175,19 +198,15 @@ class AuthorizeStage(Stage):
     bucket = "accounting"
 
     def applies(self, ctx: QueryContext) -> bool:
-        return self.guard.accounts is not None
+        return self.host.accounts is not None
 
     def run(self, ctx: QueryContext) -> None:
-        guard = self.guard
         try:
-            guard.accounts.authorize_query(ctx.identity)
+            self.host.accounts.authorize_query(ctx.identity)
         except Exception as error:
-            guard.stats.note_denied()
-            if ctx.trace is not None:
-                guard._m_denied.inc(
-                    reason=getattr(error, "reason", None)
-                    or type(error).__name__
-                )
+            self.host.note_denial(
+                getattr(error, "reason", None) or type(error).__name__
+            )
             raise
 
 
@@ -210,29 +229,35 @@ class CacheLookupStage(Stage):
 
     def applies(self, ctx: QueryContext) -> bool:
         return (
-            self.guard.result_cache is not None
+            self.host.result_cache is not None
             and ctx.normalized_sql is not None
             and isinstance(ctx.statement, SelectStatement)
         )
 
     def run(self, ctx: QueryContext) -> None:
-        guard = self.guard
-        ctx.cache_epoch = guard.database.mutation_epoch
-        frozen = guard.result_cache.get(ctx.normalized_sql, ctx.cache_epoch)
+        host = self.host
+        ctx.cache_epoch = host.database.mutation_epoch
+        frozen = host.result_cache.get(ctx.normalized_sql, ctx.cache_epoch)
         if frozen is not None:
             ctx.result = frozen.thaw()
             ctx.cache_hit = True
-            if guard.obs.enabled:
-                guard._m_execution_path.inc(path="cached")
+            if host.obs.enabled:
+                host._m_execution_path.inc(path="cached")
 
 
 class ExecuteStage(Stage):
     """Run the statement on the engine.
 
-    The only stage that touches the engine lock: ``Database.execute``
-    classifies the statement and takes the shared read side for
-    SELECT/EXPLAIN or the exclusive write side for everything else.
-    Skipped when the cache stage already produced the result.
+    The one stage a host swaps (:attr:`PipelineHost.execute_stage`):
+    this class serves the native engine, the cluster router routes and
+    scatters, the SQLite proxy attributes rowids and runs ``sqlite3``.
+    Each leaves a ``ResultSet`` in ``ctx.result`` and keeps the name
+    ``execute``, so spans, histograms and dashboards line up across
+    hosts. Here it is also the only stage that touches the engine
+    lock: ``Database.execute`` classifies the statement and takes the
+    shared read side for SELECT/EXPLAIN or the exclusive write side for
+    everything else. Skipped when the cache stage already produced the
+    result.
     """
 
     name = "execute"
@@ -245,18 +270,13 @@ class ExecuteStage(Stage):
         # Pass the original SQL text through when we have it: an
         # attached write-ahead journal records committed statements as
         # text, and a pre-parsed statement carries none.
-        source = (
-            ctx.sql_or_statement
-            if isinstance(ctx.sql_or_statement, str)
-            else None
+        ctx.result = self.host.database.execute(
+            ctx.statement, source=ctx.source, tracked=True
         )
-        ctx.result = self.guard.database.execute(
-            ctx.statement, source=source, tracked=True
-        )
-        if self.guard.obs.enabled:
+        if self.host.obs.enabled:
             path = getattr(ctx.result, "execution_path", None)
             if path:
-                self.guard._m_execution_path.inc(path=path)
+                self.host._m_execution_path.inc(path=path)
 
 
 class CacheStoreStage(Stage):
@@ -274,7 +294,7 @@ class CacheStoreStage(Stage):
     def applies(self, ctx: QueryContext) -> bool:
         result = ctx.result
         return (
-            self.guard.result_cache is not None
+            self.host.result_cache is not None
             and not ctx.cache_hit
             and ctx.cache_epoch is not None
             and result is not None
@@ -283,10 +303,10 @@ class CacheStoreStage(Stage):
         )
 
     def run(self, ctx: QueryContext) -> None:
-        guard = self.guard
-        if guard.database.mutation_epoch != ctx.cache_epoch:
+        host = self.host
+        if host.database.mutation_epoch != ctx.cache_epoch:
             return
-        guard.result_cache.put(
+        host.result_cache.put(
             ctx.normalized_sql,
             ctx.cache_epoch,
             CachedResult.freeze(ctx.result),
@@ -308,16 +328,14 @@ class AccountStage(Stage):
         )
 
     def run(self, ctx: QueryContext) -> None:
-        guard = self.guard
+        host = self.host
         result = ctx.result
         # §1.1's strawman result-size limit, kept as a baseline.
         # Enforced post-execution (the engine has already read the rows)
         # but pre-recording/charging: the caller gets nothing.
-        limit = guard.config.max_result_rows
+        limit = host.config.max_result_rows
         if limit is not None and len(result.rows) > limit:
-            guard.stats.note_denied()
-            if ctx.trace is not None:
-                guard._m_denied.inc(reason="result_limit")
+            host.note_denial("result_limit")
             ctx.count_query_on_denial = True
             raise AccessDenied("result_limit")
         # `touched` covers every contributing base tuple, across joined
@@ -329,8 +347,8 @@ class AccountStage(Stage):
             ctx.keys = [
                 (result.table.lower(), rowid) for rowid in result.rowids
             ]
-        if guard.accounts is not None and ctx.identity is not None:
-            guard.accounts.record_retrieval(ctx.identity, len(ctx.keys))
+        if host.accounts is not None and ctx.identity is not None:
+            host.accounts.record_retrieval(ctx.identity, len(ctx.keys))
 
 
 class PriceStage(Stage):
@@ -348,9 +366,9 @@ class PriceStage(Stage):
         )
 
     def run(self, ctx: QueryContext) -> None:
-        guard = self.guard
-        ctx.per_tuple = guard.policy.delays_for(ctx.keys)
-        if guard.config.charge_returned_tuples:
+        host = self.host
+        ctx.per_tuple = host.pricing_policy(ctx).delays_for(ctx.keys)
+        if host.config.charge_returned_tuples:
             ctx.delay = sum(ctx.per_tuple)
         else:
             ctx.delay = max(ctx.per_tuple, default=0.0)
@@ -361,9 +379,7 @@ class PriceStage(Stage):
                 # reject *before* the record/sleep stages, reporting
                 # the full delay so the caller knows the true price.
                 # Nothing is recorded — the tuples were never served.
-                guard.stats.note_deadline_abort()
-                if ctx.trace is not None:
-                    guard._m_denied.inc(reason="deadline_exceeded")
+                host.note_denial("deadline_exceeded")
                 raise AccessDenied(
                     "deadline_exceeded", retry_after=ctx.delay
                 )
@@ -384,27 +400,21 @@ class RecordStage(Stage):
         return result.statement_kind in ("insert", "update", "delete")
 
     def run(self, ctx: QueryContext) -> None:
-        guard = self.guard
+        host = self.host
         result = ctx.result
         if result.statement_kind == "select":
-            if ctx.record and guard.config.record_accesses:
-                guard.popularity.record_many(ctx.keys)
-            guard.stats.note_select(ctx.delay, len(ctx.keys))
+            if ctx.record and host.config.record_accesses:
+                host.record_reads(ctx)
+            host.stats.note_select(ctx.delay, len(ctx.keys))
             if (
                 ctx.trace is not None
                 and ctx.identity is not None
                 and ctx.delay > 0
             ):
-                guard._m_identity_delay.inc(ctx.delay, identity=ctx.identity)
+                host._m_identity_delay.inc(ctx.delay, identity=ctx.identity)
             return
-        if guard.config.record_updates and result.table is not None:
-            clock_now = guard.clock.now()
-            table_key = result.table.lower()
-            with guard._updates_lock:
-                for rowid in result.rowids:
-                    key = (table_key, rowid)
-                    guard.update_rates.record_update(key)
-                    guard.last_update_times[key] = clock_now
+        if host.config.record_updates and result.table is not None:
+            host.record_updates(result)
 
 
 class ForensicsStage(Stage):
@@ -423,7 +433,7 @@ class ForensicsStage(Stage):
     def applies(self, ctx: QueryContext) -> bool:
         result = ctx.result
         return (
-            self.guard.forensics is not None
+            self.host.forensics is not None
             and ctx.identity is not None
             and result is not None
             and result.statement_kind == "select"
@@ -431,7 +441,7 @@ class ForensicsStage(Stage):
         )
 
     def run(self, ctx: QueryContext) -> None:
-        self.guard.forensics.observe(
+        self.host.forensics.observe(
             ctx.identity,
             ctx.keys,
             delay=ctx.delay,
@@ -455,11 +465,11 @@ class SleepStage(Stage):
         return ctx.delay > 0 and ctx.sleep
 
     def run(self, ctx: QueryContext) -> None:
-        self.guard.clock.sleep(ctx.delay)
+        self.host.clock.sleep(ctx.delay)
 
 
 class QueryPipeline:
-    """Runs the staged lifecycle for one guard.
+    """Runs the staged lifecycle for one host.
 
     Stateless between queries: all per-query state lives in the
     :class:`QueryContext`, so one pipeline instance serves any number
@@ -480,9 +490,14 @@ class QueryPipeline:
         SleepStage,
     )
 
-    def __init__(self, guard: "DelayGuard"):
-        self.guard = guard
-        self.stages = [stage_class(guard) for stage_class in self.STAGES]
+    def __init__(self, host: "PipelineHost"):
+        self.host = host
+        self.stages = [
+            host.execute_stage(host)
+            if stage_class is ExecuteStage
+            else stage_class(host)
+            for stage_class in self.STAGES
+        ]
         # Fast-path probe order (``ctx.cache_only``): the cache lookup
         # runs *before* admit/authorize so a miss can bail out without
         # charging the account — the full pipeline run that follows
@@ -504,14 +519,73 @@ class QueryPipeline:
             )
         ]
         self._histograms = {}
-        if guard.obs.enabled:
+        if host.obs.enabled:
             for stage in self.stages:
-                self._histograms[stage.name] = guard.obs.registry.histogram(
+                self._histograms[stage.name] = host.obs.registry.histogram(
                     f"guard_stage_{stage.name}_seconds",
                     f"Wall time in the {stage.name!r} pipeline stage "
                     "(seconds)",
                     buckets=_STAGE_BUCKETS,
                 )
+
+    def serve(self, ctx: QueryContext) -> bool:
+        """:meth:`run` inside the trace and audit envelope.
+
+        With observability on, every query leaves one finished
+        :class:`~repro.obs.QueryTrace` (``ok`` / ``denied`` / ``error``)
+        and, when an audit log is attached, ``query_served`` or
+        ``query_cached`` plus ``delay_priced``, or ``query_denied`` /
+        ``query_deadline_aborted``. Returns False for a ``cache_only``
+        probe that missed — nothing ran, nothing was charged, and its
+        trace is discarded (the full run that follows records its own).
+        """
+        obs = self.host.obs
+        if not obs.enabled:
+            self.run(ctx)
+            return ctx.cache_hit or not ctx.cache_only
+        ctx.trace = QueryTrace("query", identity=ctx.identity, sql=ctx.source)
+        audit = obs.audit
+        try:
+            self.run(ctx)
+        except AccessDenied as denied:
+            obs.tracer.finish(ctx.trace.finish("denied", reason=denied.reason))
+            if audit is not None:
+                audit.emit(
+                    "query_deadline_aborted"
+                    if denied.reason == "deadline_exceeded"
+                    else "query_denied",
+                    trace_id=ctx.trace.trace_id,
+                    identity=ctx.identity,
+                    reason=denied.reason,
+                    retry_after=getattr(denied, "retry_after", None),
+                )
+            raise
+        except Exception as error:
+            obs.tracer.finish(ctx.trace.finish("error", reason=str(error)))
+            raise
+        if ctx.cache_only and not ctx.cache_hit:
+            return False
+        obs.tracer.finish(
+            ctx.trace.finish("ok", delay=ctx.delay, rows=ctx.result.rowcount)
+        )
+        if audit is not None:
+            audit.emit(
+                "query_cached" if ctx.cache_hit else "query_served",
+                trace_id=ctx.trace.trace_id,
+                identity=ctx.identity,
+                delay=ctx.delay,
+                rows=ctx.result.rowcount,
+                table=ctx.result.table,
+            )
+            if ctx.delay > 0:
+                audit.emit(
+                    "delay_priced",
+                    trace_id=ctx.trace.trace_id,
+                    identity=ctx.identity,
+                    delay=ctx.delay,
+                    tuples=len(ctx.keys),
+                )
+        return True
 
     def run(self, ctx: QueryContext) -> QueryContext:
         """Run every applicable stage in order; returns the context.
@@ -539,12 +613,12 @@ class QueryPipeline:
             except Exception:
                 self._finish_stage(stage, ctx, start)
                 if ctx.count_query_on_denial:
-                    self.guard.stats.note_query(
+                    self.host.stats.note_query(
                         0.0, ctx.engine_seconds, ctx.accounting_seconds
                     )
                 raise
             self._finish_stage(stage, ctx, start)
-        self.guard.stats.note_query(
+        self.host.stats.note_query(
             ctx.delay, ctx.engine_seconds, ctx.accounting_seconds
         )
         return ctx
@@ -559,9 +633,7 @@ class QueryPipeline:
         if ctx.deadline_at is None:
             return
         if time.monotonic() >= ctx.deadline_at:
-            self.guard.stats.note_deadline_abort()
-            if ctx.trace is not None:
-                self.guard._m_denied.inc(reason="deadline_exceeded")
+            self.host.note_denial("deadline_exceeded")
             raise AccessDenied("deadline_exceeded")
 
     def _finish_stage(
@@ -582,3 +654,160 @@ class QueryPipeline:
     def stage_names(self) -> List[str]:
         """The configured stage order (introspection/docs)."""
         return [stage.name for stage in self.stages]
+
+
+class PipelineHost:
+    """What the stages read from whoever runs them, named once.
+
+    A host sets ``config`` (a validated
+    :class:`~repro.core.config.GuardConfig`), ``clock``, ``accounts``
+    (an :class:`~repro.core.accounts.AccountManager` or None), ``stats``
+    (a :class:`~repro.core.guard.GuardStats`), ``obs`` and a
+    ``population()`` callable, then calls :meth:`_start_lifecycle`,
+    which adds ``forensics``, the metric handles ``_m_denied`` and
+    ``_m_identity_delay`` (observability on only) and ``pipeline``.
+
+    A host with its own trackers calls :meth:`_init_trackers` first and
+    inherits the three hooks; one whose counts live elsewhere (the
+    cluster router: at the shards) overrides them instead.
+    """
+
+    #: the one stage class a host swaps.
+    execute_stage = ExecuteStage
+    #: a :class:`~repro.core.result_cache.ResultCache`, or None: the
+    #: cache stages are skipped and a ``cache_only`` probe misses.
+    result_cache = None
+    #: live extraction forensics, or None unless ``config.forensics``.
+    forensics: Optional[ForensicsMonitor] = None
+
+    def _init_trackers(self, policy: Optional[DelayPolicy] = None) -> None:
+        """Build the popularity/update-rate trackers and the policy."""
+        config = self.config
+        self.popularity = PopularityTracker(
+            store=count_store_from_config(config),
+            decay_rate=config.decay_rate,
+            origin=config.node_id,
+        )
+        self.update_rates = UpdateRateTracker(
+            clock=self.clock,
+            time_constant=config.update_time_constant,
+            origin=config.node_id,
+        )
+        #: key -> clock time of last update (for staleness evaluation),
+        #: guarded by ``_updates_lock``.
+        self.last_update_times = {}
+        self._updates_lock = threading.Lock()
+        self.policy = (
+            policy
+            if policy is not None
+            else policy_from_config(
+                config, self.popularity, self.update_rates, self.population
+            )
+        )
+
+    def _start_lifecycle(self) -> None:
+        """Build forensics, the lifecycle metrics and the pipeline."""
+        config = self.config
+        if config.forensics:
+            self.forensics = ForensicsMonitor(
+                CoverageMonitor(
+                    population=self.population,
+                    coverage_threshold=config.forensics_coverage_threshold,
+                    novelty_threshold=config.forensics_novelty_threshold,
+                    window=config.forensics_window,
+                    min_requests=config.forensics_min_requests,
+                    max_identities=config.forensics_max_identities,
+                    max_keys_per_identity=(
+                        config.forensics_max_keys_per_identity
+                    ),
+                ),
+                audit=self.obs.audit if self.obs.enabled else None,
+            )
+        if self.obs.enabled:
+            self._register_lifecycle_metrics()
+        self.pipeline = QueryPipeline(self)
+
+    def _register_lifecycle_metrics(self) -> None:
+        """The series every host exports about the queries it served.
+
+        The unlabelled totals are callback-backed views over
+        :attr:`stats` — the hot path pays nothing for them, and a scrape
+        can never disagree with the stats because they are read from the
+        same fields. Only the labelled metrics (denials by reason,
+        per-identity delay) are event-driven, and both sit on cold or
+        delay-charged paths.
+        """
+        registry = self.obs.registry
+        stats = self.stats
+        registry.counter(
+            "guard_queries_total", "Statements executed through the guard"
+        ).set_function(lambda: stats.queries)
+        registry.counter(
+            "guard_selects_total", "SELECT statements served"
+        ).set_function(lambda: stats.selects)
+        registry.counter(
+            "guard_tuples_charged_total", "Base tuples charged a delay"
+        ).set_function(lambda: stats.tuples_charged)
+        registry.counter(
+            "guard_delay_seconds_total", "Total delay charged (seconds)"
+        ).set_function(lambda: stats.total_delay)
+        registry.counter(
+            "guard_engine_seconds_total",
+            "Time spent parsing and executing statements (seconds)",
+        ).set_function(lambda: stats.engine_seconds)
+        registry.counter(
+            "guard_accounting_seconds_total",
+            "Time spent on guard accounting (seconds)",
+        ).set_function(lambda: stats.accounting_seconds)
+        registry.counter(
+            "guard_deadline_aborts_total",
+            "Queries refused because their deadline budget ran out",
+        ).set_function(lambda: stats.deadline_aborts)
+        registry.counter(
+            "guard_shed_total",
+            "Requests sacrificed by overload shedding",
+        ).set_function(lambda: stats.shed)
+        self._m_denied = registry.counter(
+            "guard_denied_total", "Queries refused", ("reason",)
+        )
+        self._m_identity_delay = registry.counter(
+            "guard_identity_delay_seconds_total",
+            "Delay charged per identity (seconds); extraction-detection "
+            "raw material",
+            ("identity",),
+        )
+        # The canonical delay distribution IS the stats histogram:
+        # registering the same object means a scrape and GuardStats can
+        # never disagree.
+        registry.register(stats.delay_histogram)
+        if self.forensics is not None:
+            self.forensics.register_metrics(registry)
+
+    def note_denial(self, reason: str) -> None:
+        """Count one refusal, in :attr:`stats` and by reason."""
+        if reason == "deadline_exceeded":
+            self.stats.note_deadline_abort()
+        else:
+            self.stats.note_denied()
+        if self.obs.enabled:
+            self._m_denied.inc(reason=reason)
+
+    # -- the three questions the stages ask ---------------------------------
+
+    def pricing_policy(self, ctx: QueryContext) -> DelayPolicy:
+        """The policy that prices ``ctx.keys``."""
+        return self.policy
+
+    def record_reads(self, ctx: QueryContext) -> None:
+        """Count ``ctx.keys`` as retrieved (§2.3 learning)."""
+        self.popularity.record_many(ctx.keys)
+
+    def record_updates(self, result: "ResultSet") -> None:
+        """Count a DML result's rowids as updated (§3)."""
+        now = self.clock.now()
+        table_key = result.table.lower()
+        with self._updates_lock:
+            for rowid in result.rowids:
+                key = (table_key, rowid)
+                self.update_rates.record_update(key)
+                self.last_update_times[key] = now

@@ -271,9 +271,12 @@ class AuditLog:
         self._m_events = None
 
     def emit(
-        self, kind: str, trace_id: Optional[str] = None, **fields
+        self, kind: str, /, trace_id: Optional[str] = None, **fields
     ) -> bool:
         """Emit one event; returns False when the queue bound dropped it.
+
+        ``kind`` is positional-only so an event may carry a field of
+        that name (``cluster_broadcast`` does).
 
         The envelope is ``{"v": 1, "ts": <unix time>, "event": kind}``
         plus ``trace_id`` when given; ``fields`` are merged in after,

@@ -118,6 +118,35 @@ class ServiceReport:
         return "\n".join(lines)
 
 
+def build_report(guard, accounts, top_k: int) -> ServiceReport:
+    """The operator report over a guard surface (single node or cluster)."""
+    stats = guard.stats
+    popularity = guard.popularity
+    # Snapshot weights are decayed, so their shares must be taken
+    # against the decayed total; dividing by the raw request count
+    # mixes scales and misreports "% of requests" whenever
+    # decay_rate > 1 or apply_decay has run. Equal to total_requests
+    # when decay is off.
+    total = max(popularity.decayed_total, 1.0)
+    return ServiceReport(
+        users=len(accounts.accounts) if accounts else 0,
+        queries=stats.queries,
+        denied=stats.denied,
+        median_user_delay=stats.median_delay(),
+        total_delay_charged=stats.total_delay,
+        extraction_cost=guard.extraction_cost(),
+        max_extraction_cost=(
+            guard.max_extraction_cost()
+            if guard.config.cap is not None
+            else None
+        ),
+        top_tuples=[
+            (table, rowid, count / total)
+            for (table, rowid), count in popularity.snapshot()[:top_k]
+        ],
+    )
+
+
 class DataProviderService:
     """Database + delay guard + accounts, wired together.
 
@@ -370,33 +399,7 @@ class DataProviderService:
 
     def report(self, top_k: int = 3) -> ServiceReport:
         """Build an operator report of current protection posture."""
-        stats = self.guard.stats
-        snapshot = self.guard.popularity.snapshot()[:top_k]
-        # Snapshot weights are decayed, so their shares must be taken
-        # against the decayed total; dividing by the raw request count
-        # mixes scales and misreports "% of requests" whenever
-        # decay_rate > 1 or apply_decay has run. Equal to total_requests
-        # when decay is off.
-        total = max(self.guard.popularity.decayed_total, 1.0)
-        top = [
-            (table, rowid, count / total)
-            for (table, rowid), count in snapshot
-        ]
-        max_cost = (
-            self.guard.max_extraction_cost()
-            if self.guard.config.cap is not None
-            else None
-        )
-        return ServiceReport(
-            users=len(self.accounts.accounts) if self.accounts else 0,
-            queries=stats.queries,
-            denied=stats.denied,
-            median_user_delay=stats.median_delay(),
-            total_delay_charged=stats.total_delay,
-            extraction_cost=self.guard.extraction_cost(),
-            max_extraction_cost=max_cost,
-            top_tuples=top,
-        )
+        return build_report(self.guard, self.accounts, top_k)
 
     def durability_health(self) -> Dict:
         """Journal/checkpoint posture for the server's ``health`` op.

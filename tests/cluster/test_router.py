@@ -6,11 +6,14 @@ refactor is correct exactly when no client can tell the two apart
 (results *and* prices).
 """
 
+import json
+
 import pytest
 
 from repro.cluster import ClusterService
 from repro.core import AccountPolicy, GuardConfig
-from repro.core.errors import AccessDenied, ConfigError
+from repro.core.errors import AccessDenied, ConfigError, ShardUnavailable
+from repro.obs import AuditLog, Observability
 from repro.service import DataProviderService
 
 CONFIG = dict(policy="popularity", cap=30.0, unit=600.0)
@@ -242,23 +245,67 @@ class TestAccounts:
             cluster.query("alice", "SELECT * FROM users WHERE id = 2")
         assert cluster.router.stats.denied == 1
 
-    def test_identity_required_when_accounts_on(self):
+
+class TestResultLimit:
+    def test_limit_enforced_on_scatter_and_single_shard_reads(self):
+        """§1.1's strawman limit holds on both read paths (a scatter
+        used to be served whatever its size)."""
         cluster = ClusterService(
             shard_count=2,
-            guard_config=GuardConfig(**CONFIG),
-            account_policy=AccountPolicy(),
+            guard_config=GuardConfig(max_result_rows=5, **CONFIG),
         )
-        with pytest.raises(ConfigError, match="identity"):
-            cluster.query(None, "SELECT * FROM users WHERE id = 1")
-
-
-class TestDeadlines:
-    def test_scatter_deadline_abort(self):
-        cluster, _ = build_pair()
         load_fixture(cluster)
-        with pytest.raises(AccessDenied, match="deadline"):
-            cluster.router.execute(
-                "SELECT * FROM users",
-                deadline_at=0.0,  # long past: any positive delay aborts
-            )
-        assert cluster.router.stats.deadline_aborts == 1
+        for denied, sql in enumerate(
+            (
+                "SELECT * FROM users WHERE team = 2",  # 8 rows, scattered
+                "SELECT * FROM users WHERE id = 4 OR id < 0 OR id > 34",
+            ),
+            start=1,
+        ):
+            with pytest.raises(AccessDenied) as refused:
+                cluster.query(None, sql)
+            assert refused.value.reason == "result_limit", sql
+            assert cluster.router.stats.denied == denied
+        for guard in cluster.guards:
+            assert guard.popularity.total_requests == 0
+        assert cluster.clock.now() == 0.0
+        served = cluster.query(None, "SELECT * FROM users WHERE team = 2 LIMIT 5")
+        assert len(served.rows) == 5
+
+
+class TestShardFailure:
+    def test_reads_and_writes_share_one_failure_taxonomy(
+        self, monkeypatch, tmp_path
+    ):
+        """An owner blowing up mid-statement is ``shard_unavailable`` for
+        a single-shard SELECT exactly as for an UPDATE (the SELECT used
+        to surface the raw exception)."""
+        audit = AuditLog(str(tmp_path / "audit.jsonl"))
+        cluster, _ = build_pair(obs=Observability(audit=audit))
+        load_fixture(cluster)
+        owner = cluster.shard_map.shard_for("users", 7)
+
+        def explode(*args, **kwargs):
+            raise RuntimeError("disk on fire")
+
+        monkeypatch.setattr(cluster.shards[owner].database, "execute", explode)
+        for failures, sql in enumerate(
+            (
+                "SELECT * FROM users WHERE id = 7",
+                "UPDATE users SET name = 'x' WHERE id = 7",
+            ),
+            start=1,
+        ):
+            with pytest.raises(ShardUnavailable) as refused:
+                cluster.query(None, sql)
+            assert refused.value.reason == "shard_unavailable"
+            assert refused.value.shards == [owner]
+            assert cluster.router.shard_failures == failures
+            assert cluster.router.stats.denied == failures
+        audit.close()
+        events = map(json.loads, open(audit.path).read().splitlines())
+        assert [
+            event["shard"]
+            for event in events
+            if event["event"] == "cluster_shard_failure"
+        ] == [owner, owner]

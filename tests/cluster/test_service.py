@@ -5,7 +5,8 @@ import json
 import pytest
 
 from repro.cluster import ClusterService
-from repro.core import AccountPolicy, GuardConfig
+from repro.core import AccessDenied, AccountPolicy, GuardConfig
+from repro.obs import AuditLog, Observability
 from repro.server import DelayClient, DelayServer
 from repro.service import DataProviderService
 
@@ -86,6 +87,82 @@ class TestServerIntegration:
         finally:
             server.stop()
             cluster.close()
+
+
+class TestObservability:
+    """The router runs the shared pipeline, so a cluster exports the
+    lifecycle series, traces and audit events a single node does."""
+
+    def test_guard_series_and_traces_over_tcp(self, tmp_path):
+        audit = AuditLog(str(tmp_path / "audit.jsonl"))
+        cluster = build_cluster(obs=Observability(audit=audit))
+        stream = [
+            "SELECT * FROM t WHERE id = 5",
+            "SELECT COUNT(*) FROM t WHERE id <= 4",
+            "UPDATE t SET v = 'u' WHERE id = 3",
+            "INSERT INTO t VALUES (21, 'v21')",
+            "SELECT * FROM t WHERE id = 5",
+        ]
+        server = DelayServer(cluster)
+        server.start()
+        try:
+            with DelayClient(*server.address) as client:
+                for sql in stream:
+                    client.query(sql)
+                metrics = client.metrics()["metrics"]
+                traces = client.traces(limit=len(stream))["traces"]
+        finally:
+            server.stop()
+            cluster.close()
+        stats = cluster.router.stats
+        assert metrics["guard_queries_total"]["value"] == stats.queries == 26
+        assert metrics["guard_selects_total"]["value"] == stats.selects == 3
+        assert metrics["guard_tuples_charged_total"]["value"] == 6
+        assert metrics["guard_select_delay_seconds"]["count"] == 3
+        assert metrics["guard_stage_execute_seconds"]["count"] == 26
+        assert metrics["guard_stage_price_seconds"]["count"] == 3
+        scatter = next(
+            trace for trace in traces if "COUNT" in (trace["sql"] or "")
+        )
+        assert scatter["status"] == "ok"
+        assert [span["name"] for span in scatter["spans"]][:5] == [
+            "parse", "execute", "account", "price", "record"
+        ]
+        audit.close()
+        kinds = [
+            json.loads(line)["event"]
+            for line in open(audit.path).read().splitlines()
+        ]
+        assert kinds.count("query_served") == 26
+        assert kinds.count("cluster_select") == kinds.count("delay_priced") == 3
+
+    def test_quota_denial_is_audited_and_counted(self, tmp_path):
+        audit = AuditLog(str(tmp_path / "audit.jsonl"))
+        cluster = ClusterService(
+            shard_count=2,
+            guard_config=GuardConfig(**CONFIG),
+            account_policy=AccountPolicy(daily_query_quota=2),
+            obs=Observability(audit=audit),
+        )
+        cluster.register("u")
+        cluster.query("u", "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)")
+        cluster.query("u", "INSERT INTO t VALUES (1, 'a')")
+        with pytest.raises(AccessDenied):
+            cluster.query("u", "SELECT * FROM t WHERE id = 1")
+        audit.close()
+        denied = [
+            event
+            for event in map(json.loads, open(audit.path).read().splitlines())
+            if event["event"] == "query_denied"
+        ]
+        assert [(e["identity"], e["reason"]) for e in denied] == [
+            ("u", "query_quota")
+        ]
+        registry = cluster.obs.registry.to_json()
+        assert registry["guard_denied_total"]["series"] == [
+            {"labels": {"reason": "query_quota"}, "value": 1}
+        ]
+        assert cluster.obs.tracer.recent(1)[0].status == "denied"
 
 
 class TestReport:

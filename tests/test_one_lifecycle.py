@@ -1,0 +1,70 @@
+"""The query lifecycle is written once, in plain sight.
+
+``core/pipeline.py`` is the only implementation of authorize →
+execute → charge → record → sleep; the cluster router and the SQLite
+proxy host it with their own execute stage. Each list below names every
+file under ``src/repro/`` in which one of the lifecycle's calls or
+choices may appear (definitions included), so a second hand-written
+copy of the lifecycle means editing a list here, on purpose.
+"""
+
+from pathlib import Path
+
+import repro
+from repro.adapters.sqlite_proxy import SQLiteDelayProxy
+from repro.cluster.router import ClusterRouter
+from repro.cluster.service import ClusterGuard
+from repro.core.guard import DelayGuard
+
+SRC = Path(repro.__file__).parent
+
+PINNED = {
+    # §2.4: charge the query, then the tuples it retrieved
+    "authorize_query(": ["core/accounts.py", "core/pipeline.py"],
+    "record_retrieval(": ["core/accounts.py", "core/pipeline.py"],
+    # one delay per statement: sum or max over the touched tuples
+    "charge_returned_tuples": ["core/config.py", "core/pipeline.py"],
+    # §1.1's result limit: checked in the account stage; cluster shards
+    # switch theirs off because the router checks the whole answer
+    "max_result_rows": [
+        "cluster/service.py",
+        "core/config.py",
+        "core/pipeline.py",
+    ],
+    "forensics.observe(": ["core/pipeline.py"],
+    "ForensicsMonitor(": ["core/pipeline.py"],
+    # the trackers-and-policy wiring every tracker-owning host shares
+    "policy_from_config(": ["core/delay_policy.py", "core/pipeline.py"],
+    # the record stage, GuardStats' own definition, and the simulator's
+    # mode="fast" replay (pinned equivalent by tests/sim/test_simulator.py)
+    "note_select(": ["core/guard.py", "core/pipeline.py", "sim/simulator.py"],
+}
+
+
+def files_mentioning(needle):
+    return sorted(
+        str(path.relative_to(SRC))
+        for path in SRC.rglob("*.py")
+        if needle in path.read_text()
+    )
+
+
+def test_lifecycle_calls_live_where_pinned():
+    found = {needle: files_mentioning(needle) for needle in PINNED}
+    assert found == PINNED
+
+
+def test_the_hand_written_copies_are_gone():
+    for owner, names in (
+        (ClusterRouter, ("_execute_select", "_result_keys")),
+        (
+            SQLiteDelayProxy,
+            ("_execute_select", "_execute_dml", "_build_policy"),
+        ),
+        (DelayGuard, ("_build_policy", "_build_store")),
+    ):
+        for name in names:
+            assert not hasattr(owner, name), f"{owner.__name__}.{name}"
+    # ClusterGuard's execute *is* the router's (bound in __init__): no
+    # stub that answers a cache_only probe on the pipeline's behalf
+    assert "execute" not in vars(ClusterGuard)

@@ -9,10 +9,13 @@ from repro.core import (
     AccessDenied,
     AccountManager,
     AccountPolicy,
+    DelayGuard,
     GuardConfig,
     VirtualClock,
 )
 from repro.core.errors import ConfigError
+from repro.engine import Database
+from repro.engine.errors import ParseError
 
 
 @pytest.fixture
@@ -83,6 +86,18 @@ class TestSelect:
         with pytest.raises(ConfigError, match="GROUP BY"):
             proxy.execute("SELECT v, COUNT(*) FROM t GROUP BY v")
 
+    def test_result_limit_enforced(self, conn):
+        """§1.1's strawman limit holds through the proxy too (it used
+        to serve a result of any size)."""
+        proxy, clock = make_proxy(conn, max_result_rows=5)
+        with pytest.raises(AccessDenied) as refused:
+            proxy.execute("SELECT * FROM t WHERE id <= 6")
+        assert refused.value.reason == "result_limit"
+        assert proxy.stats.denied == 1
+        assert proxy.popularity.total_requests == 0
+        assert clock.total_slept == 0.0
+        assert len(proxy.execute("SELECT * FROM t WHERE id <= 5").rows) == 5
+
 
 class TestDml:
     def test_update_tracked(self, conn):
@@ -127,6 +142,23 @@ class TestUpdatePolicy:
         cold = proxy.execute("SELECT * FROM t WHERE id = 2").delay
         assert hot < cold
 
+    @pytest.mark.parametrize("policy", GuardConfig._POLICIES)
+    def test_policy_is_the_native_guards(self, conn, policy):
+        """One policy builder: "both" is max(popularity, update-rate)
+        here as in ``DelayGuard`` (it used to mean popularity only)."""
+        config = dict(policy=policy, fixed_delay=0.5, update_c=2.0)
+        proxy, _ = make_proxy(conn, **config)
+        guard = DelayGuard(Database(), config=GuardConfig(cap=5.0, **config))
+        assert proxy.policy.describe() == guard.policy.describe()
+
+    def test_both_prices_the_dearer_signal(self, conn):
+        proxy, _ = make_proxy(conn, policy="both", update_c=1.0, cap=50.0)
+        for _ in range(100):
+            proxy.execute("SELECT * FROM t WHERE id = 1")
+        # Hot by popularity, never updated: the update-rate term (cap)
+        # must win, where popularity alone would charge almost nothing.
+        assert proxy.execute("SELECT * FROM t WHERE id = 1").delay == 50.0
+
     def test_extraction_cost(self, conn):
         proxy, _ = make_proxy(conn)
         assert proxy.extraction_cost("t") == pytest.approx(250.0)
@@ -152,14 +184,15 @@ class TestAccounts:
             proxy.execute("SELECT * FROM t WHERE id = 3", identity="u")
         assert proxy.stats.denied == 1
 
-    def test_identity_required(self, conn):
+    def test_unparseable_statement_spends_no_quota(self, conn):
+        """Parse precedes authorize, as in the native guard."""
         clock = VirtualClock()
-        proxy = SQLiteDelayProxy(
-            conn, clock=clock,
-            accounts=AccountManager(clock=clock),
-        )
-        with pytest.raises(ConfigError, match="identity"):
-            proxy.execute("SELECT * FROM t WHERE id = 1")
+        accounts = AccountManager(clock=clock)
+        proxy = SQLiteDelayProxy(conn, clock=clock, accounts=accounts)
+        accounts.register("u")
+        with pytest.raises(ParseError):
+            proxy.execute("SELEKT nonsense", identity="u")
+        assert accounts.account("u").queries_issued == 0
 
 
 class TestPersistence:
