@@ -6,7 +6,9 @@ small *write-behind cache* of tuple counts and cites Gibbons' sampling
 for synopsis as a way to shrink the overhead further. This module
 provides all three storage strategies behind one interface:
 
-* :class:`InMemoryCountStore` — exact counts in a dict (the default).
+* :class:`InMemoryCountStore` — exact counts in dense arrays behind a
+  ``key -> slot`` dict (the default, and the one store every serving
+  path uses).
 * :class:`WriteBehindCountStore` — exact counts with a bounded dirty
   cache in front of a backing store, counting simulated I/O so the
   overhead experiments (Table 5) can report cache behaviour.
@@ -19,12 +21,20 @@ provides all three storage strategies behind one interface:
 All stores hold float weights: the popularity tracker layers exponential
 decay on top by inflating increments (see :mod:`repro.core.popularity`).
 
+A statement touches many tuples, so the interface has two batch
+primitives beside ``add``/``get``: ``add_many(keys, amounts)`` and
+``get_many(keys)``. Their base-class default *is* the per-key loop, so
+the three bounded stores (whose evictions and entry coins depend on
+arrival order) behave exactly as if called key by key; the dense store
+overrides them with one scatter-add and one gather, bit-identical to
+the loop (see :class:`InMemoryCountStore`).
+
 Every store is thread-safe: an internal re-entrant lock makes each
-``add``/``get``/``scale``/``clear`` atomic, and ``items()`` iterates a
-snapshot taken under the lock so concurrent writers never invalidate an
-in-progress iteration. Read-modify-write sequences *across* calls (e.g.
-the popularity tracker's record bookkeeping) still need the caller's own
-lock on top.
+``add``/``get``/``add_many``/``get_many``/``scale``/``clear`` atomic,
+and ``items()`` iterates a snapshot taken under the lock so concurrent
+writers never invalidate an in-progress iteration. Read-modify-write
+sequences *across* calls (e.g. the popularity tracker's record
+bookkeeping) still need the caller's own lock on top.
 
 Replication: every store carries a monotonic *version* counter bumped on
 each mutation, remembers the version at which each key last changed, and
@@ -34,15 +44,21 @@ with its change version; merging adopts an entry only when its version
 is newer than the local one for that key. Within a single origin's
 history (versions totally ordered, value a function of version) this is
 a per-key join, so merge is commutative, associative, and idempotent —
-the property the cluster's anti-entropy gossip relies on.
+the property the cluster's anti-entropy gossip relies on. "A function of
+version" is meant to the last bit: the dense store *assigns* a shipped
+value (the base class, which only has ``add``, adds the difference and
+can land an ulp off).
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 import threading
 from collections import OrderedDict
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .errors import ConfigError
 
@@ -105,9 +121,37 @@ class CountStore:
         """Return the (possibly estimated) weight of ``key``; 0 if unseen."""
         raise NotImplementedError
 
+    def add_many(self, keys: Sequence[Key], amounts: np.ndarray) -> None:
+        """``add`` every key in order, as one atomic batch.
+
+        ``amounts`` is a float64 array with one amount per position.
+        This default is literally the per-key loop, so the bounded
+        stores (whose evictions and entry coins depend on arrival
+        order) behave exactly as if called key by key.
+        """
+        with self._lock:
+            for key, amount in zip(keys, amounts.tolist()):
+                self.add(key, amount)
+
+    def get_many(self, keys: Sequence[Key]) -> np.ndarray:
+        """``get`` of every key, in order, from one consistent snapshot."""
+        with self._lock:
+            return np.array(
+                [self.get(key) for key in keys], dtype=np.float64
+            )
+
     def items(self) -> Iterator[Tuple[Key, float]]:
         """Iterate over (key, weight) for every tracked key."""
         raise NotImplementedError
+
+    def columns(self) -> Tuple[List[Key], np.ndarray]:
+        """Every tracked key and its weight as two parallel columns,
+        in ``items`` order."""
+        pairs = list(self.items())
+        return (
+            [key for key, _weight in pairs],
+            np.array([weight for _key, weight in pairs], dtype=np.float64),
+        )
 
     def scale(self, factor: float) -> None:
         """Multiply every stored weight by ``factor`` (renormalisation)."""
@@ -167,41 +211,189 @@ class CountStore:
 
 
 class InMemoryCountStore(CountStore):
-    """Exact counts in a plain dict."""
+    """Exact counts in dense arrays behind a ``key -> slot`` dict.
+
+    A key's slot is its position in first-add order — which is also its
+    position in the (insertion-ordered) ``_slots`` dict, so that dict is
+    the ``slot -> key`` column too. ``_weights[slot]`` is the key's
+    count and ``_stamps[slot]`` the version at which it last changed.
+    Slots are never freed short of :meth:`clear`, so ``items`` and
+    ``delta_since`` report keys in the order they always have. A whole
+    result set is then one gather (:meth:`get_many`) or one ordered
+    scatter-add (:meth:`add_many`), and ``scale``/``delta_since``/
+    ``columns`` are array operations.
+
+    Two details keep both ends cheap. The buffers always hold at least
+    one unused element past the last slot and unused elements are zero,
+    so an unseen key can be looked up as slot ``-1`` and gathers weight
+    0.0 with no masking. And one-key ``add``/``get`` go through
+    ``memoryview`` casts of the same buffers, which hand back plain
+    Python numbers: indexing the ``ndarray`` itself boxes a numpy scalar
+    per access and would make a point read dearer than the dict this
+    replaced.
+    """
+
+    _INITIAL_CAPACITY = 1024
 
     def __init__(self) -> None:
         self._lock = threading.RLock()
-        self._counts: Dict[Key, float] = {}
-        self._init_versioning()
+        self._version = 0
+        self._slots: Dict[Key, int] = {}
+        self._allocate(self._INITIAL_CAPACITY)
+
+    def _allocate(self, capacity: int) -> None:
+        """Fresh zeroed buffers, carrying over the slots in use."""
+        used = len(self._slots)
+        weights = np.zeros(capacity, dtype=np.float64)
+        stamps = np.zeros(capacity, dtype=np.int64)
+        if used:
+            weights[:used] = self._weights[:used]
+            stamps[:used] = self._stamps[:used]
+        self._weights, self._stamps = weights, stamps
+        self._capacity = capacity
+        self._weight_at = memoryview(weights)
+        self._stamp_at = memoryview(stamps)
+
+    def _new_slots(self, keys: Sequence[Key]) -> int:
+        """Give each of ``keys`` (distinct, unseen) the next slot;
+        returns the first."""
+        first = len(self._slots)
+        needed = first + len(keys) + 1  # +1: the zero that slot -1 reads
+        if needed > self._capacity:
+            self._allocate(max(needed, 2 * self._capacity))
+        self._slots.update(zip(keys, range(first, first + len(keys))))
+        return first
+
+    def _lookup(self, keys: Sequence[Key]) -> List[int]:
+        """Slot of every key, ``-1`` for an unseen one; lock held."""
+        return list(map(self._slots.get, keys, itertools.repeat(-1)))
 
     def add(self, key: Key, amount: float = 1.0) -> None:
         with self._lock:
-            self._counts[key] = self._counts.get(key, 0.0) + amount
-            self._note_change(key)
+            slots = self._slots
+            slot = slots.get(key)
+            if slot is None:
+                # _new_slots((key,)), spelled out: every first read of
+                # a tuple comes through here.
+                slot = len(slots)
+                if slot + 2 > self._capacity:
+                    self._allocate(2 * self._capacity)
+                slots[key] = slot
+            self._version = version = self._version + 1
+            self._weight_at[slot] += amount
+            self._stamp_at[slot] = version
+
+    def add_many(self, keys: Sequence[Key], amounts: np.ndarray) -> None:
+        count = len(keys)
+        if not count:
+            return
+        with self._lock:
+            found = self._lookup(keys)
+            if -1 in found:
+                known = self._slots
+                self._new_slots(
+                    [key for key in dict.fromkeys(keys) if key not in known]
+                )
+                found = self._lookup(keys)
+            slots = np.array(found, dtype=np.intp)
+            # Position i is mutation number version + 1 + i. (A running
+            # sum of ones, not arange: arange always drops the GIL.)
+            stamps = np.add.accumulate(np.ones(count, dtype=np.int64))
+            stamps += self._version
+            if len(set(found)) == count:
+                self._weights[slots] += amounts
+                self._stamps[slots] = stamps
+            else:
+                # A key that repeats (every join repeats its dimension
+                # rows) must accumulate left to right like the loop and
+                # end stamped with its last occurrence: ufunc.at is
+                # unbuffered and applies in index order, which buffered
+                # fancy assignment does not promise. It also drops the
+                # GIL whatever the size, so distinct keys avoid it.
+                np.add.at(self._weights, slots, amounts)
+                np.maximum.at(self._stamps, slots, stamps)
+            self._version += count
 
     def get(self, key: Key) -> float:
         with self._lock:
-            return self._counts.get(key, 0.0)
+            return self._weight_at[self._slots.get(key, -1)]
+
+    def get_many(self, keys: Sequence[Key]) -> np.ndarray:
+        with self._lock:
+            return self._weights[np.array(self._lookup(keys), dtype=np.intp)]
 
     def items(self) -> Iterator[Tuple[Key, float]]:
         with self._lock:
-            return iter(list(self._counts.items()))
+            weights = self._weights[: len(self._slots)].tolist()
+            return iter(list(zip(self._slots, weights)))
+
+    def columns(self) -> Tuple[List[Key], np.ndarray]:
+        with self._lock:
+            return list(self._slots), self._weights[: len(self._slots)].copy()
 
     def scale(self, factor: float) -> None:
         with self._lock:
-            for key in self._counts:
-                self._counts[key] *= factor
+            self._weights[: len(self._slots)] *= factor
             self._note_rescale()
+
+    def _note_rescale(self) -> None:
+        self._version += 1
+        self._stamps[: len(self._slots)] = self._version
 
     def clear(self) -> None:
         with self._lock:
-            self._counts.clear()
+            self._slots = {}
             self._version += 1
-            self._changed.clear()
+            self._allocate(self._INITIAL_CAPACITY)
+
+    def delta_since(self, version: int = 0) -> Dict:
+        with self._lock:
+            used = len(self._slots)
+            changed = self._stamps[:used] > version
+            return {
+                "version": self._version,
+                "entries": [
+                    [key, weight, changed_at]
+                    for key, weight, changed_at in zip(
+                        itertools.compress(self._slots, changed.tolist()),
+                        self._weights[:used][changed].tolist(),
+                        self._stamps[:used][changed].tolist(),
+                    )
+                ],
+            }
+
+    def merge(self, delta: Dict) -> int:
+        """Adopt newer entries by *assigning* the shipped weight.
+
+        The base class can only ``add`` the difference, and
+        ``g + (w - g) != w`` for about one float pair in six; assigning
+        keeps a mirrored value a function of its version, bit for bit.
+        """
+        adopted = 0
+        with self._lock:
+            slots = self._slots
+            for key, weight, changed_at in delta.get("entries", ()):
+                if isinstance(key, list):
+                    key = tuple(key)
+                slot = slots.get(key)
+                if changed_at <= (0 if slot is None else self._stamp_at[slot]):
+                    continue
+                if slot is None:
+                    slot = self._new_slots((key,))
+                self._weight_at[slot] = weight
+                self._stamp_at[slot] = changed_at
+                adopted += 1
+            # An adoption is a local mutation too: the counter moves by
+            # one per entry (as it did when merge went through add), then
+            # up to the delta's own high-water mark.
+            self._version = max(
+                self._version + adopted, delta.get("version", 0)
+            )
+        return adopted
 
     def __len__(self) -> int:
         with self._lock:
-            return len(self._counts)
+            return len(self._slots)
 
 
 class WriteBehindCountStore(CountStore):

@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from typing import Callable, Iterable, List, Optional, Sequence, Union
 
+import numpy as np
+
 from .counts import Key
 from .errors import ConfigError
-from .popularity import AdaptiveTracker, PopularityTracker
+from .popularity import SMALL_BATCH, AdaptiveTracker, PopularityTracker
 from .update_tracker import UpdateRateTracker
 
 #: Table-size provider: a constant or a zero-argument callable.
@@ -149,12 +151,29 @@ class PopularityDelayPolicy(DelayPolicy):
         """
         if not keys:
             return []
-        popularities = self.tracker.popularity_many(keys, self.mode)
+        if self.beta or len(keys) < SMALL_BATCH:
+            # Ranks are per key, and a short batch is cheaper key by key.
+            popularities = self.tracker.popularity_many(keys, self.mode)
+            n = _resolve_population(self.population)
+            return [
+                self._price(key, popularity, n)
+                for key, popularity in zip(keys, popularities)
+            ]
+        # :meth:`_price` on the whole vector, in its expression order so
+        # every element rounds the same: unit / (n * p), min with the
+        # cap, cold tuples pay the cap.
+        popularities = self.tracker.popularity_array(keys, self.mode)
         n = _resolve_population(self.population)
-        return [
-            self._price(key, popularity, n)
-            for key, popularity in zip(keys, popularities)
-        ]
+        cold = popularities <= 0.0
+        # A cold tuple divides by zero and a vanishing popularity
+        # overflows, both to inf like the scalar expression; the cap (or
+        # the cold price) replaces either below.
+        with np.errstate(divide="ignore", over="ignore"):
+            delays = self.unit / (n * popularities)
+        if self.cap is not None:
+            np.minimum(delays, self.cap, out=delays)
+        delays[cold] = self.cap if self.cap is not None else self.uncapped_cold
+        return delays.tolist()
 
     def _price(self, key: Key, popularity: float, n: int) -> float:
         if popularity <= 0.0:

@@ -70,9 +70,9 @@ class CachedResult:
             columns=tuple(result.columns),
             rows=tuple(tuple(row) for row in result.rows),
             rowids=tuple(result.rowids),
-            touched=tuple(
-                (table, rowid) for table, rowid in result.touched
-            ),
+            # tuple() of a tuple is that same object, so only a pair the
+            # caller could still mutate (a list) is rebuilt.
+            touched=tuple(map(tuple, result.touched)),
             table=result.table,
             rowcount=result.rowcount,
         )

@@ -7,7 +7,9 @@ each component from many threads and assert exact totals — a lost
 increment anywhere fails deterministically.
 """
 
+import sys
 import threading
+import time
 
 import pytest
 
@@ -154,6 +156,85 @@ class TestPopularityTracker:
 
         hammer(worker)
         assert tracker.total_requests == THREADS * ROUNDS
+
+
+    def test_batches_are_all_or_nothing_to_a_pricer(self):
+        """A result set is recorded as one array operation under the
+        tracker lock: a concurrent ``popularity_many`` snapshot shows
+        every key of a 1k-key batch moved, or none."""
+        tracker = PopularityTracker()
+        blocks = [
+            [(f"t{index}", rowid) for rowid in range(1000)]
+            for index in range(THREADS)
+        ]
+        everything = [key for block in blocks for key in block]
+        done = threading.Event()
+        torn = []
+
+        def recorder(index):
+            for _ in range(40):
+                tracker.record_many(blocks[index])
+
+        def pricer():
+            while not done.is_set():
+                snapshot = tracker.popularity_many(everything)
+                for index in range(THREADS):
+                    block = snapshot[index * 1000 : (index + 1) * 1000]
+                    if min(block) != max(block):
+                        torn.append((index, min(block), max(block)))
+                        return
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        watcher = threading.Thread(target=pricer)
+        try:
+            watcher.start()
+            hammer(recorder)
+        finally:
+            done.set()
+            watcher.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not watcher.is_alive()
+        assert not torn, torn
+        assert tracker.total_requests == THREADS * 40 * 1000
+
+    @pytest.mark.parametrize("mirrored", [False, True])
+    def test_max_popularity_is_one_consistent_pass(self, mirrored):
+        """``max_popularity`` equals ``max(popularity(k))`` on whatever
+        state a concurrent recorder has reached, mirrors included."""
+        tracker = PopularityTracker(decay_rate=1.01, origin="local")
+        keys = [("items", rowid) for rowid in range(200)]
+        if mirrored:
+            peer = PopularityTracker(decay_rate=1.01, origin="peer")
+            peer.record_many(keys[150:] + [("items", 999)] * 3)
+            tracker.merge(peer.delta_since())
+            keys.append(("items", 999))
+        deadline = time.monotonic() + 0.5
+        done = threading.Event()
+
+        def recorder():
+            turn = 0
+            while not done.is_set():
+                turn += 1
+                tracker.record_many(keys[turn % 50 : turn % 50 + 100])
+
+        thread = threading.Thread(target=recorder)
+        thread.start()
+        try:
+            checks = 0
+            while time.monotonic() < deadline or checks < 5:
+                for mode in ("raw", "decayed"):
+                    # Re-entrant: holds the recorder off for one check.
+                    with tracker._lock:
+                        assert tracker.max_popularity(mode) == max(
+                            tracker.popularity(key, mode) for key in keys
+                        )
+                checks += 1
+        finally:
+            done.set()
+            thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert tracker.max_popularity() > 0.0
 
 
 class TestUpdateRateTracker:

@@ -1,10 +1,10 @@
 """Algebraic properties of the tracker merge (the gossip substrate).
 
 Anti-entropy only converges if the merge is a join: commutative,
-associative, idempotent. These tests check those laws the way a
-property-testing library would — seeded random workloads, random decay
-rates, random interleavings — just with plain loops so the suite takes
-no new dependency.
+associative, idempotent. These tests check those laws over seeded
+random workloads, random decay rates and random interleavings, and (for
+the store-level join, where the inputs are plain floats) with
+Hypothesis.
 
 Also here: dump_state/load_state round trips for both tracker flavours,
 since recovery composes with gossip through exactly these paths.
@@ -13,7 +13,10 @@ since recovery composes with gossip through exactly these paths.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.counts import InMemoryCountStore
 from repro.core.popularity import AdaptiveTracker, PopularityTracker
 from repro.core.clock import VirtualClock
 from repro.core.update_tracker import UpdateRateTracker
@@ -180,6 +183,48 @@ class TestMergeLaws:
         sync(b, a)
         assert b.present_count(("items", 1)) == pytest.approx(4.0)
         assert_views_equal(effective_view(a), effective_view(b))
+
+
+finite = st.floats(
+    min_value=-1e300, max_value=1e300, allow_nan=False, allow_infinity=False
+)
+
+
+class TestStoreMergeIsExact:
+    """A mirrored count is a function of its version — to the last bit.
+
+    ``merge`` used to adopt a value as ``add(key, w - get(key))``, and
+    ``g + (w - g) != w`` for about one float pair in six, so a replica
+    drifted an ulp from its origin and "same version, same value" (the
+    premise of the idempotence argument) was only approximately true.
+    """
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 5), finite, finite),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_merged_value_is_the_shipped_value(self, triples):
+        store = InMemoryCountStore()
+        shipped, entries = {}, []
+        for key, local, _weight in triples:
+            store.add(key, local)
+        for key, _local, weight in triples:
+            # Each entry outranks whatever the store holds for its key.
+            shipped[key] = weight
+            entries.append([key, weight, store.version + 1 + len(entries)])
+        delta = {"version": store.version + len(entries), "entries": entries}
+
+        assert store.merge(delta) == len(entries)
+        for key, weight in shipped.items():
+            assert store.get(key) == weight
+        state = store.delta_since(0)
+
+        assert store.merge(delta) == 0  # idempotent: adopts nothing ...
+        assert store.delta_since(0) == state  # ... and changes nothing
 
 
 class TestUpdateTrackerMerge:

@@ -96,6 +96,22 @@ class TestDecay:
         with pytest.raises(ConfigError):
             tracker.popularity("a", "bogus")
 
+    def test_unknown_mode_rejected_for_cold_keys_and_empty_trackers(self):
+        # The cold-key early return used to come before the mode check,
+        # so a typo'd mode priced every unseen tuple as "popularity 0".
+        tracker = PopularityTracker()
+        many = [f"k{i}" for i in range(100)]
+        for _ in range(2):  # empty tracker, then one with other keys
+            with pytest.raises(ConfigError):
+                tracker.popularity("unseen", "bogus")
+            with pytest.raises(ConfigError):
+                tracker.popularity_many(["unseen"], "bogus")
+            with pytest.raises(ConfigError):
+                tracker.popularity_many(many, "bogus")
+            with pytest.raises(ConfigError):
+                tracker.max_popularity("bogus")
+            tracker.record("a")
+
 
 class TestRescaling:
     def test_rescale_triggers_and_preserves_ratios(self):

@@ -131,6 +131,18 @@ class TestResultCacheUnit:
         assert second.columns == ["id", "v"]
         assert frozen.thaw().rows == select_result().rows
 
+    def test_freeze_copies_a_list_typed_touched_pair(self):
+        result = select_result()
+        shared = result.touched[0]
+        result.touched[1] = ["t", 1]
+        frozen = CachedResult.freeze(result)
+        # An immutable pair is kept as is; a mutable one is rebuilt, so
+        # the caller poisoning its own list cannot reach the cache.
+        assert frozen.touched[0] is shared
+        result.touched[1][1] = 999
+        assert frozen.touched == (("t", 0), ("t", 1))
+        assert frozen.thaw().touched == [("t", 0), ("t", 1)]
+
 
 # -- guard integration --------------------------------------------------------
 
