@@ -9,7 +9,7 @@ Public surface:
   baselines, and composition.
 * Trackers — :class:`PopularityTracker` (decayed counts, §2.3),
   :class:`AdaptiveTracker` (multi-decay), :class:`UpdateRateTracker` (§3).
-* Count stores — exact, write-behind, and sampled synopses (§4.4).
+* :class:`InMemoryCountStore` — the per-tuple count store (§2.3).
 * :mod:`repro.core.analysis` — closed forms of equations (1)-(12).
 * Defenses — :class:`AccountManager` and rate limiters (§2.4).
 * Staleness — snapshot evaluation for the data-change defense (§3).
@@ -19,13 +19,7 @@ from . import analysis
 from .accounts import Account, AccountManager, AccountPolicy
 from .clock import Clock, RealClock, VirtualClock
 from .config import GuardConfig
-from .counts import (
-    CountingSampleStore,
-    CountStore,
-    InMemoryCountStore,
-    SpaceSavingStore,
-    WriteBehindCountStore,
-)
+from .counts import InMemoryCountStore
 from .detection import CoverageMonitor, IdentityProfile, Suspect, attach_monitor
 from .delay_policy import (
     CompositeDelayPolicy,
@@ -64,8 +58,6 @@ __all__ = [
     "Clock",
     "CompositeDelayPolicy",
     "ConfigError",
-    "CountStore",
-    "CountingSampleStore",
     "CoverageMonitor",
     "DelayDefenseError",
     "DelayGuard",
@@ -87,7 +79,6 @@ __all__ = [
     "ResultCache",
     "Stage",
     "Snapshot",
-    "SpaceSavingStore",
     "StalenessReport",
     "Suspect",
     "TokenBucket",
@@ -96,7 +87,6 @@ __all__ = [
     "UpdateRateDelayPolicy",
     "UpdateRateTracker",
     "VirtualClock",
-    "WriteBehindCountStore",
     "analysis",
     "attach_monitor",
     "stale_fraction",

@@ -1,8 +1,17 @@
-"""Configuration for building a :class:`~repro.core.guard.DelayGuard`."""
+"""Configuration for building a :class:`~repro.core.guard.DelayGuard`.
+
+Every field is either a parameter of the paper's formulas or a value
+some deployment sets. What only an ablation varies is not configuration:
+the §4.4 count stores are objects an experiment installs
+(:mod:`repro.experiments.count_stores`), and the rest is fixed — a
+statement is charged the sum of its tuples' delays, reads and writes
+are recorded (a caller skips one statement with ``record=False``), and
+cached results expire by epoch only.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
@@ -23,31 +32,15 @@ class GuardConfig:
             policy.
         decay_rate: per-request popularity decay γ >= 1 (§2.3); 1.0
             keeps full history.
-        popularity_mode: "raw" (paper normalisation) or "decayed".
         fixed_delay: per-tuple delay for the "fixed" baseline policy.
         update_c: the constant c of equation (9) for the update policy.
         update_time_constant: seconds for update-rate decay (None =
             stationary estimation over the full history).
-        count_store: "memory", "write_behind", "space_saving", or
-            "counting_sample" (§4.4 storage strategies).
-        count_cache_size: cache size for the write-behind store.
-        count_capacity: counter budget for the sampled stores.
-        charge_returned_tuples: charge delay for each tuple returned by
-            a SELECT (the paper's model: a multi-tuple result is the
-            aggregate of single-tuple queries). If False, only the
-            maximum per-tuple delay is charged (an ablation).
-        record_accesses: update popularity counts on reads.
-        record_updates: track update rates / last-update times on DML.
         max_result_rows: §1.1's strawman defense — refuse SELECTs whose
             result exceeds this many rows ("users must ask very
             selective queries"). None disables. Kept as a baseline: the
             paper's point is that a robot trivially defeats it with
             many selective queries, which the tests demonstrate.
-        parse_cache_size: capacity of the SQL statement parse cache
-            used by the guard's parse stage. None keeps the current
-            (process-default) size. Note the cache is process-global —
-            configuring it on one guard resizes it for every guard in
-            the process and clears the cached statements.
         result_cache_size: capacity of the guard's delay-aware result
             cache — SELECT results keyed on (normalized SQL, snapshot
             epoch), where hits skip only the engine execute stage:
@@ -57,11 +50,6 @@ class GuardConfig:
             entirely, which keeps the paper's Table 5 engine/accounting
             cost split unperturbed for the replication experiments;
             production front doors should turn it on.
-        result_cache_ttl: seconds a cached result stays servable (on
-            the guard's clock) even when no mutation invalidates it.
-            None never expires by time — epoch invalidation alone
-            already guarantees no stale data is served; a TTL adds a
-            freshness bound for deployments that also want one.
         forensics: enable live extraction forensics — a
             :class:`~repro.core.detection.CoverageMonitor` fed by a
             pipeline stage after record, scored and exported by
@@ -99,20 +87,11 @@ class GuardConfig:
     beta: float = 0.0
     unit: float = 1.0
     decay_rate: float = 1.0
-    popularity_mode: str = "raw"
     fixed_delay: float = 0.0
     update_c: float = 1.0
     update_time_constant: Optional[float] = None
-    count_store: str = "memory"
-    count_cache_size: int = 1024
-    count_capacity: int = 4096
-    charge_returned_tuples: bool = True
-    record_accesses: bool = True
-    record_updates: bool = True
     max_result_rows: Optional[int] = None
-    parse_cache_size: Optional[int] = None
     result_cache_size: Optional[int] = None
-    result_cache_ttl: Optional[float] = None
     forensics: bool = False
     forensics_coverage_threshold: float = 0.5
     forensics_novelty_threshold: float = 0.9
@@ -124,7 +103,6 @@ class GuardConfig:
     vectorized_execution: bool = True
 
     _POLICIES = ("popularity", "update", "both", "fixed", "none")
-    _STORES = ("memory", "write_behind", "space_saving", "counting_sample")
 
     def validate(self) -> "GuardConfig":
         """Check cross-field consistency; returns self for chaining."""
@@ -132,21 +110,11 @@ class GuardConfig:
             raise ConfigError(
                 f"policy must be one of {self._POLICIES}, got {self.policy!r}"
             )
-        if self.count_store not in self._STORES:
-            raise ConfigError(
-                f"count_store must be one of {self._STORES}, "
-                f"got {self.count_store!r}"
-            )
         if self.cap is not None and self.cap <= 0:
             raise ConfigError(f"cap must be positive, got {self.cap}")
         if self.decay_rate < 1.0:
             raise ConfigError(
                 f"decay_rate must be >= 1.0, got {self.decay_rate}"
-            )
-        if self.count_store == "counting_sample" and self.decay_rate != 1.0:
-            raise ConfigError(
-                "counting_sample store does not support decayed tracking; "
-                "use space_saving instead"
             )
         if self.fixed_delay < 0:
             raise ConfigError(
@@ -156,27 +124,10 @@ class GuardConfig:
             raise ConfigError(
                 f"max_result_rows must be >= 1, got {self.max_result_rows}"
             )
-        if self.parse_cache_size is not None and self.parse_cache_size < 1:
-            raise ConfigError(
-                f"parse_cache_size must be >= 1, got {self.parse_cache_size}"
-            )
         if self.result_cache_size is not None and self.result_cache_size < 1:
             raise ConfigError(
                 f"result_cache_size must be >= 1, "
                 f"got {self.result_cache_size}"
-            )
-        if self.result_cache_ttl is not None and self.result_cache_ttl <= 0:
-            raise ConfigError(
-                f"result_cache_ttl must be positive, "
-                f"got {self.result_cache_ttl}"
-            )
-        if (
-            self.result_cache_ttl is not None
-            and self.result_cache_size is None
-        ):
-            raise ConfigError(
-                "result_cache_ttl without result_cache_size has no "
-                "effect; set a cache size to enable the cache"
             )
         if not 0 < self.forensics_coverage_threshold <= 1:
             raise ConfigError(

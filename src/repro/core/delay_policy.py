@@ -310,7 +310,6 @@ def policy_from_config(
         cap=config.cap,
         beta=config.beta,
         unit=config.unit,
-        mode=config.popularity_mode,
     )
     if config.policy == "popularity":
         return by_popularity

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..engine.database import Database
 from ..engine.executor import ResultSet
-from ..engine.parser.parser import configure_parse_cache, parse_cache_info
+from ..engine.parser.parser import parse_cache_info
 from ..obs import Histogram, Observability, QueryTrace
 from .accounts import AccountManager
 from .clock import Clock, VirtualClock
@@ -262,17 +262,11 @@ class DelayGuard(PipelineHost):
         #: delay-aware result cache (None unless configured): hits skip
         #: only the execute stage; pricing and recording always run.
         self.result_cache = (
-            ResultCache(
-                maxsize=self.config.result_cache_size,
-                ttl=self.config.result_cache_ttl,
-                clock=self.clock.now,
-            )
+            ResultCache(maxsize=self.config.result_cache_size)
             if self.config.result_cache_size is not None
             else None
         )
         self.obs = obs if obs is not None else Observability()
-        if self.config.parse_cache_size is not None:
-            configure_parse_cache(self.config.parse_cache_size)
         if not self.config.vectorized_execution:
             # Only reconfigure when the config deviates from the engine
             # default: a Database may be shared (tests, embedding) and
@@ -320,12 +314,6 @@ class DelayGuard(PipelineHost):
         registry.gauge(
             "guard_update_tracker_updates_total", "Updates recorded"
         ).set_function(lambda: update_rates.total_updates)
-        store = popularity.store
-        for stat in store.metrics():
-            registry.gauge(
-                f"guard_count_store_{stat}",
-                f"Count-store backend statistic: {stat}",
-            ).set_function(lambda name=stat: store.metrics()[name])
         rwlock = self.database.rwlock
         registry.gauge(
             "engine_read_lock_waiters",
@@ -373,8 +361,6 @@ class DelayGuard(PipelineHost):
                 "evictions": "Result-cache LRU evictions",
                 "invalidations": "Entries swept because a committed "
                 "mutation advanced the snapshot epoch",
-                "expirations": "Entries dropped by the TTL freshness "
-                "bound",
                 "entries": "Results currently cached",
                 "capacity": "Result-cache maximum size",
                 "epoch": "Highest engine mutation epoch the cache has "
@@ -767,8 +753,6 @@ class DelayGuard(PipelineHost):
         journal record) — so recovered update rates decay from the
         right instant instead of clustering at recovery time.
         """
-        if not self.config.record_updates:
-            return
         table_key = table.lower()
         stamp = when if when is not None else self.clock.now()
         with self._updates_lock:

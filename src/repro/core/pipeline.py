@@ -66,7 +66,6 @@ from ..engine.parser.ast import SelectStatement
 from ..engine.parser.normalize import normalize_sql
 from ..engine.parser.parser import parse_cached
 from ..obs import ForensicsMonitor, QueryTrace, delay_buckets
-from .counts import count_store_from_config
 from .delay_policy import DelayPolicy, policy_from_config
 from .detection import CoverageMonitor
 from .errors import AccessDenied, ConfigError
@@ -352,7 +351,11 @@ class AccountStage(Stage):
 
 
 class PriceStage(Stage):
-    """Compute per-tuple delays from one consistent count snapshot."""
+    """Compute per-tuple delays from one consistent count snapshot.
+
+    The statement's delay is their sum: a multi-tuple result costs what
+    the single-tuple queries that retrieve it would (§2).
+    """
 
     name = "price"
     bucket = "accounting"
@@ -368,10 +371,7 @@ class PriceStage(Stage):
     def run(self, ctx: QueryContext) -> None:
         host = self.host
         ctx.per_tuple = host.pricing_policy(ctx).delays_for(ctx.keys)
-        if host.config.charge_returned_tuples:
-            ctx.delay = sum(ctx.per_tuple)
-        else:
-            ctx.delay = max(ctx.per_tuple, default=0.0)
+        ctx.delay = sum(ctx.per_tuple)
         if ctx.deadline_at is not None and ctx.delay > 0:
             remaining = ctx.deadline_at - time.monotonic()
             if ctx.delay > remaining:
@@ -403,7 +403,7 @@ class RecordStage(Stage):
         host = self.host
         result = ctx.result
         if result.statement_kind == "select":
-            if ctx.record and host.config.record_accesses:
+            if ctx.record:
                 host.record_reads(ctx)
             host.stats.note_select(ctx.delay, len(ctx.keys))
             if (
@@ -413,7 +413,7 @@ class RecordStage(Stage):
             ):
                 host._m_identity_delay.inc(ctx.delay, identity=ctx.identity)
             return
-        if host.config.record_updates and result.table is not None:
+        if result.table is not None:
             host.record_updates(result)
 
 
@@ -684,9 +684,7 @@ class PipelineHost:
         """Build the popularity/update-rate trackers and the policy."""
         config = self.config
         self.popularity = PopularityTracker(
-            store=count_store_from_config(config),
-            decay_rate=config.decay_rate,
-            origin=config.node_id,
+            decay_rate=config.decay_rate, origin=config.node_id
         )
         self.update_rates = UpdateRateTracker(
             clock=self.clock,

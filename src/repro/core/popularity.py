@@ -38,7 +38,10 @@ queries (popularity, rank, snapshot, totals) sum local and mirrored
 mass; with ``decay_rate == 1.0`` the merged view is exact, and with
 decay the mirrors hold each origin's mass as of its last delta — a
 staleness bounded by the gossip interval, never an undercount an
-adversary could mint by spraying shards.
+adversary could mint by spraying shards. Replication and persistence
+need the default :class:`~repro.core.counts.InMemoryCountStore`; the
+§4.4 ablation stores, and :class:`AdaptiveTracker` (an analysis tool),
+have neither.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .counts import CountStore, InMemoryCountStore, Key
+from .counts import InMemoryCountStore, Key
 from .errors import ConfigError
 
 #: process-unique default origins for trackers built without one.
@@ -100,7 +103,10 @@ class PopularityTracker:
     """Decayed per-tuple request counts with popularity and rank queries.
 
     Args:
-        store: count storage backend (defaults to exact in-memory).
+        store: the count store, an :class:`InMemoryCountStore` by
+            default. The one substitution seam: the §4.4 ablations pass
+            a store from :mod:`repro.experiments.count_stores`, which
+            serves a tracker that never gossips or snapshots.
         decay_rate: per-request inflation factor γ >= 1. 1.0 means no
             decay (full history); larger values forget faster. A request
             ``k`` requests old carries relative weight ``γ**-k``.
@@ -121,7 +127,7 @@ class PopularityTracker:
 
     def __init__(
         self,
-        store: Optional[CountStore] = None,
+        store: Optional[InMemoryCountStore] = None,
         decay_rate: float = 1.0,
         rescale_threshold: float = 1e100,
         rank_refresh: int = 1000,
@@ -755,11 +761,13 @@ class AdaptiveTracker:
     predictive log-loss for the observed key (before updating); an EWMA
     of that loss selects the active tracker.
 
+    An analysis tool (the adaptive-decay ablation, the movie-reviews
+    example): no guard, shard or snapshot holds one, so it neither
+    gossips nor persists.
+
     Args:
         decay_rates: candidate γ values (must be unique, each >= 1).
         score_smoothing: EWMA factor in (0, 1]; smaller = slower switch.
-        store_factory: builds a fresh count store per candidate.
-        origin: replication identity shared by every candidate tracker.
     """
 
     _EPSILON = 1e-12
@@ -768,8 +776,6 @@ class AdaptiveTracker:
         self,
         decay_rates: Sequence[float],
         score_smoothing: float = 0.02,
-        store_factory=InMemoryCountStore,
-        origin: Optional[str] = None,
     ):
         if not decay_rates:
             raise ConfigError("need at least one decay rate")
@@ -777,14 +783,8 @@ class AdaptiveTracker:
             raise ConfigError("decay rates must be unique")
         if not 0 < score_smoothing <= 1:
             raise ConfigError("score_smoothing must be in (0, 1]")
-        if origin is None:
-            origin = f"tracker-{next(_ORIGIN_SEQ)}"
-        self.origin = origin
         self.trackers: Dict[float, PopularityTracker] = {
-            rate: PopularityTracker(
-                store=store_factory(), decay_rate=rate, origin=origin
-            )
-            for rate in decay_rates
+            rate: PopularityTracker(decay_rate=rate) for rate in decay_rates
         }
         self.score_smoothing = score_smoothing
         self._lock = threading.Lock()
@@ -793,6 +793,9 @@ class AdaptiveTracker:
 
     def record(self, key: Key, weight: float = 1.0) -> None:
         """Score each candidate's prediction for ``key``, then update all."""
+        # Reject before scoring: a refused record must not move a score.
+        if weight <= 0:
+            raise ConfigError(f"weight must be positive, got {weight}")
         # Scoring reads every tracker before any of them is updated; the
         # lock keeps concurrent records from interleaving the two halves.
         with self._lock:
@@ -828,7 +831,7 @@ class AdaptiveTracker:
         return dict(self._scores)
 
     # Delegate the query interface to the active tracker so an
-    # AdaptiveTracker can stand in wherever a PopularityTracker is used.
+    # AdaptiveTracker can stand in wherever a PopularityTracker is read.
 
     def record_many(self, keys: Iterable[Key]) -> None:
         """Record a sequence of accesses in order."""
@@ -863,75 +866,3 @@ class AdaptiveTracker:
     def total_requests(self) -> float:
         """Undecayed request total (same across candidates)."""
         return self.active.total_requests
-
-    # -- replication ---------------------------------------------------------
-
-    def versions(self) -> Dict[str, Dict[str, int]]:
-        """Per-candidate version maps, keyed by the decay rate's repr."""
-        return {
-            repr(rate): tracker.versions()
-            for rate, tracker in self.trackers.items()
-        }
-
-    def delta_since(
-        self, versions: Optional[Dict[str, Dict[str, int]]] = None
-    ) -> Dict:
-        """One delta per candidate tracker (matched by decay rate)."""
-        versions = versions or {}
-        return {
-            "rates": {
-                repr(rate): tracker.delta_since(versions.get(repr(rate)))
-                for rate, tracker in self.trackers.items()
-            }
-        }
-
-    def merge(self, delta: Dict) -> int:
-        """Merge per-rate deltas into the matching candidate trackers."""
-        adopted = 0
-        for rate_text, payload in delta.get("rates", {}).items():
-            tracker = self.trackers.get(float(rate_text))
-            if tracker is not None:
-                adopted += tracker.merge(payload)
-        return adopted
-
-    # -- persistence ---------------------------------------------------------
-
-    def dump_state(self) -> Dict:
-        """Serialise every candidate tracker plus the selection scores."""
-        with self._lock:
-            return {
-                "format": "repro-adaptive-popularity-v1",
-                "origin": self.origin,
-                "seen_any": self._seen_any,
-                "scores": {
-                    repr(rate): score
-                    for rate, score in self._scores.items()
-                },
-                "trackers": {
-                    repr(rate): tracker.dump_state()
-                    for rate, tracker in self.trackers.items()
-                },
-            }
-
-    def load_state(self, payload: Dict) -> None:
-        """Restore :meth:`dump_state` output, replacing current state."""
-        if payload.get("format") != "repro-adaptive-popularity-v1":
-            raise ConfigError(
-                f"unknown adaptive tracker state format "
-                f"{payload.get('format')!r}"
-            )
-        snapshot_rates = {
-            float(rate_text) for rate_text in payload.get("trackers", {})
-        }
-        if snapshot_rates != set(self.trackers):
-            raise ConfigError(
-                f"snapshot decay rates {sorted(snapshot_rates)} do not "
-                f"match configured rates {sorted(self.trackers)}"
-            )
-        with self._lock:
-            self.origin = payload.get("origin", self.origin)
-            self._seen_any = bool(payload.get("seen_any", False))
-            for rate_text, score in payload.get("scores", {}).items():
-                self._scores[float(rate_text)] = float(score)
-            for rate_text, state in payload.get("trackers", {}).items():
-                self.trackers[float(rate_text)].load_state(state)

@@ -24,9 +24,8 @@ cache is built so that can't happen, by construction:
   write-ahead journal's ``last_seq`` when durability is on), so a
   cached result can never survive a change to the data it came from.
   The "Conjunctive Queries … under Updates" line of work motivates
-  tracking the update stream this way; the optional TTL bounds
-  staleness in *time* as well, the freshness-versus-delay tradeoff
-  "Timely Private Information Retrieval" frames.
+  tracking the update stream this way. There is no time-based expiry:
+  an entry is exactly as fresh as the epoch it is keyed on.
 * **Entries are deep-frozen.** Rows are stored as tuples of tuples and
   every hit materialises fresh lists, so a caller mutating a returned
   result can never poison later hits.
@@ -35,10 +34,9 @@ cache is built so that can't happen, by construction:
 from __future__ import annotations
 
 import threading
-import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from ..engine.executor import ResultSet
 from .errors import ConfigError
@@ -102,13 +100,6 @@ class ResultCache:
     Args:
         maxsize: maximum entries; the least-recently-used is evicted
             beyond it.
-        ttl: seconds an entry stays servable, on the cache's clock.
-            None disables time-based expiry (epoch invalidation still
-            applies — TTL only matters for data that never changes).
-        clock: time source for TTL stamps, a callable returning seconds
-            (the guard passes its own clock so virtual-time tests and
-            simulations expire deterministically). ``time.monotonic``
-            by default.
 
     Epoch discipline: every :meth:`get`/:meth:`put` carries the
     caller's observed snapshot epoch. The cache remembers the highest
@@ -118,26 +109,17 @@ class ResultCache:
     raced with a commit and its result may not describe any current
     snapshot.
 
-    Counters (``hits``/``misses``/``evictions``/``invalidations``/
-    ``expirations``) are cumulative and read via :meth:`info`.
+    Counters (``hits``/``misses``/``evictions``/``invalidations``) are
+    cumulative and read via :meth:`info`.
     """
 
-    def __init__(
-        self,
-        maxsize: int = 256,
-        ttl: Optional[float] = None,
-        clock: Optional[Callable[[], float]] = None,
-    ):
+    def __init__(self, maxsize: int = 256):
         if maxsize < 1:
             raise ConfigError(f"cache maxsize must be >= 1, got {maxsize}")
-        if ttl is not None and ttl <= 0:
-            raise ConfigError(f"cache ttl must be positive, got {ttl}")
         self.maxsize = maxsize
-        self.ttl = ttl
-        self._clock = clock if clock is not None else time.monotonic
         self._lock = threading.Lock()
-        #: (normalized sql, epoch) -> (frozen result, stored-at stamp)
-        self._entries: "OrderedDict[Tuple[str, int], Tuple[CachedResult, float]]" = (
+        #: (normalized sql, epoch) -> frozen result
+        self._entries: "OrderedDict[Tuple[str, int], CachedResult]" = (
             OrderedDict()
         )
         self._epoch = 0
@@ -145,7 +127,6 @@ class ResultCache:
         self.misses = 0
         self.evictions = 0
         self.invalidations = 0
-        self.expirations = 0
 
     # -- the hot path --------------------------------------------------------
 
@@ -154,18 +135,13 @@ class ResultCache:
         with self._lock:
             self._observe_epoch(epoch)
             key = (sql, epoch)
-            item = self._entries.get(key)
-            if item is not None and self.ttl is not None:
-                if self._clock() - item[1] > self.ttl:
-                    del self._entries[key]
-                    self.expirations += 1
-                    item = None
-            if item is None:
+            frozen = self._entries.get(key)
+            if frozen is None:
                 self.misses += 1
                 return None
             self._entries.move_to_end(key)
             self.hits += 1
-            return item[0]
+            return frozen
 
     def put(self, sql: str, epoch: int, frozen: CachedResult) -> bool:
         """Store a result; returns False when refused as stale.
@@ -179,7 +155,7 @@ class ResultCache:
             if epoch < self._epoch:
                 return False
             key = (sql, epoch)
-            self._entries[key] = (frozen, self._clock())
+            self._entries[key] = frozen
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:
                 self._entries.popitem(last=False)
@@ -218,7 +194,6 @@ class ResultCache:
                 "misses": self.misses,
                 "evictions": self.evictions,
                 "invalidations": self.invalidations,
-                "expirations": self.expirations,
                 "entries": len(self._entries),
                 "capacity": self.maxsize,
                 "epoch": self._epoch,

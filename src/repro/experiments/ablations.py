@@ -3,7 +3,8 @@
 Four studies, each isolating one knob the paper discusses:
 
 * **Count stores (§4.4)** — exact in-memory counts vs the write-behind
-  cache vs the bounded Space-Saving synopsis: what does bounding memory
+  cache vs the bounded Space-Saving synopsis
+  (:mod:`repro.experiments.count_stores`): what does bounding memory
   cost in delay accuracy, and what does the cache save in I/O?
 * **Policies (§2 vs the naive strawman)** — no delay, uniform fixed
   delay, popularity delay, update-rate delay, and their max-combination
@@ -39,6 +40,11 @@ from ..workloads.generators import (
 )
 from ..workloads.traces import Trace, interleave
 from .common import scaled
+from .count_stores import (
+    SpaceSavingStore,
+    WriteBehindCountStore,
+    use_count_store,
+)
 
 
 # -- count stores ------------------------------------------------------------
@@ -100,16 +106,17 @@ def run_store_ablation(
     trace = make_zipf_query_trace(
         population, requests, alpha=1.5, seed=seed
     )
+    budget = max(64, population // 10)
+    stores = {
+        "memory": InMemoryCountStore,
+        "write_behind": lambda: WriteBehindCountStore(cache_size=budget),
+        "space_saving": lambda: SpaceSavingStore(capacity=budget),
+    }
     rows: List[StoreAblationRow] = []
     exact_total: Optional[float] = None
-    for store in ("memory", "write_behind", "space_saving"):
-        config = GuardConfig(
-            cap=cap,
-            count_store=store,
-            count_cache_size=max(64, population // 10),
-            count_capacity=max(64, population // 10),
-        )
-        fixture = build_guarded_items(population, config=config)
+    for name, build_store in stores.items():
+        fixture = build_guarded_items(population, config=GuardConfig(cap=cap))
+        store = use_count_store(fixture.guard, build_store())
         started = time.perf_counter()
         report = TraceReplayer(fixture.guard, fixture.table).replay(trace)
         elapsed = time.perf_counter() - started
@@ -119,19 +126,18 @@ def run_store_ablation(
         if exact_total is None:
             exact_total = extraction.total_delay
         backing = None
-        count_store = fixture.guard.popularity.store
-        if hasattr(count_store, "backing_reads"):
-            backing = count_store.backing_reads + count_store.backing_writes
+        if isinstance(store, WriteBehindCountStore):
+            backing = store.backing_reads + store.backing_writes
         rows.append(
             StoreAblationRow(
-                store=store,
+                store=name,
                 replay_seconds=elapsed,
                 median_user_delay=report.median_delay,
                 adversary_delay=extraction.total_delay,
                 adversary_error=(
                     (extraction.total_delay - exact_total) / exact_total
                 ),
-                tracked_keys=len(count_store),
+                tracked_keys=len(store),
                 backing_io=backing,
             )
         )
@@ -435,9 +441,7 @@ def run_adaptive_ablation(
 
     rows: List[AdaptiveAblationRow] = []
     for rate in decay_rates:
-        tracker = PopularityTracker(
-            store=InMemoryCountStore(), decay_rate=rate
-        )
+        tracker = PopularityTracker(decay_rate=rate)
         rows.append(
             AdaptiveAblationRow(
                 tracker=f"fixed decay {rate}",

@@ -24,6 +24,7 @@ from ..core.config import GuardConfig
 from ..sim.experiment import ResultTable, build_guarded_items
 from ..workloads.generators import select_sql
 from .common import scaled
+from .count_stores import WriteBehindCountStore, use_count_store
 
 PAPER_BASE_MS = 55.17
 PAPER_TOTAL_MS = 66.20
@@ -102,10 +103,8 @@ def run_table5(
     averaged and each batch yields a per-query time sample.
     """
     population = scaled(population, scale, minimum=100)
-    fixture = build_guarded_items(
-        population,
-        config=GuardConfig(cap=10.0, count_store="write_behind"),
-    )
+    fixture = build_guarded_items(population, config=GuardConfig(cap=10.0))
+    use_count_store(fixture.guard, WriteBehindCountStore())
     rng = np.random.default_rng(seed)
     database = fixture.database
     guard = fixture.guard

@@ -147,8 +147,7 @@ class TraceReplayer:
         guard = self.guard
         key = (self.table.lower(), self._rowid_of(item))
         delay = guard.policy.delay_for(key)
-        if guard.config.record_accesses:
-            guard.popularity.record(key)
+        guard.popularity.record(key)
         guard.stats.note_select(delay, 1)
         guard.stats.note_query(delay, 0.0, 0.0)
         if delay > 0:
@@ -168,8 +167,7 @@ class TraceReplayer:
         guard = self.guard
         key = (self.table.lower(), self._rowid_of(item))
         now = guard.clock.now()
-        if guard.config.record_updates:
-            guard.update_rates.record_update(key)
-            guard.last_update_times[key] = now
+        guard.update_rates.record_update(key)
+        guard.last_update_times[key] = now
         guard.stats.note_query(0.0, 0.0, 0.0)
         report.updates += 1

@@ -1,14 +1,18 @@
-"""Tests for count stores (§4.4 storage strategies)."""
+"""Tests for the count store and the §4.4 stores the ablations compare.
+
+The write-behind and Space-Saving stores live in
+``repro.experiments.count_stores``; their tests stay here beside the
+serving store's.
+"""
 
 import pytest
 
-from repro.core.counts import (
-    CountingSampleStore,
-    InMemoryCountStore,
+from repro.core.counts import InMemoryCountStore
+from repro.core.errors import ConfigError
+from repro.experiments.count_stores import (
     SpaceSavingStore,
     WriteBehindCountStore,
 )
-from repro.core.errors import ConfigError
 
 
 class TestInMemoryCountStore:
@@ -111,57 +115,6 @@ class TestWriteBehindCountStore:
         # get() on a cleared store repopulates the counters from zero.
         store.get(1)
         assert store.backing_reads == 1
-
-
-class TestCountingSampleStore:
-    def test_exact_below_capacity_with_unit_tau(self):
-        store = CountingSampleStore(capacity=100, seed=1)
-        for _ in range(50):
-            store.add(7)
-        assert store.get(7) == 50.0  # tau still 1 => exact
-
-    def test_respects_capacity(self):
-        store = CountingSampleStore(capacity=16, seed=2)
-        for key in range(500):
-            store.add(key)
-        assert len(store) <= 16
-        assert store.tau > 1.0
-
-    def test_heavy_hitter_survives_decimation(self):
-        store = CountingSampleStore(capacity=32, seed=3)
-        for round_ in range(300):
-            store.add(0)  # heavy key
-            store.add(1000 + round_)  # stream of singletons
-        assert store.get(0) > 100  # estimate retains the hot key
-
-    def test_estimate_includes_tau_adjustment(self):
-        store = CountingSampleStore(capacity=4, seed=4)
-        for key in range(100):
-            store.add(key % 8)
-        for key, estimate in store.items():
-            assert estimate >= store.tau - 1.0
-
-    def test_weighted_add_rejected(self):
-        store = CountingSampleStore()
-        with pytest.raises(ConfigError, match="unit increments"):
-            store.add(1, 2.0)
-
-    def test_scale_rejected(self):
-        with pytest.raises(ConfigError):
-            CountingSampleStore().scale(0.5)
-
-    def test_clear_resets_tau(self):
-        store = CountingSampleStore(capacity=4, seed=5)
-        for key in range(100):
-            store.add(key)
-        store.clear()
-        assert store.tau == 1.0 and len(store) == 0
-
-    def test_invalid_params(self):
-        with pytest.raises(ConfigError):
-            CountingSampleStore(capacity=0)
-        with pytest.raises(ConfigError):
-            CountingSampleStore(growth=1.0)
 
 
 class TestSpaceSavingStore:

@@ -94,20 +94,6 @@ class TestGuardMetrics:
         assert registry.get("guard_popularity_requests_total").value() == 3
         guard.execute("UPDATE t SET v = 'y' WHERE id = 1")
         assert registry.get("guard_update_tracker_keys").value() == 1
-        assert registry.get("guard_count_store_entries").value() == 3
-
-    def test_count_store_gauges_for_write_behind(self):
-        guard, _ = make_guard(
-            config=GuardConfig(
-                cap=1.0, count_store="write_behind", count_cache_size=2
-            )
-        )
-        for item in range(1, 6):
-            guard.execute(f"SELECT * FROM t WHERE id = {item}")
-        registry = guard.obs.registry
-        assert registry.get("guard_count_store_entries").value() == 5
-        assert registry.get("guard_count_store_cache_entries").value() <= 2
-        assert registry.get("guard_count_store_backing_writes").value() > 0
 
     def test_disabled_observability_is_inert(self):
         guard, _ = make_guard(

@@ -197,14 +197,11 @@ class TestQuota:
 
 
 class TestPrice:
-    def test_sum_or_max_per_charge_returned_tuples(self, build):
-        summed = build(charge_returned_tuples=True)
-        _rows, delay, tuples = summed.execute()
+    def test_statement_pays_the_sum(self, door):
+        _rows, delay, tuples = door.execute()
         # Cold table: each tuple is priced at the cap *before* this
         # statement's own accesses are recorded.
         assert delay == pytest.approx(CAP * tuples)
-        largest = build(charge_returned_tuples=False)
-        assert largest.execute()[1] == pytest.approx(CAP)
 
     def test_own_record_lowers_only_the_next_price(self, door):
         _rows, first, _tuples = door.execute()

@@ -6,8 +6,9 @@ random workloads, random decay rates and random interleavings, and (for
 the store-level join, where the inputs are plain floats) with
 Hypothesis.
 
-Also here: dump_state/load_state round trips for both tracker flavours,
-since recovery composes with gossip through exactly these paths.
+Also here: dump_state/load_state round trips for the popularity and
+update-rate trackers, since recovery composes with gossip through
+exactly these paths.
 """
 
 import random
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.counts import InMemoryCountStore
-from repro.core.popularity import AdaptiveTracker, PopularityTracker
+from repro.core.popularity import PopularityTracker
 from repro.core.clock import VirtualClock
 from repro.core.update_tracker import UpdateRateTracker
 
@@ -282,23 +283,6 @@ class TestStateRoundTrips:
         source = build_tracker("a", 1.5)
         with pytest.raises(Exception, match="decay_rate"):
             build_tracker("b", 1.0).load_state(source.dump_state())
-
-    def test_adaptive_tracker_round_trip(self):
-        rates = (1.0, 1.4)
-        source = AdaptiveTracker(rates, origin="shard-0")
-        rng = random.Random(21)
-        for _ in range(40):
-            source.record(rng.choice(KEYS))
-        restored = AdaptiveTracker(rates, origin="other")
-        restored.load_state(source.dump_state())
-        assert restored.origin == "shard-0"
-        assert restored.active_rate == source.active_rate
-        assert restored.scores() == pytest.approx(source.scores())
-        for rate in rates:
-            assert_views_equal(
-                effective_view(source.trackers[rate]),
-                effective_view(restored.trackers[rate]),
-            )
 
     def test_update_tracker_round_trip(self):
         clock = VirtualClock()

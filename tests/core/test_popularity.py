@@ -4,9 +4,9 @@ import math
 
 import pytest
 
-from repro.core.counts import SpaceSavingStore
 from repro.core.errors import ConfigError
 from repro.core.popularity import AdaptiveTracker, PopularityTracker
+from repro.experiments.count_stores import SpaceSavingStore
 
 
 class TestBasicCounting:
@@ -233,6 +233,26 @@ class TestAdaptiveTracker:
         assert adaptive.rank("k") == 1
         assert adaptive.total_requests == 50
         assert adaptive.snapshot()[0][0] == "k"
+
+    def test_rejected_record_changes_nothing(self):
+        # Scoring used to run before the weight check, so a refused
+        # record moved every score and could flip the active rate.
+        fresh = AdaptiveTracker([1.0, 1.5])
+        with pytest.raises(ConfigError):
+            fresh.record("a", -1.0)
+        assert fresh.scores() == {1.0: 0.0, 1.5: 0.0}
+        assert not fresh._seen_any
+        adaptive = AdaptiveTracker([1.0, 1.5], score_smoothing=0.5)
+        for key in "aaaab":
+            adaptive.record(key)
+        scores = adaptive.scores()
+        assert adaptive.active_rate == 1.0
+        with pytest.raises(ConfigError):
+            adaptive.record("b", 0.0)
+        assert adaptive.scores() == scores
+        assert adaptive._seen_any
+        assert adaptive.active_rate == 1.0
+        assert adaptive.total_requests == 5
 
     def test_scores_exposed(self):
         adaptive = AdaptiveTracker([1.0, 1.2])

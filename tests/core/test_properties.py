@@ -7,9 +7,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.core import analysis
-from repro.core.counts import InMemoryCountStore, SpaceSavingStore
 from repro.core.delay_policy import PopularityDelayPolicy
 from repro.core.popularity import PopularityTracker
+from repro.experiments.count_stores import SpaceSavingStore
 
 keys = st.integers(min_value=0, max_value=20)
 alphas = st.floats(min_value=0.1, max_value=3.0, allow_nan=False)

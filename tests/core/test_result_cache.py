@@ -5,8 +5,8 @@ hit skips ONLY the engine's execute stage — accounting, pricing,
 popularity recording, and the mandated sleep all still run against the
 cached result's touched set, so the delay defense is unchanged: an
 adversary cannot launder probes through the cache to dodge the price.
-The unit tests pin the `ResultCache` container semantics (LRU, TTL,
-epoch sweeps, stale-put refusal); the guard tests pin hit/miss
+The unit tests pin the `ResultCache` container semantics (LRU, epoch
+sweeps, stale-put refusal); the guard tests pin hit/miss
 equivalence; the laundering test compares a cache-on and a cache-off
 service end to end.
 """
@@ -80,16 +80,6 @@ class TestResultCacheUnit:
         assert cache.get("b", 1) is None
         assert cache.info()["evictions"] == 1
 
-    def test_ttl_expiry(self):
-        clock = VirtualClock()
-        cache = ResultCache(maxsize=4, ttl=10.0, clock=clock.now)
-        cache.put("q", 1, CachedResult.freeze(select_result()))
-        clock.advance(9.0)
-        assert cache.get("q", 1) is not None
-        clock.advance(2.0)
-        assert cache.get("q", 1) is None
-        assert cache.info()["expirations"] == 1
-
     def test_newer_epoch_sweeps_older_entries(self):
         cache = ResultCache(maxsize=8)
         frozen = CachedResult.freeze(select_result())
@@ -118,8 +108,6 @@ class TestResultCacheUnit:
     def test_invalid_construction(self):
         with pytest.raises(ConfigError):
             ResultCache(maxsize=0)
-        with pytest.raises(ConfigError):
-            ResultCache(maxsize=4, ttl=0.0)
 
     def test_thaw_builds_fresh_containers(self):
         frozen = CachedResult.freeze(select_result())
@@ -166,10 +154,6 @@ class TestGuardIntegration:
         first = guard.execute("SELECT * FROM t WHERE id <= 1", sleep=False)
         second = guard.execute("SELECT * FROM t WHERE id <= 1", sleep=False)
         assert not first.cached and not second.cached
-
-    def test_ttl_without_size_rejected(self):
-        with pytest.raises(ConfigError):
-            GuardConfig(result_cache_ttl=5.0).validate()
 
     def test_second_identical_query_hits(self):
         guard = make_guard()

@@ -6,8 +6,19 @@ proxy host it with their own execute stage. Each list below names every
 file under ``src/repro/`` in which one of the lifecycle's calls or
 choices may appear (definitions included), so a second hand-written
 copy of the lifecycle means editing a list here, on purpose.
+
+The same goes for what a guard can be configured to be: options only
+an ablation set are gone from ``GuardConfig``, the §4.4 count stores
+live in ``repro.experiments``, and the serving packages never import
+them.
 """
 
+import ast
+import inspect
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import repro
@@ -15,6 +26,7 @@ from repro.adapters.sqlite_proxy import SQLiteDelayProxy
 from repro.cluster.router import ClusterRouter
 from repro.cluster.service import ClusterGuard
 from repro.core.guard import DelayGuard
+from repro.core.result_cache import ResultCache
 
 SRC = Path(repro.__file__).parent
 
@@ -22,8 +34,6 @@ PINNED = {
     # §2.4: charge the query, then the tuples it retrieved
     "authorize_query(": ["core/accounts.py", "core/pipeline.py"],
     "record_retrieval(": ["core/accounts.py", "core/pipeline.py"],
-    # one delay per statement: sum or max over the touched tuples
-    "charge_returned_tuples": ["core/config.py", "core/pipeline.py"],
     # §1.1's result limit: checked in the account stage; cluster shards
     # switch theirs off because the router checks the whole answer
     "max_result_rows": [
@@ -68,3 +78,64 @@ def test_the_hand_written_copies_are_gone():
     # ClusterGuard's execute *is* the router's (bound in __init__): no
     # stub that answers a cache_only probe on the pipeline's behalf
     assert "execute" not in vars(ClusterGuard)
+
+
+#: ``GuardConfig`` fields that no caller outside the tests set, deleted
+#: with every code path that only they selected.
+DELETED_OPTIONS = (
+    "popularity_mode",
+    "count_store",
+    "count_cache_size",
+    "count_capacity",
+    "charge_returned_tuples",
+    "record_accesses",
+    "record_updates",
+    "parse_cache_size",
+    "result_cache_ttl",
+)
+
+
+def test_deleted_options_stay_deleted():
+    # As a field, a keyword, a string or a config read. ``record_updates``
+    # survives as the name of a host hook (where DML is recorded), which
+    # is a method call, not an option.
+    option = "|".join(DELETED_OPTIONS)
+    pattern = re.compile(
+        rf"\b(?:{option})\s*[:=]|[\"'](?:{option})[\"']"
+        rf"|\bconfig\.(?:{option})\b"
+    )
+    for path in SRC.rglob("*.py"):
+        text = path.read_text()
+        assert not pattern.search(text), path
+        for name in ("count_store_from_config", "CountingSampleStore"):
+            assert name not in text, (path, name)
+    assert list(inspect.signature(ResultCache.__init__).parameters) == [
+        "self",
+        "maxsize",
+    ]
+
+
+def test_core_holds_one_count_store():
+    tree = ast.parse((SRC / "core" / "counts.py").read_text())
+    classes = [
+        node.name for node in tree.body if isinstance(node, ast.ClassDef)
+    ]
+    assert classes == ["InMemoryCountStore"]
+
+
+def test_serving_packages_import_no_experiment():
+    # A fresh interpreter: this process may have imported anything.
+    code = (
+        "import sys, repro.core, repro.server, repro.cluster; "
+        "print(sorted(m for m in sys.modules "
+        "if m.startswith('repro.experiments')))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=env,
+        check=True,
+    )
+    assert done.stdout.strip() == "[]"

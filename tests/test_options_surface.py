@@ -40,20 +40,11 @@ def test_guard_config_options():
         "beta",
         "unit",
         "decay_rate",
-        "popularity_mode",
         "fixed_delay",
         "update_c",
         "update_time_constant",
-        "count_store",
-        "count_cache_size",
-        "count_capacity",
-        "charge_returned_tuples",
-        "record_accesses",
-        "record_updates",
         "max_result_rows",
-        "parse_cache_size",
         "result_cache_size",
-        "result_cache_ttl",
         "forensics",
         "forensics_coverage_threshold",
         "forensics_novelty_threshold",

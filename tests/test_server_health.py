@@ -85,7 +85,7 @@ class TestHealthOp:
 
     def test_staleness_under_live_updates(self):
         """S_max gauges move as updates arrive on a delayed table."""
-        service = build_service(fixed_delay=0.05, record_updates=True)
+        service = build_service(fixed_delay=0.05)
         server = DelayServer(service)
         server.start()
         try:
