@@ -6,22 +6,25 @@ is journal shipping: a :class:`~repro.engine.journal.JournalFollower`
 tails the primary's journal file and the group forwards every newly
 committed frame to each follower over a length-prefixed, crc-framed
 stream (the same framing the journal itself uses). Followers replay
-each entry through :func:`repro.engine.durability.replay_entry`,
-re-feed tracked mutations into their guard's update trackers, persist
-the frame *verbatim* into their own replica journal (preserving the
-primary's ``seq``, so the follower journal is byte-identical to the
-replicated prefix), and acknowledge a replicated high-water mark.
+each entry through :func:`repro.engine.durability.replay_entry`, note
+its tracked rows' update times, persist the frame *verbatim* into
+their own replica journal (preserving the primary's ``seq``, so the
+follower journal is byte-identical to the replicated prefix), and
+acknowledge a replicated high-water mark.
 
 **Why promotion is price-safe.** Every shipment piggybacks a tracker
 digest (the same versioned delta-state CRDT gossip exchanges), and the
 follower's ack carries its version vector back, so a follower's
-popularity view equals the primary's *as of its last acknowledged
-shipment* — the committed prefix of the defense state, exactly
-parallel to the committed prefix of the data. The CRDT merge is
-stale-HIGH: mirrored mass is pinned at adoption while live origins
-decay, and raw request totals are monotone max-merged, so a promoted
-follower can only *overstate* the recorded mass, never understate the
-totals that scale every delay (``tests/cluster/
+popularity and update-rate views equal the primary's *as of its last
+acknowledged shipment* — the committed prefix of the defense state,
+exactly parallel to the committed prefix of the data. The digest is
+the only way a shipped write's update count reaches a follower: the
+apply path counts nothing under the follower's own origin, which
+gossip would otherwise add to the primary's count of the same write.
+The CRDT merge is stale-HIGH: mirrored mass is pinned at adoption while
+live origins decay, and raw request totals are monotone max-merged, so
+a promoted follower can only *overstate* the recorded mass, never
+understate the totals that scale every delay (``tests/cluster/
 test_promotion_properties.py`` asserts both directions; see also
 ``tests/core/test_merge_properties.py``).
 
@@ -256,7 +259,7 @@ class ReplicaMember:
                     continue  # idempotent re-delivery
                 entry = replay_entry(self.service.database, payload)
                 if entry.tracked and entry.table and entry.rowids:
-                    self.service.guard.record_replayed_updates(
+                    self.service.guard.note_replicated_updates(
                         entry.table, entry.rowids, entry.ts
                     )
                 if self.journal is not None:

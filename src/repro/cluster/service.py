@@ -30,11 +30,13 @@ import threading
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
+import numpy as np
+
 from ..core.accounts import Account, AccountManager, AccountPolicy
 from ..core.clock import Clock, VirtualClock
 from ..core.config import GuardConfig
 from ..core.errors import ConfigError
-from ..core.guard import GuardedResult
+from ..core.guard import GuardedResult, staleness_entry
 from ..engine.database import Database
 from ..engine.journal import WriteAheadJournal
 from ..obs import Observability
@@ -113,39 +115,25 @@ class ClusterGuard:
         return self.population() * self.config.cap
 
     def staleness_report(self) -> Dict[str, Dict]:
-        """Per-table staleness, merged across shards.
+        """Per-table staleness over the cluster, as one node reports it.
 
-        Extraction horizons, update rates, and populations add; the
-        stale fraction is the population-weighted mean (it is an
-        expected count divided by a population, and both sum).
+        Each shard contributes only its own partition's rows: their
+        population, extraction seconds and update rates. Populations
+        and horizons add, and the stale fraction is evaluated once,
+        over every row, against the global extraction horizon.
         """
-        merged: Dict[str, Dict] = {}
+        merged: Dict[str, list] = {}
         for guard in self._cluster.live_guards():
-            for table, entry in guard.staleness_report().items():
-                slot = merged.setdefault(
-                    table,
-                    {
-                        "population": 0,
-                        "extraction_seconds": 0.0,
-                        "update_rate_per_second": 0.0,
-                        "updated_keys": 0,
-                        "_expected_stale": 0.0,
-                    },
-                )
-                slot["population"] += entry["population"]
-                slot["extraction_seconds"] += entry["extraction_seconds"]
-                slot["update_rate_per_second"] += entry[
-                    "update_rate_per_second"
-                ]
-                slot["updated_keys"] += entry["updated_keys"]
-                slot["_expected_stale"] += (
-                    entry["smax_fraction"] * entry["population"]
-                )
-        for slot in merged.values():
-            slot["smax_fraction"] = slot.pop("_expected_stale") / max(
-                slot["population"], 1
-            )
-        return merged
+            for table, inputs in guard.staleness_inputs().items():
+                population, horizon, rates = inputs
+                slot = merged.setdefault(table, [0, 0.0, []])
+                slot[0] += population
+                slot[1] += horizon
+                slot[2].append(rates)
+        return {
+            table: staleness_entry(population, horizon, np.concatenate(rates))
+            for table, (population, horizon, rates) in merged.items()
+        }
 
     def refresh_staleness_gauges(self) -> Dict[str, Dict]:
         """The server's health op calls this; clusters just report.

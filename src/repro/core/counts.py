@@ -10,12 +10,11 @@ alternatives are measured, not served: they live with the ablation
 that compares them (:mod:`repro.experiments.count_stores`) and plug in
 through ``PopularityTracker(store=...)``.
 
-The store holds float weights: the popularity tracker layers
-exponential decay on top by inflating increments (see
-:mod:`repro.core.popularity`). A statement touches many tuples, so
-beside ``add``/``get`` there are two batch primitives,
-``add_many(keys, amounts)`` (one ordered scatter-add) and
-``get_many(keys)`` (one gather), both bit-identical to the per-key
+The store holds float weights: both trackers layer exponential decay
+on top by inflating increments (see :mod:`repro.core.popularity`). A
+statement touches many tuples, so beside ``add``/``get`` there are two
+batch primitives, ``add_many(keys, amounts)`` (one ordered scatter-add)
+and ``get_many(keys)`` (one gather), both bit-identical to the per-key
 loop.
 
 The store is thread-safe: an internal re-entrant lock makes each call
@@ -212,11 +211,13 @@ class InMemoryCountStore:
         with self._lock:
             return list(self._slots), self._weights[: len(self._slots)].copy()
 
-    def scale(self, factor: float) -> None:
-        """Multiply every stored weight by ``factor`` (renormalisation)."""
+    def scale(self, factor: float, restamp: bool = True) -> None:
+        """Multiply every stored weight by ``factor`` (renormalisation);
+        ``restamp=False`` keeps the change versions (a mirror's)."""
         with self._lock:
             self._weights[: len(self._slots)] *= factor
-            self._note_rescale()
+            if restamp:
+                self._note_rescale()
 
     def clear(self) -> None:
         """Drop all counts."""

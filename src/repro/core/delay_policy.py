@@ -7,6 +7,10 @@ as baselines and for ablation benchmarks.
 
 All policies implement :meth:`DelayPolicy.delay_for` over opaque tuple
 keys; the :class:`~repro.core.guard.DelayGuard` supplies engine rowids.
+A large enough result set is priced as arrays
+(:meth:`DelayPolicy.delay_array`): one tracker gather,
+``min(c / (N · signal), cap)``, and a composite's ``np.maximum`` — bit
+for bit what the one-key path charges.
 """
 
 from __future__ import annotations
@@ -21,6 +25,11 @@ from .errors import ConfigError
 from .popularity import SMALL_BATCH, AdaptiveTracker, PopularityTracker
 from .update_tracker import UpdateRateTracker
 
+#: From this many keys up, update-rate and composite pricing runs as
+#: arrays; below, the per-key loop is cheaper (a third of the array
+#: path on one key; they cross at 4-6 keys, with or without mirrors).
+ARRAY_PRICING_FROM = 5
+
 #: Table-size provider: a constant or a zero-argument callable.
 Population = Union[int, Callable[[], int]]
 
@@ -30,6 +39,29 @@ def _resolve_population(population: Population) -> int:
     if size < 1:
         return 1
     return int(size)
+
+
+def _inverse_prices(unit, n, signal, cap, cold) -> np.ndarray:
+    """``min(unit / (n · s), cap)`` per element, and ``cold`` where the
+    signal ``s`` is 0: the scalar ``_price`` expressions in their order,
+    so every element rounds as the one-key path does. (A zero signal
+    divides to inf and a vanishing one overflows to it, like the scalar
+    expression; the cap or ``cold`` replaces either.)"""
+    unseen = signal <= 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        delays = unit / (n * signal)
+    if cap is not None:
+        np.minimum(delays, cap, out=delays)
+    delays[unseen] = cold
+    return delays
+
+
+#: how a composite folds one key's delays, and a batch's columns.
+_COMBINERS = {
+    "max": (max, np.maximum),
+    "sum": (sum, np.add),
+    "min": (min, np.minimum),
+}
 
 
 class DelayPolicy:
@@ -49,6 +81,11 @@ class DelayPolicy:
         just loops :meth:`delay_for`.
         """
         return [self.delay_for(key) for key in keys]
+
+    def delay_array(self, keys: Sequence[Key]) -> np.ndarray:
+        """:meth:`delays_for` as a float64 vector (what a composite
+        combines); tracker-backed policies compute it as one."""
+        return np.array(self.delays_for(keys), dtype=np.float64)
 
     def describe(self) -> str:
         """One-line human-readable description."""
@@ -159,21 +196,19 @@ class PopularityDelayPolicy(DelayPolicy):
                 self._price(key, popularity, n)
                 for key, popularity in zip(keys, popularities)
             ]
-        # :meth:`_price` on the whole vector, in its expression order so
-        # every element rounds the same: unit / (n * p), min with the
-        # cap, cold tuples pay the cap.
+        return self.delay_array(keys).tolist()
+
+    def delay_array(self, keys: Sequence[Key]) -> np.ndarray:
+        if self.beta:
+            return super().delay_array(keys)
         popularities = self.tracker.popularity_array(keys, self.mode)
-        n = _resolve_population(self.population)
-        cold = popularities <= 0.0
-        # A cold tuple divides by zero and a vanishing popularity
-        # overflows, both to inf like the scalar expression; the cap (or
-        # the cold price) replaces either below.
-        with np.errstate(divide="ignore", over="ignore"):
-            delays = self.unit / (n * popularities)
-        if self.cap is not None:
-            np.minimum(delays, self.cap, out=delays)
-        delays[cold] = self.cap if self.cap is not None else self.uncapped_cold
-        return delays.tolist()
+        return _inverse_prices(
+            self.unit,
+            _resolve_population(self.population),
+            popularities,
+            self.cap,
+            self.cap if self.cap is not None else self.uncapped_cold,
+        )
 
     def _price(self, key: Key, popularity: float, n: int) -> float:
         if popularity <= 0.0:
@@ -229,11 +264,20 @@ class UpdateRateDelayPolicy(DelayPolicy):
 
     def delays_for(self, keys: Sequence[Key]) -> List[float]:
         """Batch pricing against one consistent rate snapshot."""
-        if not keys:
-            return []
+        if len(keys) >= ARRAY_PRICING_FROM:
+            return self.delay_array(keys).tolist()
         rates = self.tracker.rate_many(keys)
         n = _resolve_population(self.population)
         return [self._price(rate, n) for rate in rates]
+
+    def delay_array(self, keys: Sequence[Key]) -> np.ndarray:
+        return _inverse_prices(
+            self.c,
+            _resolve_population(self.population),
+            self.tracker.rate_array(keys),
+            self.cap,
+            self.cap if self.cap is not None else math.inf,
+        )
 
     def _price(self, rate: float, n: int) -> float:
         if rate <= 0.0:
@@ -267,21 +311,22 @@ class CompositeDelayPolicy(DelayPolicy):
 
     def delay_for(self, key: Key) -> float:
         delays = [policy.delay_for(key) for policy in self.policies]
-        return self._combine(delays)
+        return _COMBINERS[self.combine][0](delays)
 
     def delays_for(self, keys: Sequence[Key]) -> List[float]:
         """Batch each inner policy once, then combine column-wise."""
-        if not keys:
-            return []
+        if len(keys) >= ARRAY_PRICING_FROM:
+            return self.delay_array(keys).tolist()
         columns = [policy.delays_for(keys) for policy in self.policies]
-        return [self._combine(values) for values in zip(*columns)]
+        fold = _COMBINERS[self.combine][0]
+        return [fold(values) for values in zip(*columns)]
 
-    def _combine(self, delays: Sequence[float]) -> float:
-        if self.combine == "max":
-            return max(delays)
-        if self.combine == "sum":
-            return sum(delays)
-        return min(delays)
+    def delay_array(self, keys: Sequence[Key]) -> np.ndarray:
+        combined = self.policies[0].delay_array(keys)
+        ufunc = _COMBINERS[self.combine][1]
+        for policy in self.policies[1:]:
+            ufunc(combined, policy.delay_array(keys), out=combined)
+        return combined
 
     def describe(self) -> str:
         inner = ", ".join(policy.describe() for policy in self.policies)

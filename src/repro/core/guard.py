@@ -22,10 +22,11 @@ queries overlap everywhere else — there is no statement-level gate.
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple, Union
+
+import numpy as np
 
 from ..engine.database import Database
 from ..engine.executor import ResultSet
@@ -37,25 +38,35 @@ from .config import GuardConfig
 from .delay_policy import DelayPolicy
 from .errors import ConfigError
 from .pipeline import PipelineHost, QueryContext
+from .popularity import DecayedCounts
 from .result_cache import ResultCache
 
 #: Guard-level tuple key: (lower-cased table name, rowid).
 TupleKey = Tuple[str, int]
 
 
-def _stale_probability(rate: float, horizon: float) -> float:
-    """P(stale) for one tuple under the paper's §3 Poisson model.
+def staleness_entry(
+    population: int, horizon: float, rates: np.ndarray
+) -> Dict[str, float]:
+    """One table's staleness row (§3, eqs. 8-12) from its rows' rates.
 
-    A tuple updated at Poisson rate ``rate`` and extracted at a
-    uniformly random instant of a ``horizon``-second scan is stale by
-    scan end with probability ``1 - (1 - e^(-rT)) / (rT)`` (the
-    integral behind eqs. 8-12). Uses ``expm1`` so tiny ``rT`` doesn't
-    cancel catastrophically; limits at ``rT -> 0`` are 0.
+    A tuple updated at Poisson rate ``r`` and extracted at a uniformly
+    random instant of a ``horizon``-second scan is stale by scan end
+    with probability ``1 - (1 - e^(-rT)) / (rT)`` (``expm1`` keeps tiny
+    ``rT`` from cancelling). ``smax_fraction`` is the expected stale
+    share of the ``population``; never-updated rows contribute zero.
     """
-    x = rate * horizon
-    if x <= 0:
-        return 0.0
-    return 1.0 + math.expm1(-x) / x
+    rates = rates[rates > 0]
+    exposure = rates * horizon
+    exposure = exposure[exposure > 0]
+    expected_stale = float(np.sum(1.0 + np.expm1(-exposure) / exposure))
+    return {
+        "population": population,
+        "extraction_seconds": horizon,
+        "update_rate_per_second": float(rates.sum()),
+        "updated_keys": len(rates),
+        "smax_fraction": expected_stale / max(population, 1),
+    }
 
 
 @dataclass
@@ -566,43 +577,41 @@ class DelayGuard(PipelineHost):
         # Price outside the read lock: the policy only reads trackers.
         return sum(self.policy.delays_for(keyed))
 
+    def staleness_inputs(self) -> Dict[str, Tuple[int, float, np.ndarray]]:
+        """Per table: its population, today's full-extraction seconds
+        (:meth:`extraction_cost`), and the update rate of every row it
+        holds — the rows population and extraction cost count, and no
+        key this tracker only mirrors or no longer stores."""
+        with self.database.read_view():
+            tables = {}
+            for name in self.database.catalog.table_names():
+                heap = self.database.catalog.table(name)
+                prefix = heap.name.lower()
+                tables[name] = [(prefix, rowid) for rowid in heap.rowids()]
+        # Priced outside the read lock, as extraction_cost prices them.
+        return {
+            name.lower(): (
+                len(keys),
+                sum(self.policy.delays_for(keys)),
+                self.update_rates.rate_array(keys),
+            )
+            for name, keys in tables.items()
+        }
+
     def staleness_report(self) -> Dict[str, Dict]:
         """Per-table live staleness guarantee (§3, eqs. 8-12).
 
         For each table, prices today's full-extraction time T from the
-        current counts (:meth:`extraction_cost`) and evaluates the
-        paper's Poisson staleness model against the live update-rate
-        estimates: a tuple updated at rate r, extracted at a uniformly
-        random instant of a T-second scan, is stale with probability
-        ``1 - (1 - e^(-rT)) / (rT)``. The reported ``smax_fraction``
-        is the expected stale fraction of a full extraction *started
-        now* — the guarantee the defense is currently delivering, live
-        (tuples with no recorded updates contribute zero).
+        current counts and evaluates the paper's Poisson staleness model
+        against the live update-rate estimates (:func:`staleness_entry`).
+        The reported ``smax_fraction`` is the expected stale fraction of
+        a full extraction *started now* — the guarantee the defense is
+        currently delivering, live.
         """
-        snapshot = self.update_rates.snapshot()
-        per_table_rates: Dict[str, List[float]] = {}
-        for (table, _rowid), rate in snapshot:
-            per_table_rates.setdefault(table, []).append(rate)
-        with self.database.read_view():
-            tables = [
-                (name, len(self.database.catalog.table(name)))
-                for name in self.database.catalog.table_names()
-            ]
-        report: Dict[str, Dict] = {}
-        for name, population in tables:
-            horizon = self.extraction_cost(name)
-            rates = per_table_rates.get(name.lower(), [])
-            expected_stale = sum(
-                _stale_probability(rate, horizon) for rate in rates
-            )
-            report[name.lower()] = {
-                "population": population,
-                "extraction_seconds": horizon,
-                "update_rate_per_second": sum(rates),
-                "updated_keys": len(rates),
-                "smax_fraction": expected_stale / max(population, 1),
-            }
-        return report
+        return {
+            table: staleness_entry(*inputs)
+            for table, inputs in self.staleness_inputs().items()
+        }
 
     def refresh_staleness_gauges(self) -> Dict[str, Dict]:
         """Recompute :meth:`staleness_report` and push it to the gauges.
@@ -639,12 +648,15 @@ class DelayGuard(PipelineHost):
 
     # -- cluster gossip -------------------------------------------------------
 
+    def _trackers(self) -> Dict[str, DecayedCounts]:
+        return {
+            "popularity": self.popularity,
+            "update_rates": self.update_rates,
+        }
+
     def gossip_versions(self) -> Dict:
         """Per-origin version marks for both trackers (anti-entropy)."""
-        return {
-            "popularity": self.popularity.versions(),
-            "update_rates": self.update_rates.versions(),
-        }
+        return {name: t.versions() for name, t in self._trackers().items()}
 
     def gossip_digest(self, versions: Optional[Dict] = None) -> Dict:
         """Tracker deltas newer than a peer's ``versions`` marks.
@@ -654,12 +666,8 @@ class DelayGuard(PipelineHost):
         """
         versions = versions if versions is not None else {}
         return {
-            "popularity": self.popularity.delta_since(
-                versions.get("popularity")
-            ),
-            "update_rates": self.update_rates.delta_since(
-                versions.get("update_rates")
-            ),
+            name: tracker.delta_since(versions.get(name))
+            for name, tracker in self._trackers().items()
         }
 
     def gossip_merge(self, digest: Dict) -> Dict[str, int]:
@@ -669,14 +677,10 @@ class DelayGuard(PipelineHost):
         so rounds may repeat, reorder, or overlap without double
         counting. Returns entries adopted per tracker.
         """
-        adopted = {"popularity": 0, "update_rates": 0}
-        popularity = digest.get("popularity")
-        if popularity is not None:
-            adopted["popularity"] = self.popularity.merge(popularity)
-        update_rates = digest.get("update_rates")
-        if update_rates is not None:
-            adopted["update_rates"] = self.update_rates.merge(update_rates)
-        return adopted
+        return {
+            name: tracker.merge(digest[name]) if digest.get(name) else 0
+            for name, tracker in self._trackers().items()
+        }
 
     # -- state persistence ---------------------------------------------------
 
@@ -709,8 +713,8 @@ class DelayGuard(PipelineHost):
         Accepts the current ``repro-guard-v3`` format plus v2 and v1
         (which predate tracker-level persistence; v1 additionally
         leaves the update tracker empty). The guard's configured decay
-        rate must match the saved one (delays would silently change
-        otherwise).
+        rate and update time constant must match the saved ones (delays
+        would silently change otherwise).
         """
         fmt = payload.get("format")
         if fmt not in ("repro-guard-v1", "repro-guard-v2", "repro-guard-v3"):
@@ -722,6 +726,9 @@ class DelayGuard(PipelineHost):
                 f"saved decay rate {payload['decay_rate']} does not match "
                 f"configured {self.popularity.decay_rate}"
             )
+        if "update_rates" in payload:
+            # First: it refuses a snapshot decayed under another τ.
+            self.update_rates.load_state(payload["update_rates"])
         if fmt == "repro-guard-v3" or "popularity" in payload:
             # v3 nests full tracker state; older tags carrying the
             # nested shape (re-labelled exports) load the same way.
@@ -739,8 +746,6 @@ class DelayGuard(PipelineHost):
             for key_text, when in payload["last_update_times"]:
                 table, _, rowid = key_text.partition(":")
                 self.last_update_times[(table, int(rowid))] = when
-        if "update_rates" in payload:
-            self.update_rates.load_state(payload["update_rates"])
 
     def record_replayed_updates(
         self, table: str, rowids, when: Optional[float] = None
@@ -753,13 +758,22 @@ class DelayGuard(PipelineHost):
         journal record) — so recovered update rates decay from the
         right instant instead of clustering at recovery time.
         """
-        table_key = table.lower()
+        keys = self.note_replicated_updates(table, rowids, when)
+        self.update_rates.record_many(keys, at=when)
+
+    def note_replicated_updates(
+        self, table: str, rowids, when: Optional[float] = None
+    ) -> List[Tuple[str, int]]:
+        """Note applied writes' times, counting nothing; returns the keys.
+
+        A follower's apply path: the ship digest already carries the
+        primary's count, which gossip would add to a second one here.
+        """
         stamp = when if when is not None else self.clock.now()
+        keys = [(table.lower(), rowid) for rowid in rowids]
         with self._updates_lock:
-            for rowid in rowids:
-                key = (table_key, rowid)
-                self.update_rates.record_update(key, at=stamp)
-                self.last_update_times[key] = stamp
+            self.last_update_times.update(dict.fromkeys(keys, stamp))
+        return keys
 
     def __repr__(self) -> str:
         return (

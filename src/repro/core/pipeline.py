@@ -801,11 +801,10 @@ class PipelineHost:
         self.popularity.record_many(ctx.keys)
 
     def record_updates(self, result: "ResultSet") -> None:
-        """Count a DML result's rowids as updated (§3)."""
+        """Count a DML result's rowids as updated (§3), as one batch."""
         now = self.clock.now()
         table_key = result.table.lower()
+        keys = [(table_key, rowid) for rowid in result.rowids]
         with self._updates_lock:
-            for rowid in result.rowids:
-                key = (table_key, rowid)
-                self.update_rates.record_update(key)
-                self.last_update_times[key] = now
+            self.update_rates.record_many(keys)
+            self.last_update_times.update(dict.fromkeys(keys, now))

@@ -1,4 +1,4 @@
-"""Popularity tracking with exponential age decay (§2.3).
+"""Decayed counts (§2.3), and popularity tracking on them.
 
 The paper tracks a per-tuple count of requests, normalised by a global
 request count. To track *changing* distributions it weights each request
@@ -7,6 +7,10 @@ at every access would cost O(N); instead — exactly as §2.3 prescribes —
 we inflate the value by which counts increase on each access and keep a
 matching normalisation, rescaling everything when the inflated increment
 approaches overflow (at a small, bounded precision loss).
+
+That trick is written once, in :class:`DecayedCounts`, whose subclasses
+are decay clocks: the request index here, seconds for the §3 update
+rates (:mod:`repro.core.update_tracker`).
 
 A statement's whole result set is recorded (:meth:`~PopularityTracker.
 record_many`) and read (:meth:`~PopularityTracker.popularity_many`)
@@ -27,21 +31,20 @@ Two popularity normalisations are offered:
   probability estimate over the effective window, useful as an ablation.
 
 Replication (the cluster's anti-entropy substrate): every tracker has an
-*origin* id and keeps, next to its own counts, a per-origin mirror of
-the masses other trackers have gossiped to it. :meth:`delta_since` emits
-versioned present-scale masses for the local origin *and* every mirrored
-origin (so gossip is transitive), and :meth:`merge` folds a delta in
-with per-(origin, key) last-version-wins adoption — commutative,
-associative, and idempotent, because each origin's versions are totally
-ordered and the shipped value is a function of the version. Effective
-queries (popularity, rank, snapshot, totals) sum local and mirrored
-mass; with ``decay_rate == 1.0`` the merged view is exact, and with
-decay the mirrors hold each origin's mass as of its last delta — a
-staleness bounded by the gossip interval, never an undercount an
+*origin* id and keeps, next to its own counts, a per-origin mirror (a
+count store) of the counts other trackers have gossiped to it.
+:meth:`~DecayedCounts.delta_since` emits versioned present-scale counts
+for the local origin *and* every mirrored origin (so gossip is
+transitive), and :meth:`~DecayedCounts.merge` folds a delta in with
+per-(origin, key) last-version-wins adoption — commutative, associative,
+and idempotent, because each origin's versions are totally ordered and
+the shipped value is a function of the version. A mirrored popularity
+mass stays pinned at adoption (a mirrored update count ages instead):
+with ``decay_rate == 1.0`` the merged view is exact, and with decay the
+staleness is bounded by the gossip interval, never an undercount an
 adversary could mint by spraying shards. Replication and persistence
 need the default :class:`~repro.core.counts.InMemoryCountStore`; the
-§4.4 ablation stores, and :class:`AdaptiveTracker` (an analysis tool),
-have neither.
+§4.4 ablation stores, and :class:`AdaptiveTracker`, have neither.
 """
 
 from __future__ import annotations
@@ -99,8 +102,400 @@ def _thaw_key(key):
     return list(key) if isinstance(key, tuple) else key
 
 
-class PopularityTracker:
+class DecayedCounts:
+    """Decayed per-key counts with per-origin mirrors: the shared core.
+
+    The store holds *inflated* weights; a key's present count is its
+    weight over :attr:`_increment`, what an event now weighs. A subclass
+    is a decay clock: it moves the increment (rescaling before it
+    overflows) and answers the hooks below.
+    """
+
+    #: version headroom added on :meth:`load_state`, so records made
+    #: after a recovery outrank pre-crash entries peers mirror back.
+    RECOVERY_VERSION_JUMP = 1 << 32
+    #: True: a mirror is stored on the local scale and decays with it.
+    #: False: a mirror holds present-scale masses, pinned at adoption.
+    _MIRRORS_AGE = False
+    _FORMAT = ""
+    #: the attribute (and snapshot field) holding the decay parameter.
+    _PARAMETER = ""
+
+    def __init__(
+        self,
+        store: Optional[InMemoryCountStore],
+        rescale_threshold: float,
+        origin: str,
+    ):
+        self.store = store if store is not None else InMemoryCountStore()
+        self.rescale_threshold = float(rescale_threshold)
+        self.origin = origin
+        # Re-entrant (record -> _rescale nests). Count, totals and
+        # increment move as one unit; a whole batch takes it once.
+        self._lock = threading.RLock()
+        self._increment = 1.0  # weight assigned to an event now
+        self._raw_total = 0.0
+        self._decayed_total = 0.0
+        self._rescales = 0
+        #: origin -> counts gossiped here (empty outside a cluster).
+        self._remote: Dict[str, InMemoryCountStore] = {}
+        #: origin -> {"version", "raw_total", "decayed_total"}
+        self._remote_meta: Dict[str, Dict[str, float]] = {}
+        #: after load_state: the snapshot's data high-water mark. While
+        #: set, :meth:`versions` advertises it (not the jumped counter)
+        #: for the local origin, so peers reflect back own-origin counts
+        #: the crash destroyed; :meth:`_merge_self` ratchets it forward
+        #: as reflections arrive, ending the resends once caught up.
+        self._self_floor: Optional[int] = None
+
+    # -- the clock's hooks ---------------------------------------------------
+
+    def _tick(self) -> None:
+        """Bring the increment up to now; lock held."""
+
+    def _scale_at(self, payload: Dict) -> float:
+        """The increment when ``payload``'s counts were read; lock held."""
+        return self._increment
+
+    def _extras(self) -> Dict:
+        """Clock fields every payload and snapshot carries; lock held."""
+        return {}
+
+    def _absorb(self, payload: Dict) -> None:
+        """Fold a merged payload's clock fields in; lock held."""
+
+    def _restart(self, payload: Optional[Dict] = None) -> None:
+        """Empty history (or ``payload``'s): reset the clock; lock held."""
+        self._increment = 1.0
+
+    def _invalidate(self) -> None:
+        """Counts changed wholesale (merge, load, reset); lock held."""
+
+    # -- the store ------------------------------------------------------------
+
+    def _rescale(self, factor: Optional[float] = None) -> None:
+        """Multiply every weight by ``factor`` (default: one over the
+        increment) and restart the increment at 1 (overflow guard)."""
+        with self._lock:
+            if factor is None:
+                factor = 1.0 / self._increment
+            self.store.scale(factor)
+            if self._MIRRORS_AGE:
+                for mirror in self._remote.values():
+                    # A mirror's stamps are its origin's versions.
+                    mirror.scale(factor, restamp=False)
+            self._decayed_total *= factor
+            self._increment = 1.0
+            self._rescales += 1
+
+    @property
+    def rescales(self) -> int:
+        """How many overflow rescales have occurred (diagnostic)."""
+        return self._rescales
+
+    def _present_count(self, key: Key) -> float:
+        """``key``'s count on the present scale, all origins; lock held."""
+        count, mirrored = self.store.get(key), 0.0
+        for mirror in self._remote.values():
+            mirrored += mirror.get(key)
+        if self._MIRRORS_AGE:
+            return (count + mirrored) / self._increment
+        return count / self._increment + mirrored
+
+    def _present_counts(self, keys: Sequence[Key]) -> np.ndarray:
+        """:meth:`_present_count` of every key as a vector; lock held."""
+        counts, mirrored = self.store.get_many(keys), np.zeros(len(keys))
+        for mirror in self._remote.values():
+            mirrored += mirror.get_many(keys)
+        if self._MIRRORS_AGE:
+            counts += mirrored
+        counts /= self._increment
+        if not self._MIRRORS_AGE:
+            counts += mirrored
+        return counts
+
+    def _merged_columns(self) -> Tuple[List[Key], np.ndarray]:
+        """Every known key with its present count, local keys first;
+        lock held. Folded ``(local + m1) + m2``, the order ranks have
+        always used (one rounding from ``local + (m1 + m2)``)."""
+        keys, weights = self.store.columns()
+        if not self._MIRRORS_AGE:
+            weights = weights / self._increment
+        if self._remote:
+            merged = dict(zip(keys, weights.tolist()))
+            for mirror in self._remote.values():
+                for key, mass in mirror.items():
+                    merged[key] = merged.get(key, 0.0) + mass
+            keys = list(merged)
+            weights = np.array(list(merged.values()), dtype=np.float64)
+        if self._MIRRORS_AGE:
+            weights = weights / self._increment
+        return keys, weights
+
+    def _remote_total(self, field: str) -> float:
+        return sum(meta[field] for meta in self._remote_meta.values())
+
+    def tracked_keys(self) -> int:
+        """Number of keys with a stored or mirrored count."""
+        with self._lock:
+            if not self._remote:
+                return len(self.store)
+            return len(self._merged_columns()[0])
+
+    def reset(self) -> None:
+        """Forget all history (mirrored origins included)."""
+        with self._lock:
+            self.store.clear()
+            self._restart()
+            self._raw_total = 0.0
+            self._decayed_total = 0.0
+            self._remote = {}
+            self._remote_meta = {}
+            self._self_floor = None
+            self._invalidate()
+
+    # -- replication ---------------------------------------------------------
+
+    def versions(self) -> Dict[str, int]:
+        """Per-origin version high-water marks this tracker holds.
+
+        Feed a peer's :meth:`versions` into :meth:`delta_since` to get
+        exactly the entries that peer is missing.
+
+        For the local origin this is normally the store's counter; a
+        freshly recovered tracker instead advertises the snapshot's
+        high-water mark, because the counter was jumped far past it and
+        would make peers withhold the reflected entries recovery needs.
+        """
+        with self._lock:
+            own = (
+                self._self_floor
+                if self._self_floor is not None
+                else self.store.version
+            )
+            versions = {self.origin: own}
+            for origin, meta in self._remote_meta.items():
+                versions[origin] = int(meta["version"])
+            return versions
+
+    def _mirror_payload(self, origin: str, since: int) -> Dict:
+        """One mirrored origin's entries newer than ``since``; lock held."""
+        meta = self._remote_meta[origin]
+        divisor = self._increment if self._MIRRORS_AGE else 1.0
+        return {
+            "version": int(meta["version"]),
+            "raw_total": meta["raw_total"],
+            "decayed_total": meta["decayed_total"],
+            "entries": [
+                [_thaw_key(key), weight / divisor, version]
+                for key, weight, version in self._remote[origin].delta_since(
+                    since
+                )["entries"]
+            ],
+        }
+
+    def _own_entries(self, since: int) -> List[list]:
+        """Own entries changed after ``since``, present scale; lock held."""
+        return [
+            [_thaw_key(key), weight / self._increment, changed]
+            for key, weight, changed in self.store.delta_since(since)[
+                "entries"
+            ]
+        ]
+
+    def delta_since(self, versions: Optional[Dict[str, int]] = None) -> Dict:
+        """Versioned present-scale counts newer than ``versions``.
+
+        The delta carries one payload per known origin — this tracker's
+        own counts *and* every mirrored origin — so gossip spreads
+        state transitively without all-pairs exchange. ``versions`` maps
+        origin ids to the receiver's high-water marks (missing origins
+        mean "send everything").
+        """
+        versions = dict(versions or {})
+        with self._lock:
+            self._tick()
+            extras = self._extras()
+            payloads = [
+                {
+                    "origin": self.origin,
+                    "version": self.store.version,
+                    "raw_total": self._raw_total,
+                    "decayed_total": self._decayed_total / self._increment,
+                    "entries": self._own_entries(
+                        versions.get(self.origin, 0)
+                    ),
+                    **extras,
+                }
+            ]
+            for origin in self._remote:
+                since = versions.get(origin, 0)
+                payload = self._mirror_payload(origin, since)
+                if payload["entries"] or payload["version"] > since:
+                    payloads.append({"origin": origin, **payload, **extras})
+        return {"payloads": payloads}
+
+    def merge(self, delta: Dict) -> int:
+        """Fold a :meth:`delta_since` payload in; returns entries adopted.
+
+        Remote-origin entries land in per-origin mirrors with
+        last-version-wins adoption. Entries for *this* tracker's own
+        origin are reflections of its past self (a peer gossiping back
+        what it learned before this tracker crashed): they are adopted
+        into the local store only where the local version is older, which
+        restores counts lost since the last snapshot without ever
+        clobbering post-recovery records.
+        """
+        adopted = 0
+        with self._lock:
+            self._tick()
+            for payload in delta.get("payloads", ()):
+                self._absorb(payload)
+                if payload.get("origin") == self.origin:
+                    adopted += self._merge_self(payload)
+                else:
+                    adopted += self._merge_remote(payload)
+            if adopted:
+                self._invalidate()
+        return adopted
+
+    def _adoptable(self, payload: Dict, scale: float) -> Dict:
+        """``payload``'s entries as a store delta at ``scale``."""
+        return {
+            "version": int(payload.get("version", 0)),
+            "entries": [
+                [_freeze_key(key), float(count) * scale, int(version)]
+                for key, count, version in payload.get("entries", ())
+            ],
+        }
+
+    def _merge_self(self, payload: Dict) -> int:
+        """Adopt reflected own-origin entries where newer; lock held."""
+        adopted = self.store.merge(
+            self._adoptable(payload, self._scale_at(payload))
+        )
+        if adopted:
+            # The store changed under us; the decayed total is, by
+            # construction, exactly the sum of stored weights.
+            self._decayed_total = sum(
+                weight for _key, weight in self.store.items()
+            )
+        self._raw_total = max(
+            self._raw_total, float(payload.get("raw_total", 0.0))
+        )
+        if self._self_floor is not None:
+            # Everything the peer mirrors up to its payload version has
+            # now been offered back; advertising past it stops the
+            # re-reflection without hiding genuinely newer entries.
+            self._self_floor = max(
+                self._self_floor, int(payload.get("version", 0))
+            )
+        return adopted
+
+    def _merge_remote(self, payload: Dict) -> int:
+        """Last-version-wins adoption into one origin mirror; lock held."""
+        origin = payload["origin"]
+        mirror = self._remote.get(origin)
+        if mirror is None:
+            mirror = self._remote[origin] = InMemoryCountStore()
+        meta = self._remote_meta.setdefault(
+            origin, {"version": 0, "raw_total": 0.0, "decayed_total": 0.0}
+        )
+        scale = self._scale_at(payload) if self._MIRRORS_AGE else 1.0
+        adopted = mirror.merge(self._adoptable(payload, scale))
+        version = int(payload.get("version", 0))
+        if version > meta["version"]:
+            meta["version"] = version
+            meta["raw_total"] = float(payload.get("raw_total", 0.0))
+            meta["decayed_total"] = float(payload.get("decayed_total", 0.0))
+        return adopted
+
+    # -- persistence ---------------------------------------------------------
+
+    def dump_state(self) -> Dict:
+        """Serialise counts, totals, versions, and origin mirrors.
+
+        Counts are stored on the present scale, so the snapshot is
+        independent of the increment at dump time.
+        """
+        with self._lock:
+            self._tick()
+            return {
+                "format": self._FORMAT,
+                "origin": self.origin,
+                self._PARAMETER: getattr(self, self._PARAMETER),
+                "raw_total": self._raw_total,
+                "decayed_total": self._decayed_total / self._increment,
+                "version": self.store.version,
+                "counts": self._own_entries(0),
+                "remote": {
+                    origin: self._mirror_payload(origin, 0)
+                    for origin in self._remote_meta
+                },
+                **self._extras(),
+            }
+
+    def load_state(self, payload: Dict) -> None:
+        """Restore :meth:`dump_state` output, replacing current state.
+
+        The decay parameter must match this tracker's: counts decayed
+        under another would silently change every price. The store's
+        version counter is advanced by :data:`RECOVERY_VERSION_JUMP`
+        past the snapshot's high-water mark, so every record made after
+        this load outranks any pre-crash entry a peer may still mirror.
+        """
+        if payload.get("format") != self._FORMAT:
+            raise ConfigError(
+                f"unknown {type(self).__name__} state format "
+                f"{payload.get('format')!r}"
+            )
+        mine = getattr(self, self._PARAMETER)
+        saved = payload.get(self._PARAMETER, mine)
+        if saved != mine:
+            raise ConfigError(
+                f"snapshot {self._PARAMETER} {saved} does not match "
+                f"tracker {self._PARAMETER} {mine}"
+            )
+        version = int(payload.get("version", 0))
+        with self._lock:
+            self.store.clear()
+            self._restart(payload)
+            scale = self._scale_at(payload)
+            self.store.merge(
+                self._adoptable(
+                    {"version": version, "entries": payload.get("counts", ())},
+                    scale,
+                )
+            )
+            self.store.advance_version(version + self.RECOVERY_VERSION_JUMP)
+            self._self_floor = version
+            self.origin = payload.get("origin", self.origin)
+            self._raw_total = float(payload.get("raw_total", 0.0))
+            self._decayed_total = sum(
+                weight for _key, weight in self.store.items()
+            )
+            self._remote = {}
+            self._remote_meta = {}
+            mirror_scale = scale if self._MIRRORS_AGE else 1.0
+            for origin, mirror in payload.get("remote", {}).items():
+                self._remote[origin] = InMemoryCountStore()
+                self._remote[origin].merge(
+                    self._adoptable(mirror, mirror_scale)
+                )
+                self._remote_meta[origin] = {
+                    "version": int(mirror.get("version", 0)),
+                    "raw_total": float(mirror.get("raw_total", 0.0)),
+                    "decayed_total": float(mirror.get("decayed_total", 0.0)),
+                }
+            self._invalidate()
+
+
+class PopularityTracker(DecayedCounts):
     """Decayed per-tuple request counts with popularity and rank queries.
+
+    The decay clock is the request index: each record multiplies the
+    increment by γ, so a request ``k`` requests old carries relative
+    weight ``γ**-k``.
 
     Args:
         store: the count store, an :class:`InMemoryCountStore` by
@@ -108,8 +503,7 @@ class PopularityTracker:
             a store from :mod:`repro.experiments.count_stores`, which
             serves a tracker that never gossips or snapshots.
         decay_rate: per-request inflation factor γ >= 1. 1.0 means no
-            decay (full history); larger values forget faster. A request
-            ``k`` requests old carries relative weight ``γ**-k``.
+            decay (full history); larger values forget faster.
         rescale_threshold: when the internal increment exceeds this, all
             counts are rescaled to keep floats in range.
         rank_refresh: recompute cached ranks after this many records
@@ -121,9 +515,8 @@ class PopularityTracker:
             it survives restarts.
     """
 
-    #: version headroom added on :meth:`load_state`, so records made
-    #: after a recovery outrank pre-crash entries peers mirror back.
-    RECOVERY_VERSION_JUMP = 1 << 32
+    _FORMAT = "repro-popularity-v1"
+    _PARAMETER = "decay_rate"
 
     def __init__(
         self,
@@ -142,37 +535,19 @@ class PopularityTracker:
             raise ConfigError("rescale_threshold must exceed 1.0")
         if rank_refresh < 1:
             raise ConfigError("rank_refresh must be >= 1")
-        self.store = store if store is not None else InMemoryCountStore()
+        super().__init__(
+            store,
+            rescale_threshold,
+            origin if origin is not None else f"tracker-{next(_ORIGIN_SEQ)}",
+        )
         self.decay_rate = float(decay_rate)
-        self.rescale_threshold = float(rescale_threshold)
         self.rank_refresh = rank_refresh
-        # Re-entrant: record -> _rescale and record_many -> record nest.
-        # The store has its own lock, but the multi-step bookkeeping here
-        # (count + both totals + increment) must be atomic as a unit or
-        # concurrent recorders would desynchronise counts from totals.
-        # A whole batch (record_many, popularity_many) takes it once.
-        self._lock = threading.RLock()
-        self._increment = 1.0  # weight assigned to the NEXT request
-        self._raw_total = 0.0
-        self._decayed_total = 0.0
-        self._rescales = 0
         self._rank_cache: Optional[Dict[Key, int]] = None
         self._records_since_rank = 0
-        self.origin = (
-            origin if origin is not None else f"tracker-{next(_ORIGIN_SEQ)}"
-        )
-        #: origin -> key -> (present-scale mass, version): counts other
-        #: trackers have gossiped here. Empty outside cluster use, and
-        #: every query path skips the mirror work when it is empty.
-        self._remote: Dict[str, Dict[Key, Tuple[float, int]]] = {}
-        #: origin -> {"version", "raw_total", "decayed_total"}
-        self._remote_meta: Dict[str, Dict[str, float]] = {}
-        #: after load_state: the snapshot's data high-water mark. While
-        #: set, :meth:`versions` advertises it (not the jumped counter)
-        #: for the local origin, so peers reflect back own-origin mass
-        #: the crash destroyed; :meth:`_merge_self` ratchets it forward
-        #: as reflections arrive, ending the resends once caught up.
-        self._self_floor: Optional[int] = None
+
+    def _invalidate(self) -> None:
+        self._rank_cache = None
+        self._records_since_rank = 0
 
     # -- recording ---------------------------------------------------------
 
@@ -241,15 +616,6 @@ class PopularityTracker:
             return None
         return increments
 
-    def _rescale(self) -> None:
-        """Divide all state by the current increment (overflow guard)."""
-        with self._lock:
-            factor = 1.0 / self._increment
-            self.store.scale(factor)
-            self._decayed_total *= factor
-            self._increment = 1.0
-            self._rescales += 1
-
     def apply_decay(self, factor: float) -> None:
         """Explicitly decay all accumulated history by ``factor``.
 
@@ -271,32 +637,11 @@ class PopularityTracker:
 
     # -- queries ------------------------------------------------------------
 
-    def _remote_count(self, key: Key) -> float:
-        """Mirrored present-scale mass of ``key``; lock held by caller."""
-        total = 0.0
-        for entries in self._remote.values():
-            entry = entries.get(key)
-            if entry is not None:
-                total += entry[0]
-        return total
-
-    def _remote_raw_total(self) -> float:
-        return sum(
-            meta["raw_total"] for meta in self._remote_meta.values()
-        )
-
-    def _remote_decayed_total(self) -> float:
-        return sum(
-            meta["decayed_total"] for meta in self._remote_meta.values()
-        )
-
     @property
     def total_requests(self) -> float:
         """Undecayed number of recorded requests (all known origins)."""
         with self._lock:
-            if not self._remote_meta:
-                return self._raw_total
-            return self._raw_total + self._remote_raw_total()
+            return self._total("raw")
 
     @property
     def decayed_total(self) -> float:
@@ -308,15 +653,7 @@ class PopularityTracker:
         'current' requests the surviving weight represents.
         """
         with self._lock:
-            local = self._decayed_total / self._increment
-            if not self._remote_meta:
-                return local
-            return local + self._remote_decayed_total()
-
-    @property
-    def rescales(self) -> int:
-        """How many overflow rescales have occurred (diagnostic)."""
-        return self._rescales
+            return self._total("decayed")
 
     def present_count(self, key: Key) -> float:
         """Decayed count of ``key`` on the latest-request weight scale.
@@ -326,21 +663,18 @@ class PopularityTracker:
         other origins is included.
         """
         with self._lock:
-            count = self.store.get(key) / self._increment
-            if self._remote:
-                count += self._remote_count(key)
-            return count
+            return self._present_count(key)
 
     def _total(self, mode: str) -> float:
         """The denominator ``mode`` names, all origins; lock held."""
         if mode == "raw":
             total = self._raw_total
             if self._remote_meta:
-                total += self._remote_raw_total()
+                total += self._remote_total("raw_total")
             return total
         total = self._decayed_total / self._increment
         if self._remote_meta:
-            total += self._remote_decayed_total()
+            total += self._remote_total("decayed_total")
         return total
 
     def popularity(self, key: Key, mode: str = "raw") -> float:
@@ -359,22 +693,10 @@ class PopularityTracker:
 
     def _share(self, key: Key, total: float) -> float:
         """``key``'s present-scale count over ``total``; lock held."""
-        count = self.store.get(key) / self._increment
-        if self._remote:
-            count += self._remote_count(key)
+        count = self._present_count(key)
         if count <= 0 or total <= 0:
             return 0.0
         return count / total
-
-    def _present_counts(self, keys: Sequence[Key]) -> np.ndarray:
-        """:meth:`present_count` of every key as a vector; lock held."""
-        counts = self.store.get_many(keys)
-        counts /= self._increment
-        if self._remote:
-            counts += np.array(
-                [self._remote_count(key) for key in keys], dtype=np.float64
-            )
-        return counts
 
     def _normalised(self, counts: np.ndarray, mode: str) -> np.ndarray:
         """Present-scale counts to popularities, elementwise exactly as
@@ -413,32 +735,6 @@ class PopularityTracker:
             total = self._total(mode)
             return [self._share(key, total) for key in keys]
 
-    def _known_keys(self) -> set:
-        """Every key with a stored or mirrored count; lock held."""
-        keys = set(self.store.columns()[0])
-        for entries in self._remote.values():
-            keys.update(entries)
-        return keys
-
-    def _merged_columns(self) -> Tuple[List[Key], np.ndarray]:
-        """Every known key with its present-scale mass, local keys first
-        in store order; lock held.
-
-        Mirrored mass is folded in origin by origin, ``(local + m1) +
-        m2``: the order ranks and snapshots have always been built in,
-        one rounding apart from :meth:`present_count`'s ``local + (m1 +
-        m2)``.
-        """
-        keys, weights = self.store.columns()
-        counts = weights / self._increment
-        if not self._remote:
-            return keys, counts
-        merged = dict(zip(keys, counts.tolist()))
-        for entries in self._remote.values():
-            for key, (mass, _version) in entries.items():
-                merged[key] = merged.get(key, 0.0) + mass
-        return list(merged), np.array(list(merged.values()), dtype=np.float64)
-
     def max_popularity(self, mode: str = "raw") -> float:
         """Popularity of the most popular tracked key (0 if none).
 
@@ -449,7 +745,7 @@ class PopularityTracker:
         _check_mode(mode)
         with self._lock:
             if self._remote:
-                counts = self._present_counts(list(self._known_keys()))
+                counts = self._present_counts(self._merged_columns()[0])
             else:
                 counts = self.store.columns()[1] / self._increment
             best = counts.max() if len(counts) else 0.0
@@ -490,264 +786,6 @@ class PopularityTracker:
             (keys[slot], count)
             for slot, count in zip(order.tolist(), counts[order].tolist())
         ]
-
-    def tracked_keys(self) -> int:
-        """Number of keys with a stored or mirrored count."""
-        with self._lock:
-            if not self._remote:
-                return len(self.store)
-            return len(self._known_keys())
-
-    def reset(self) -> None:
-        """Forget all history (mirrored origins included)."""
-        with self._lock:
-            self.store.clear()
-            self._increment = 1.0
-            self._raw_total = 0.0
-            self._decayed_total = 0.0
-            self._rank_cache = None
-            self._records_since_rank = 0
-            self._remote = {}
-            self._remote_meta = {}
-            self._self_floor = None
-
-    # -- replication ---------------------------------------------------------
-
-    def versions(self) -> Dict[str, int]:
-        """Per-origin version high-water marks this tracker holds.
-
-        Feed a peer's :meth:`versions` into :meth:`delta_since` to get
-        exactly the entries that peer is missing.
-
-        For the local origin this is normally the store's counter; a
-        freshly recovered tracker instead advertises the snapshot's
-        high-water mark, because the counter was jumped far past it and
-        would make peers withhold the reflected entries recovery needs.
-        """
-        with self._lock:
-            own = (
-                self._self_floor
-                if self._self_floor is not None
-                else self.store.version
-            )
-            versions = {self.origin: own}
-            for origin, meta in self._remote_meta.items():
-                versions[origin] = int(meta["version"])
-            return versions
-
-    def delta_since(self, versions: Optional[Dict[str, int]] = None) -> Dict:
-        """Versioned present-scale masses newer than ``versions``.
-
-        The delta carries one payload per known origin — this tracker's
-        own counts *and* every mirrored origin — so gossip spreads
-        state transitively without all-pairs exchange. ``versions`` maps
-        origin ids to the receiver's high-water marks (missing origins
-        mean "send everything").
-        """
-        versions = dict(versions or {})
-        with self._lock:
-            store_delta = self.store.delta_since(
-                versions.get(self.origin, 0)
-            )
-            payloads = [
-                {
-                    "origin": self.origin,
-                    "version": store_delta["version"],
-                    "raw_total": self._raw_total,
-                    "decayed_total": self._decayed_total / self._increment,
-                    "entries": [
-                        [_thaw_key(key), weight / self._increment, changed]
-                        for key, weight, changed in store_delta["entries"]
-                    ],
-                }
-            ]
-            for origin, entries_map in self._remote.items():
-                since = versions.get(origin, 0)
-                meta = self._remote_meta[origin]
-                entries = [
-                    [_thaw_key(key), mass, version]
-                    for key, (mass, version) in entries_map.items()
-                    if version > since
-                ]
-                if not entries and meta["version"] <= since:
-                    continue
-                payloads.append(
-                    {
-                        "origin": origin,
-                        "version": int(meta["version"]),
-                        "raw_total": meta["raw_total"],
-                        "decayed_total": meta["decayed_total"],
-                        "entries": entries,
-                    }
-                )
-        return {"payloads": payloads}
-
-    def merge(self, delta: Dict) -> int:
-        """Fold a :meth:`delta_since` payload in; returns entries adopted.
-
-        Remote-origin entries land in per-origin mirrors with
-        last-version-wins adoption. Entries for *this* tracker's own
-        origin are reflections of its past self (a peer gossiping back
-        what it learned before this tracker crashed): they are adopted
-        into the local store only where the local version is older, which
-        restores popularity lost since the last snapshot without ever
-        clobbering post-recovery records.
-        """
-        payloads = delta.get("payloads", ())
-        adopted = 0
-        with self._lock:
-            for payload in payloads:
-                origin = payload.get("origin")
-                if origin == self.origin:
-                    adopted += self._merge_self(payload)
-                else:
-                    adopted += self._merge_remote(payload)
-            if adopted:
-                self._rank_cache = None
-        return adopted
-
-    def _merge_self(self, payload: Dict) -> int:
-        """Adopt reflected own-origin entries where newer; lock held."""
-        entries = [
-            [_freeze_key(key), float(mass) * self._increment, int(version)]
-            for key, mass, version in payload.get("entries", ())
-        ]
-        adopted = self.store.merge(
-            {"version": int(payload.get("version", 0)), "entries": entries}
-        )
-        if adopted:
-            # The store changed under us; the decayed total is, by
-            # construction, exactly the sum of stored masses.
-            self._decayed_total = sum(
-                weight for _key, weight in self.store.items()
-            )
-        self._raw_total = max(
-            self._raw_total, float(payload.get("raw_total", 0.0))
-        )
-        if self._self_floor is not None:
-            # Everything the peer mirrors up to its payload version has
-            # now been offered back; advertising past it stops the
-            # re-reflection without hiding genuinely newer entries.
-            self._self_floor = max(
-                self._self_floor, int(payload.get("version", 0))
-            )
-        return adopted
-
-    def _merge_remote(self, payload: Dict) -> int:
-        """Last-version-wins adoption into one origin mirror; lock held."""
-        origin = payload["origin"]
-        entries_map = self._remote.setdefault(origin, {})
-        meta = self._remote_meta.setdefault(
-            origin, {"version": 0, "raw_total": 0.0, "decayed_total": 0.0}
-        )
-        adopted = 0
-        for key, mass, version in payload.get("entries", ()):
-            key = _freeze_key(key)
-            current = entries_map.get(key)
-            if current is not None and current[1] >= version:
-                continue
-            entries_map[key] = (float(mass), int(version))
-            adopted += 1
-        version = int(payload.get("version", 0))
-        if version > meta["version"]:
-            meta["version"] = version
-            meta["raw_total"] = float(payload.get("raw_total", 0.0))
-            meta["decayed_total"] = float(payload.get("decayed_total", 0.0))
-        return adopted
-
-    # -- persistence ---------------------------------------------------------
-
-    def dump_state(self) -> Dict:
-        """Serialise counts, totals, versions, and origin mirrors.
-
-        Masses are stored on the present-request scale, so the snapshot
-        is independent of the increment at dump time.
-        """
-        with self._lock:
-            store_delta = self.store.delta_since(0)
-            return {
-                "format": "repro-popularity-v1",
-                "origin": self.origin,
-                "decay_rate": self.decay_rate,
-                "raw_total": self._raw_total,
-                "decayed_total": self._decayed_total / self._increment,
-                "version": self.store.version,
-                "counts": [
-                    [_thaw_key(key), weight / self._increment, changed]
-                    for key, weight, changed in store_delta["entries"]
-                ],
-                "remote": {
-                    origin: {
-                        "version": int(meta["version"]),
-                        "raw_total": meta["raw_total"],
-                        "decayed_total": meta["decayed_total"],
-                        "entries": [
-                            [_thaw_key(key), mass, version]
-                            for key, (mass, version) in self._remote[
-                                origin
-                            ].items()
-                        ],
-                    }
-                    for origin, meta in self._remote_meta.items()
-                },
-            }
-
-    def load_state(self, payload: Dict) -> None:
-        """Restore :meth:`dump_state` output, replacing current state.
-
-        The store's version counter is advanced by
-        :data:`RECOVERY_VERSION_JUMP` past the snapshot's high-water
-        mark, so every record made after this load outranks any
-        pre-crash entry a peer may still mirror.
-        """
-        if payload.get("format") != "repro-popularity-v1":
-            raise ConfigError(
-                f"unknown popularity state format "
-                f"{payload.get('format')!r}"
-            )
-        decay_rate = float(payload.get("decay_rate", self.decay_rate))
-        if decay_rate != self.decay_rate:
-            raise ConfigError(
-                f"snapshot decay_rate {decay_rate} does not match "
-                f"tracker decay_rate {self.decay_rate}"
-            )
-        with self._lock:
-            self.store.clear()
-            self._increment = 1.0
-            self.store.merge(
-                {
-                    "version": int(payload.get("version", 0)),
-                    "entries": [
-                        [_freeze_key(key), float(mass), int(version)]
-                        for key, mass, version in payload.get("counts", ())
-                    ],
-                }
-            )
-            self.store.advance_version(
-                int(payload.get("version", 0)) + self.RECOVERY_VERSION_JUMP
-            )
-            self._self_floor = int(payload.get("version", 0))
-            self.origin = payload.get("origin", self.origin)
-            self._raw_total = float(payload.get("raw_total", 0.0))
-            self._decayed_total = sum(
-                weight for _key, weight in self.store.items()
-            )
-            self._remote = {}
-            self._remote_meta = {}
-            for origin, mirror in payload.get("remote", {}).items():
-                self._remote[origin] = {
-                    _freeze_key(key): (float(mass), int(version))
-                    for key, mass, version in mirror.get("entries", ())
-                }
-                self._remote_meta[origin] = {
-                    "version": int(mirror.get("version", 0)),
-                    "raw_total": float(mirror.get("raw_total", 0.0)),
-                    "decayed_total": float(
-                        mirror.get("decayed_total", 0.0)
-                    ),
-                }
-            self._rank_cache = None
-            self._records_since_rank = 0
 
 
 class AdaptiveTracker:

@@ -5,29 +5,34 @@ proportional to each tuple's *update* rate. This tracker estimates
 per-tuple update rates from the observed update stream, with optional
 exponential decay in time so shifting update behaviour is tracked.
 
-Replication mirrors :mod:`repro.core.popularity`: the tracker has an
-*origin* id, stamps each key's last change with a monotonic version, and
-exposes ``delta_since(versions)`` / ``merge(delta)``. Because every
-tuple is updated on exactly one owning shard, a remote entry is simply
-the owner's latest ``(count, last_seen)`` pair — per-key
-last-version-wins adoption is exact, and rates sum across origins.
+It is the second decay clock on :class:`~repro.core.popularity.
+DecayedCounts` (§2.3's trick on wall time): an update at ``t`` adds
+``e^{(t - t0)/τ}`` to the count store, a rate is the present count over
+τ, and ``t0`` moves to now when the increment nears overflow. Payloads
+carry the sender's clock (``at``), so a mirrored count ages from the
+instant it was shipped, and the stationary time origin (``started``),
+of which a merge keeps the earliest: that can only lower a rate, and so
+raise a delay.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
-import threading
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .clock import Clock, VirtualClock
 from .counts import Key
 from .errors import ConfigError
+from .popularity import _ORIGIN_SEQ, SMALL_BATCH, DecayedCounts, _descending
 
-_ORIGIN_SEQ = itertools.count()
+#: rescale past popularity's threshold, ~230 τ after the anchor.
+_RESCALE_THRESHOLD = 1e100
+_MAX_EXPONENT = math.log(_RESCALE_THRESHOLD)
 
 
-class UpdateRateTracker:
+class UpdateRateTracker(DecayedCounts):
     """Estimates updates-per-second for each tuple.
 
     With ``time_constant`` τ (seconds), an update that happened ``a``
@@ -35,14 +40,12 @@ class UpdateRateTracker:
     tuple updated at steady rate ``r`` converges to ``r·τ``, so the rate
     estimate is ``decayed_count/τ``. With ``time_constant=None`` the
     tracker keeps plain counts and estimates ``count/elapsed`` — right
-    for stationary update processes.
-
-    Counts are decayed lazily (only when touched), so cost per update is
-    O(1) regardless of table size.
+    for stationary update processes. One ``exp`` per call, not per key.
     """
 
-    #: version headroom added on :meth:`load_state` (see popularity).
-    RECOVERY_VERSION_JUMP = 1 << 32
+    _MIRRORS_AGE = True
+    _FORMAT = "repro-updates-v2"
+    _PARAMETER = "time_constant"
 
     def __init__(
         self,
@@ -56,425 +59,180 @@ class UpdateRateTracker:
             )
         self.clock = clock if clock is not None else VirtualClock()
         self.time_constant = time_constant
-        self.origin = (
-            origin if origin is not None else f"updates-{next(_ORIGIN_SEQ)}"
-        )
-        # Guards counts/last-seen/total as one unit: the lazy decay in
-        # record_update is a read-modify-write over two dicts.
-        self._lock = threading.RLock()
-        self._counts: Dict[Key, float] = {}
-        self._last_seen: Dict[Key, float] = {}
-        self._started = self.clock.now()
-        self._total_updates = 0
-        self._version = 0
-        self._changed: Dict[Key, int] = {}
-        #: origin -> key -> (count-as-of-last-seen, last_seen, version)
-        self._remote: Dict[str, Dict[Key, Tuple[float, float, int]]] = {}
-        #: origin -> {"version", "total_updates"}
-        self._remote_meta: Dict[str, Dict[str, float]] = {}
-        #: after load_state: the snapshot's data high-water mark,
-        #: advertised in :meth:`versions` instead of the jumped counter
-        #: so peers reflect back own-origin entries the crash destroyed
-        #: (see the popularity tracker for the full story).
-        self._self_floor: Optional[int] = None
+        if origin is None:
+            origin = f"updates-{next(_ORIGIN_SEQ)}"
+        super().__init__(None, _RESCALE_THRESHOLD, origin)
+        self._restart()
+
+    # -- the decay clock: seconds ---------------------------------------------
+
+    def _restart(self, payload: Optional[Dict] = None) -> None:
+        self._now = self._anchor = self.clock.now()
+        self._increment = 1.0
+        self._started = self._now if payload is None else payload["started"]
+
+    def _tick(self) -> None:
+        self._now = now = self.clock.now()
+        if self.time_constant is not None:
+            exponent = (now - self._anchor) / self.time_constant
+            if exponent > _MAX_EXPONENT:
+                self._rescale(math.exp(-exponent))
+                self._anchor, exponent = now, 0.0
+            self._increment = math.exp(exponent)
+
+    def _weight_at(self, at: float) -> float:
+        """An update at ``at``, never later than now; lock held, ticked."""
+        if self.time_constant is None or at >= self._now:
+            return self._increment
+        return math.exp((at - self._anchor) / self.time_constant)
+
+    def _scale_at(self, payload: Dict) -> float:
+        return self._weight_at(payload.get("at", self._now))
+
+    def _extras(self) -> Dict:
+        return {"at": self._now, "started": self._started}
+
+    def _absorb(self, payload: Dict) -> None:
+        self._started = min(self._started, payload.get("started", math.inf))
 
     # -- recording ---------------------------------------------------------
 
     def record_update(self, key: Key, at: Optional[float] = None) -> None:
-        """Record one update to ``key``.
+        """Record one update to ``key``, at clock time ``at`` if given
+        (recovery replays updates at their commit times). An ``at``
+        ahead of the clock counts as now, never as more."""
+        self.record_many((key,), at)
 
-        ``at`` overrides the clock time — used by crash recovery, which
-        replays journalled updates with the timestamps they originally
-        committed at so decayed counts come out the same as if the
-        process had never died.
-        """
-        now = self.clock.now() if at is None else at
+    def record_many(
+        self, keys: Iterable[Key], at: Optional[float] = None
+    ) -> None:
+        """One update to each of ``keys`` (a statement's rows, all at
+        ``at``) as one atomic batch."""
+        keys = keys if isinstance(keys, (list, tuple)) else list(keys)
         with self._lock:
-            current = self._decayed_count(key, now)
-            self._counts[key] = current + 1.0
-            self._last_seen[key] = now
-            self._total_updates += 1
-            self._version += 1
-            self._changed[key] = self._version
-
-    def _decayed_count(self, key: Key, now: float) -> float:
-        with self._lock:
-            count = self._counts.get(key, 0.0)
-            if count == 0.0 or self.time_constant is None:
-                return count
-            age = now - self._last_seen.get(key, now)
-            if age <= 0:
-                return count
-            return count * math.exp(-age / self.time_constant)
+            self._tick()
+            weight = self._weight_at(self._now if at is None else at)
+            if len(keys) < SMALL_BATCH:
+                for key in keys:
+                    self.store.add(key, weight)
+            else:
+                self.store.add_many(keys, np.full(len(keys), weight))
+            self._raw_total += len(keys)
+            self._decayed_total += weight * len(keys)
 
     def prime(self, rates: Dict[Key, float], window: float = 1e6) -> None:
-        """Initialise counters to their steady-state expectation.
+        """Set each key's count to its steady-state expectation.
 
-        A burn-in shortcut for experiments: instead of replaying
-        ``window`` seconds of update traffic, set each key's count to
-        what a Poisson process at its given rate would have accumulated
-        in expectation. With a decay time-constant τ the steady state is
-        ``r·τ``; without one, the tracker is back-dated so that
-        ``count/elapsed`` equals the rate. Tests verify primed and
-        replayed trackers agree.
+        A burn-in shortcut for experiments, instead of replaying
+        ``window`` seconds of updates: ``r·τ`` with a time constant;
+        without one, ``r·window`` with the start back-dated by
+        ``window``, so ``count/elapsed`` is the rate.
         """
         if window <= 0:
             raise ConfigError(f"window must be positive, got {window}")
-        now = self.clock.now()
+        for key, rate in rates.items():
+            if rate < 0:
+                raise ConfigError(f"rate for {key!r} must be >= 0, got {rate}")
+        span = self.time_constant if self.time_constant is not None else window
+        primed = [(key, rate * span) for key, rate in rates.items() if rate]
         with self._lock:
-            for key, rate in rates.items():
-                if rate < 0:
-                    raise ConfigError(
-                        f"rate for {key!r} must be >= 0, got {rate}"
-                    )
-                if rate == 0:
-                    continue
-                if self.time_constant is not None:
-                    self._counts[key] = rate * self.time_constant
-                else:
-                    self._counts[key] = rate * window
-                self._last_seen[key] = now
-                self._version += 1
-                self._changed[key] = self._version
+            self._tick()
+            base, scale = self.store.version, self._increment
+            entries = [
+                [key, count * scale, base + offset]
+                for offset, (key, count) in enumerate(primed, 1)
+            ]
+            # Stamped past every key's stamp: the count is assigned.
+            self.store.merge({"entries": entries})
+            self._decayed_total = sum(w for _key, w in self.store.items())
             if self.time_constant is None:
-                self._started = min(self._started, now - window)
+                self._started = min(self._started, self._now - window)
 
     # -- queries ------------------------------------------------------------
 
-    def _remote_count(self, key: Key, now: float) -> float:
-        """Mirrored decayed count of ``key`` as of ``now``; lock held."""
-        total = 0.0
-        for entries in self._remote.values():
-            entry = entries.get(key)
-            if entry is None:
-                continue
-            count, last_seen, _version = entry
-            if self.time_constant is not None and now > last_seen:
-                count *= math.exp((last_seen - now) / self.time_constant)
-            total += count
-        return total
-
-    def _effective_count(self, key: Key, now: float) -> float:
-        """Local + mirrored decayed count of ``key``; lock held."""
-        count = self._decayed_count(key, now)
-        if self._remote:
-            count += self._remote_count(key, now)
-        return count
+    def _rates(self, counts):
+        """Present counts (a float or a vector) to rates; lock held.
+        With nothing elapsed, the count: a large finite rate."""
+        if self.time_constant is not None:
+            return counts / self.time_constant
+        elapsed = self._now - self._started
+        return counts / elapsed if elapsed > 0 else counts
 
     @property
     def total_updates(self) -> int:
         """Number of updates recorded (undecayed, all known origins)."""
         with self._lock:
-            total = self._total_updates
-            for meta in self._remote_meta.values():
-                total += int(meta["total_updates"])
-            return total
+            return int(self._raw_total + self._remote_total("raw_total"))
 
     def count(self, key: Key) -> float:
         """Decayed update count of ``key`` as of now (all origins)."""
         with self._lock:
-            return self._effective_count(key, self.clock.now())
+            self._tick()
+            return self._present_count(key)
 
     def rate(self, key: Key) -> float:
         """Estimated updates/second for ``key`` (0 for never-updated)."""
-        now = self.clock.now()
         with self._lock:
-            count = self._effective_count(key, now)
-            if count <= 0:
-                return 0.0
-            if self.time_constant is not None:
-                return count / self.time_constant
-            elapsed = now - self._started
-            if elapsed <= 0:
-                # All updates happened "now"; report a large finite rate.
-                return count
-            return count / elapsed
+            count = self.count(key)
+            return self._rates(count) if count > 0 else 0.0
+
+    def rate_array(self, keys: Sequence[Key]) -> np.ndarray:
+        """:meth:`rate` of every key as a vector: one gather."""
+        with self._lock:
+            self._tick()
+            return self._rates(self._present_counts(keys))
 
     def rate_many(self, keys: Sequence[Key]) -> List[float]:
-        """Rates for ``keys`` from one consistent snapshot.
-
-        One (reentrant) lock acquisition covers the whole batch, so a
-        concurrent ``record_update`` can't land between two keys of one
-        priced result set.
-        """
+        """Rates for ``keys`` from one consistent snapshot (one lock)."""
         with self._lock:
             return [self.rate(key) for key in keys]
-
-    def _all_keys(self) -> set:
-        """Every key with local or mirrored history; lock held."""
-        keys = set(self._counts)
-        for entries in self._remote.values():
-            keys.update(entries)
-        return keys
-
-    def max_rate(self) -> float:
-        """Largest estimated rate across tracked keys (0 if none)."""
-        now = self.clock.now()
-        best = 0.0
-        with self._lock:
-            for key in self._all_keys():
-                count = self._effective_count(key, now)
-                if self.time_constant is not None:
-                    rate = count / self.time_constant
-                else:
-                    elapsed = now - self._started
-                    rate = count / elapsed if elapsed > 0 else count
-                best = max(best, rate)
-        return best
 
     def snapshot(self) -> List[Tuple[Key, float]]:
         """All (key, rate) pairs, fastest-updated first."""
         with self._lock:
-            pairs = [(key, self.rate(key)) for key in self._all_keys()]
-        pairs.sort(key=lambda item: item[1], reverse=True)
-        return pairs
+            self._tick()
+            keys, counts = self._merged_columns()
+            rates = self._rates(counts)
+        order = _descending(rates)
+        return list(zip(map(keys.__getitem__, order), rates[order].tolist()))
 
-    def tracked_keys(self) -> int:
-        """Number of keys ever updated (all known origins)."""
-        with self._lock:
-            if not self._remote:
-                return len(self._counts)
-            return len(self._all_keys())
-
-    def reset(self) -> None:
-        """Forget all update history (mirrored origins included)."""
-        with self._lock:
-            self._counts.clear()
-            self._last_seen.clear()
-            self._started = self.clock.now()
-            self._total_updates = 0
-            self._version += 1
-            self._changed.clear()
-            self._remote = {}
-            self._remote_meta = {}
-            self._self_floor = None
-
-    # -- replication ---------------------------------------------------------
-
-    def versions(self) -> Dict[str, int]:
-        """Per-origin version high-water marks this tracker holds."""
-        with self._lock:
-            own = (
-                self._self_floor
-                if self._self_floor is not None
-                else self._version
-            )
-            versions = {self.origin: own}
-            for origin, meta in self._remote_meta.items():
-                versions[origin] = int(meta["version"])
-            return versions
-
-    def delta_since(self, versions: Optional[Dict[str, int]] = None) -> Dict:
-        """Entries newer than ``versions``, one payload per known origin.
-
-        Each entry is ``[key, count, last_seen, version]`` — the decayed
-        count as of its own ``last_seen``, so the receiver resumes the
-        decay without any clock exchange.
-        """
-        versions = dict(versions or {})
-        with self._lock:
-            since = versions.get(self.origin, 0)
-            payloads = [
-                {
-                    "origin": self.origin,
-                    "version": self._version,
-                    "total_updates": self._total_updates,
-                    "entries": [
-                        [
-                            list(key) if isinstance(key, tuple) else key,
-                            self._counts.get(key, 0.0),
-                            self._last_seen.get(key),
-                            changed,
-                        ]
-                        for key, changed in self._changed.items()
-                        if changed > since
-                    ],
-                }
-            ]
-            for origin, entries_map in self._remote.items():
-                since = versions.get(origin, 0)
-                meta = self._remote_meta[origin]
-                entries = [
-                    [
-                        list(key) if isinstance(key, tuple) else key,
-                        count,
-                        last_seen,
-                        version,
-                    ]
-                    for key, (count, last_seen, version) in
-                    entries_map.items()
-                    if version > since
-                ]
-                if not entries and meta["version"] <= since:
-                    continue
-                payloads.append(
-                    {
-                        "origin": origin,
-                        "version": int(meta["version"]),
-                        "total_updates": int(meta["total_updates"]),
-                        "entries": entries,
-                    }
-                )
-        return {"payloads": payloads}
-
-    def merge(self, delta: Dict) -> int:
-        """Fold a :meth:`delta_since` payload in; returns entries adopted.
-
-        Updates are owner-only (each tuple lives on one shard), so
-        per-(origin, key) last-version-wins adoption reproduces the
-        owner's state exactly.
-        """
-        adopted = 0
-        with self._lock:
-            for payload in delta.get("payloads", ()):
-                origin = payload.get("origin")
-                if origin == self.origin:
-                    adopted += self._merge_self(payload)
-                else:
-                    adopted += self._merge_remote(payload)
-        return adopted
-
-    def _merge_self(self, payload: Dict) -> int:
-        """Adopt reflected own-origin entries where newer; lock held."""
-        adopted = 0
-        for raw_key, count, last_seen, version in payload.get("entries", ()):
-            key = tuple(raw_key) if isinstance(raw_key, list) else raw_key
-            if version <= self._changed.get(key, 0):
-                continue
-            self._counts[key] = float(count)
-            if last_seen is not None:
-                self._last_seen[key] = float(last_seen)
-            self._changed[key] = int(version)
-            adopted += 1
-        self._version = max(self._version, int(payload.get("version", 0)))
-        self._total_updates = max(
-            self._total_updates, int(payload.get("total_updates", 0))
-        )
-        if self._self_floor is not None:
-            self._self_floor = max(
-                self._self_floor, int(payload.get("version", 0))
-            )
-        return adopted
-
-    def _merge_remote(self, payload: Dict) -> int:
-        """Last-version-wins adoption into one origin mirror; lock held."""
-        origin = payload["origin"]
-        entries_map = self._remote.setdefault(origin, {})
-        meta = self._remote_meta.setdefault(
-            origin, {"version": 0, "total_updates": 0}
-        )
-        adopted = 0
-        for raw_key, count, last_seen, version in payload.get("entries", ()):
-            key = tuple(raw_key) if isinstance(raw_key, list) else raw_key
-            current = entries_map.get(key)
-            if current is not None and current[2] >= version:
-                continue
-            entries_map[key] = (
-                float(count),
-                float(last_seen) if last_seen is not None else 0.0,
-                int(version),
-            )
-            adopted += 1
-        version = int(payload.get("version", 0))
-        if version > meta["version"]:
-            meta["version"] = version
-            meta["total_updates"] = int(payload.get("total_updates", 0))
-        return adopted
+    def max_rate(self) -> float:
+        """Largest estimated rate across tracked keys (0 if none)."""
+        return max((rate for _key, rate in self.snapshot()), default=0.0)
 
     # -- persistence --------------------------------------------------------
 
-    def dump_state(self) -> Dict:
-        """Serialise decayed counts and timing for a snapshot.
+    def load_state(self, payload: Dict) -> None:
+        """Restore :meth:`dump_state` output (another τ is refused), or
+        the snapshot of the tracker this one replaced: format-less, per
+        key ``[key, count, last_seen(, version)]``, aged to now."""
+        if "format" not in payload:
+            payload = self._upgrade(payload)
+        super().load_state(payload)
 
-        Keys are stored as lists (JSON has no tuples) and restored as
-        tuples by :meth:`load_state`. Entries carry their change
-        versions, and mirrored origins are saved alongside, so a
-        recovered shard re-enters gossip where it left off.
-        """
-        with self._lock:
+    def _upgrade(self, old: Dict) -> Dict:
+        now, tau = self.clock.now(), old.get("time_constant")
+
+        def aged(key, count, last_seen=None, version=0):
+            if tau is not None and last_seen is not None:
+                count *= math.exp(min(last_seen - now, 0.0) / tau)
+            return [key, count, max(int(version), 1)]
+
+        def mirror(payload):
             return {
-                "time_constant": self.time_constant,
-                "started": self._started,
-                "total_updates": self._total_updates,
-                "origin": self.origin,
-                "version": self._version,
-                "entries": [
-                    [
-                        list(key) if isinstance(key, tuple) else key,
-                        count,
-                        self._last_seen.get(key),
-                        self._changed.get(key, 0),
-                    ]
-                    for key, count in self._counts.items()
-                ],
-                "remote": {
-                    origin: {
-                        "version": int(meta["version"]),
-                        "total_updates": int(meta["total_updates"]),
-                        "entries": [
-                            [
-                                list(key) if isinstance(key, tuple) else key,
-                                count,
-                                last_seen,
-                                version,
-                            ]
-                            for key, (count, last_seen, version) in
-                            self._remote[origin].items()
-                        ],
-                    }
-                    for origin, meta in self._remote_meta.items()
-                },
+                "version": payload.get("version", 0),
+                "raw_total": payload.get("total_updates", 0),
+                "entries": [aged(*row) for row in payload.get("entries", ())],
             }
 
-    def load_state(self, payload: Dict) -> None:
-        """Restore :meth:`dump_state` output, replacing current state.
-
-        Counts resume decaying from their saved ``last_seen`` times, so
-        a tracker restored mid-experiment produces the same rates as one
-        that never stopped. Accepts pre-cluster snapshots (3-element
-        entries, no versions) and stamps their entries at version 0. The
-        version counter jumps :data:`RECOVERY_VERSION_JUMP` past the
-        snapshot's high-water mark (see the popularity tracker).
-        """
-        with self._lock:
-            self.time_constant = payload.get("time_constant")
-            self._started = float(payload["started"])
-            self._total_updates = int(payload["total_updates"])
-            self.origin = payload.get("origin", self.origin)
-            self._counts = {}
-            self._last_seen = {}
-            self._changed = {}
-            for entry in payload["entries"]:
-                raw_key, count, last_seen = entry[0], entry[1], entry[2]
-                version = int(entry[3]) if len(entry) > 3 else 0
-                key = tuple(raw_key) if isinstance(raw_key, list) else raw_key
-                self._counts[key] = float(count)
-                if last_seen is not None:
-                    self._last_seen[key] = float(last_seen)
-                if version:
-                    self._changed[key] = version
-            self._version = (
-                int(payload.get("version", 0)) + self.RECOVERY_VERSION_JUMP
-            )
-            self._self_floor = int(payload.get("version", 0))
-            self._remote = {}
-            self._remote_meta = {}
-            for origin, mirror in payload.get("remote", {}).items():
-                self._remote[origin] = {
-                    (
-                        tuple(raw_key)
-                        if isinstance(raw_key, list)
-                        else raw_key
-                    ): (
-                        float(count),
-                        float(last_seen) if last_seen is not None else 0.0,
-                        int(version),
-                    )
-                    for raw_key, count, last_seen, version in mirror.get(
-                        "entries", ()
-                    )
-                }
-                self._remote_meta[origin] = {
-                    "version": int(mirror.get("version", 0)),
-                    "total_updates": int(mirror.get("total_updates", 0)),
-                }
+        remote, state = old.get("remote", {}), mirror(old)
+        state["counts"] = state.pop("entries")
+        return {
+            **state,
+            "format": self._FORMAT,
+            "origin": old.get("origin", self.origin),
+            "time_constant": tau,
+            "remote": {origin: mirror(remote[origin]) for origin in remote},
+            "at": now,
+            "started": old["started"],
+        }

@@ -473,6 +473,9 @@ class DataProviderService:
 
     def _load_state_payload(self, payload: Dict) -> None:
         """Restore guard and account state from a service payload."""
+        # The clock first, as it stood at the save: restored update
+        # counts are read as of the clock, never ahead of it.
+        self._advance_clock_to(payload.get("clock"))
         self.guard.load_state(payload["guard"])
         accounts_state = payload.get("accounts")
         if accounts_state is not None and self.accounts is not None:
@@ -487,7 +490,6 @@ class DataProviderService:
                 int(payload.get("mutation_epoch") or 0),
             )
         )
-        self._advance_clock_to(payload.get("clock"))
 
     def _advance_clock_to(self, target: Optional[float]) -> None:
         """Move a virtual clock forward to ``target``, never backward.
@@ -589,12 +591,14 @@ class DataProviderService:
                 service.database, journal_path, after_seq=report.snapshot_seq
             )
             for entry in entries:
+                # The clock first: a tracker counts an update stamped
+                # ahead of its clock as happening now.
+                if entry.ts is not None:
+                    service._advance_clock_to(entry.ts)
                 if entry.tracked and entry.table is not None and entry.rowids:
                     service.guard.record_replayed_updates(
                         entry.table, entry.rowids, entry.ts
                     )
-                if entry.ts is not None:
-                    service._advance_clock_to(entry.ts)
             report.entries = entries
             report.replayed_statements = len(entries)
             report.skipped_records = len(scan.records) - len(entries)

@@ -1,5 +1,7 @@
 """Tests for update-rate tracking (§3)."""
 
+import math
+
 import pytest
 
 from repro.core.clock import VirtualClock
@@ -147,3 +149,75 @@ class TestPrime:
             tracker.prime({"a": -1.0})
         with pytest.raises(ConfigError):
             tracker.prime({"a": 1.0}, window=0)
+
+
+class TestDecayClock:
+    """The §2.3 inflated increment on wall time."""
+
+    def test_rescale_keeps_rates(self):
+        clock = VirtualClock()
+        tracker = UpdateRateTracker(clock=clock, time_constant=1.0)
+        tracker.record_update("old")
+        clock.advance(100.0)
+        tracker.record_update("a")
+        clock.advance(200.0)  # 300 time constants: past the rescale point
+        tracker.record_update("b")
+        assert tracker.rescales >= 1
+        assert tracker.count("b") == pytest.approx(1.0)
+        assert tracker.count("a") == pytest.approx(math.exp(-200.0))
+        assert tracker.count("old") == pytest.approx(math.exp(-300.0))
+        clock.advance(1e6)  # far past anything a float increment holds
+        assert tracker.rate("a") == 0.0 and tracker.rate("b") == 0.0
+
+    def test_out_of_order_replay_counts_exactly(self):
+        clock = VirtualClock(100.0)
+        tracker = UpdateRateTracker(clock=clock, time_constant=10.0)
+        stamps = (90.0, 70.0, 99.0, 80.0)
+        for at in stamps:
+            tracker.record_update("k", at=at)
+        expected = sum(math.exp(-(100.0 - at) / 10.0) for at in stamps)
+        assert tracker.count("k") == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("time_constant", [None, 5.0])
+    def test_a_future_stamp_counts_as_now(self, time_constant):
+        clock = VirtualClock(10.0)
+        future = UpdateRateTracker(clock=clock, time_constant=time_constant)
+        present = UpdateRateTracker(clock=clock, time_constant=time_constant)
+        for at in (11.0, 1e9, 1e308):
+            future.record_update("k", at=at)
+            present.record_update("k")
+        for _ in range(3):
+            assert future.rate("k") == present.rate("k")
+            assert math.isfinite(future.rate("k"))
+            clock.advance(7.0)
+
+    def test_batch_equals_one_at_a_time(self):
+        clock = VirtualClock()
+        batched = UpdateRateTracker(clock=clock, time_constant=3.0)
+        single = UpdateRateTracker(clock=clock, time_constant=3.0)
+        keys = [("t", i % 30) for i in range(100)]
+        clock.advance(2.0)
+        batched.record_many(keys)
+        for key in keys:
+            single.record_update(key)
+        assert batched.rate_many(keys) == single.rate_many(keys)
+        assert batched.total_updates == single.total_updates == 100
+
+    def test_merge_keeps_the_earliest_start(self):
+        clock = VirtualClock()
+        early = UpdateRateTracker(clock=clock, origin="early")
+        early.record_update("k")
+        clock.advance(100.0)
+        late = UpdateRateTracker(clock=clock, origin="late")
+        late.merge(early.delta_since(late.versions()))
+        # A later start could only raise the rate: it must not survive.
+        assert late.rate("k") == early.rate("k") == pytest.approx(0.01)
+
+    def test_load_refuses_another_time_constant(self):
+        clock = VirtualClock()
+        source = UpdateRateTracker(clock=clock, time_constant=30.0)
+        source.record_update("k")
+        target = UpdateRateTracker(clock=clock)
+        with pytest.raises(ConfigError, match="time_constant"):
+            target.load_state(source.dump_state())
+        assert target.time_constant is None

@@ -26,7 +26,9 @@ from repro.adapters.sqlite_proxy import SQLiteDelayProxy
 from repro.cluster.router import ClusterRouter
 from repro.cluster.service import ClusterGuard
 from repro.core.guard import DelayGuard
+from repro.core.popularity import DecayedCounts, PopularityTracker
 from repro.core.result_cache import ResultCache
+from repro.core.update_tracker import UpdateRateTracker
 
 SRC = Path(repro.__file__).parent
 
@@ -139,3 +141,21 @@ def test_serving_packages_import_no_experiment():
         check=True,
     )
     assert done.stdout.strip() == "[]"
+
+
+def test_one_decayed_count_primitive():
+    # Both §2.3 popularity and §3 update rates are decay clocks on one
+    # core: one store, one mirror/merge/snapshot implementation.
+    shared = (
+        "versions",
+        "delta_since",
+        "merge",
+        "_merge_self",
+        "_merge_remote",
+        "dump_state",
+        "_rescale",
+    )
+    for tracker in (PopularityTracker, UpdateRateTracker):
+        assert issubclass(tracker, DecayedCounts)
+        for name in shared:
+            assert name not in vars(tracker), (tracker.__name__, name)
