@@ -4,10 +4,12 @@ The columnar executor exists to make the *engine* share of Table 5's
 cost split small: full scans, IN-probes, hash joins, and aggregates
 are the statement shapes the replication workloads hammer. Each
 benchmark times the vectorized path (pytest-benchmark, many rounds),
-measures the classic row-at-a-time baseline on the same catalog and
-statement, asserts the speedup floor, and records the measured ratio
-in ``extra_info`` so the uploaded ``BENCH_vectorized.json`` carries
-the before/after evidence.
+then times both executors with the same best-of-3 loop on the same
+catalog and statement, asserts the speedup floor on that ratio, and
+records it in ``extra_info`` so the uploaded ``BENCH_vectorized.json``
+carries the before/after evidence. The floors also hold under
+``--benchmark-disable``, where pytest-benchmark runs each case once
+and keeps no statistics.
 
 Floors are set from measured headroom (see EXPERIMENTS.md), not
 aspiration: scans and join-aggregates clear 5x with a wide margin;
@@ -26,11 +28,10 @@ import pytest
 
 from repro.engine import Database, Executor, VectorizedExecutor
 from repro.engine.parser import parse
-from repro.engine.vectorized import HAVE_NUMPY
 
 SCAN_ROWS = int(os.environ.get("VEC_BENCH_ROWS", "50000"))
 JOIN_ROWS = int(os.environ.get("VEC_BENCH_JOIN_ROWS", "20000"))
-BASELINE_REPEATS = 3
+TIMING_REPEATS = 3
 
 
 @pytest.fixture(scope="module")
@@ -60,12 +61,11 @@ def db():
     return database
 
 
-def _classic_seconds(db, statement):
-    classic = Executor(db.catalog)
+def _best_seconds(executor, statement):
     best = float("inf")
-    for _ in range(BASELINE_REPEATS):
+    for _ in range(TIMING_REPEATS):
         started = time.perf_counter()
-        classic.execute(statement)
+        executor.execute(statement)
         best = min(best, time.perf_counter() - started)
     return best
 
@@ -79,8 +79,8 @@ def _run_case(benchmark, db, sql, floor):
     assert repr(result.rows) == repr(expected.rows)
     assert result.touched == expected.touched
     assert vectorized.path_counts["classic"] == 0, "fell back to classic"
-    classic_seconds = _classic_seconds(db, statement)
-    vectorized_seconds = benchmark.stats.stats.min
+    classic_seconds = _best_seconds(Executor(db.catalog), statement)
+    vectorized_seconds = _best_seconds(vectorized, statement)
     ratio = classic_seconds / vectorized_seconds
     benchmark.extra_info["classic_seconds"] = classic_seconds
     benchmark.extra_info["speedup_x"] = round(ratio, 2)
@@ -90,7 +90,6 @@ def _run_case(benchmark, db, sql, floor):
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="columnar tier needs numpy")
 class TestVectorizedSpeedup:
     def test_full_scan_filter(self, benchmark, db):
         _run_case(

@@ -7,6 +7,15 @@ layer uses to charge per-tuple delays and maintain popularity counts
 without modifying the engine. For joined queries, ``touched`` lists
 every contributing ``(table, rowid)`` pair across all joined tables.
 
+A SELECT runs in two halves. A row source (scan, filter, join) yields
+working rows; :meth:`Executor._shape` turns them into the result:
+projection, DISTINCT, aggregates, GROUP BY/HAVING, ORDER BY,
+LIMIT/OFFSET and the ``rowids``/``touched`` lists. The shaper is the
+only code that decides what a statement is charged for, and every
+executor tier runs it: a tier supplies its own row source and a reader
+for its working rows (:class:`ContextReader` here, the columnar tier's
+``PositionReader`` in :mod:`.vectorized.executor`).
+
 Concurrency audit: the executor is stateless between calls (it holds
 only the catalog reference), and the whole SELECT path — planning,
 subquery binding, scans, joins, aggregation — allocates its intermediate
@@ -122,6 +131,46 @@ class ResultSet:
 
     def __iter__(self):
         return iter(self.rows)
+
+
+class ContextReader:
+    """The classic tier's reader for :meth:`Executor._shape`.
+
+    A working row is a ``(touched, context)`` pair: the base rows it came
+    from, driving table first, and the merged name->value dict of their
+    fragments.
+    """
+
+    def __init__(self, sources: List[Tuple[HeapTable, str]]):
+        self._sources = sources
+        self._star_keys: Optional[List[str]] = None
+
+    @staticmethod
+    def evaluator(expression: Expression):
+        evaluate = expression.evaluate
+        return lambda row: evaluate(row[1])
+
+    def star(self, row: Context) -> Tuple[SQLValue, ...]:
+        if self._star_keys is None:
+            self._star_keys = [
+                f"{label}.{column.name.lower()}"
+                for table, label in self._sources
+                for column in table.schema.columns
+            ]
+        context = row[1]
+        return tuple([context[key] for key in self._star_keys])
+
+    @staticmethod
+    def context(row: Context) -> Dict[str, SQLValue]:
+        return row[1]
+
+    @staticmethod
+    def rowids(rows: List[Context]) -> List[int]:
+        return [touched[0][1] for touched, _ in rows]
+
+    @staticmethod
+    def touched(rows: List[Context]) -> List[Touched]:
+        return [pair for touched, _ in rows for pair in touched]
 
 
 class Executor:
@@ -286,11 +335,12 @@ class Executor:
                 seen[name] = seen.get(name, 0) + 1
         return frozenset(name for name, count in seen.items() if count > 1)
 
-    def _collect_contexts(self, statement: SelectStatement) -> List[Context]:
+    def _collect_contexts(
+        self, statement: SelectStatement, sources: List[Tuple[HeapTable, str]]
+    ) -> List[Context]:
         """Produce joined row contexts for a SELECT."""
         from .planner import candidate_rowids, choose_access_path
 
-        sources = self._select_sources(statement)
         shared = self._shared_columns(sources)
         driving, driving_label = sources[0]
         driving_key = driving.name.lower()
@@ -428,55 +478,105 @@ class Executor:
         return result
 
     def _execute_bound_select(self, statement: SelectStatement) -> ResultSet:
-        contexts = self._collect_contexts(statement)
-        has_aggregate = any(item.aggregate for item in statement.items)
-
-        if statement.group_by:
-            return self._grouped_result(statement, contexts)
-        if has_aggregate:
-            return self._aggregate_result(statement, contexts)
-
-        if statement.order_by:
-            contexts = self._sorted(contexts, statement.order_by)
-
         sources = self._select_sources(statement)
-        columns = self._output_columns(statement, sources)
-        projected: List[Tuple[Tuple[Touched, ...], Tuple[SQLValue, ...]]] = []
-        for touched, context in contexts:
-            projected.append(
-                (touched, self._project(statement, sources, context))
-            )
+        contexts = self._collect_contexts(statement, sources)
+        reader = ContextReader(sources)
+        return self._shape(statement, sources, reader, contexts)
 
-        if statement.distinct:
-            seen = set()
-            unique = []
-            for touched, row in projected:
-                key = tuple(sort_key(value) for value in row)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append((touched, row))
-            projected = unique
+    def _shape(
+        self, statement: SelectStatement, sources, reader, rows
+    ) -> ResultSet:
+        """The post-scan half of SELECT, shared by every executor tier.
+
+        ``rows`` are the tier's working rows after scan, join and WHERE,
+        in the order the row source produced them. ``reader`` reads them:
+        ``evaluator(expr)`` returns a per-row evaluator, ``star(row)`` the
+        values of every FROM column, ``context(row)`` the row's full
+        name->value dict (HAVING and grouped plain items see it),
+        ``rowids(rows)`` the driving table's rowid per row, and
+        ``touched(rows)`` every contributing ``(table, rowid)`` pair.
+
+        Each output row keeps the working rows it was built from, so
+        LIMIT/OFFSET trims ``rowids`` and ``touched`` with ``rows``: a
+        row the client never receives is neither charged nor recorded.
+        ``rowids`` holds one rowid per output row (a group's is its first
+        member's), except for a global aggregate, which lists every
+        aggregated row.
+        """
+        items = statement.items
+        grouped = bool(statement.group_by)
+        aggregated = grouped or any(item.aggregate for item in items)
+        if grouped and any(item.star for item in items):
+            raise ExecutionError("SELECT * is not valid with GROUP BY")
+        if aggregated and not grouped and not all(
+            item.aggregate for item in items
+        ):
+            raise ExecutionError(
+                "mixing aggregates with plain columns requires GROUP BY"
+            )
+        columns = self._output_columns(statement, sources)
+
+        if grouped:
+            shaped = self._grouped(statement, reader, rows, columns)
+            if statement.order_by:
+                # grouped ORDER BY sees select-list aliases and labels
+                lowered = [column.lower() for column in columns]
+                shaped = self._ordered(
+                    shaped,
+                    statement.order_by,
+                    [
+                        lambda entry, expression=item.expression: (
+                            expression.evaluate(dict(zip(lowered, entry[0])))
+                        )
+                        for item in statement.order_by
+                    ],
+                )
+        elif aggregated:
+            aggregates = self._aggregators(items, reader)
+            shaped = [
+                (tuple(aggregate(rows) for aggregate in aggregates), rows)
+            ]
+        else:
+            if statement.order_by:
+                rows = self._ordered(
+                    rows,
+                    statement.order_by,
+                    [
+                        reader.evaluator(item.expression)
+                        for item in statement.order_by
+                    ],
+                )
+            project = self._projector(items, reader)
+            shaped = [(project(row), row) for row in rows]
+            if statement.distinct:
+                seen = set()
+                unique = []
+                for entry in shaped:
+                    key = tuple(sort_key(value) for value in entry[0])
+                    if key not in seen:
+                        seen.add(key)
+                        unique.append(entry)
+                shaped = unique
 
         offset = statement.offset or 0
-        if offset:
-            projected = projected[offset:]
-        if statement.limit is not None:
-            projected = projected[: statement.limit]
+        if offset or statement.limit is not None:
+            limit = statement.limit
+            shaped = shaped[offset : None if limit is None else offset + limit]
 
-        driving = self.catalog.table(statement.table)
+        if aggregated:
+            served = [row for _, members in shaped for row in members]
+            leaders = (
+                [members[0] for _, members in shaped] if grouped else served
+            )
+        else:
+            served = leaders = [row for _, row in shaped]
         return ResultSet(
             columns=columns,
-            rows=[row for _, row in projected],
-            rowids=[
-                rowid
-                for touched, _ in projected
-                for name, rowid in touched[:1]
-            ],
-            touched=[
-                pair for touched, _ in projected for pair in touched
-            ],
-            table=driving.name,
-            rowcount=len(projected),
+            rows=[values for values, _ in shaped],
+            rowids=reader.rowids(leaders),
+            touched=reader.touched(served),
+            table=statement.table if aggregated else sources[0][0].name,
+            rowcount=len(shaped),
             statement_kind="select",
         )
 
@@ -498,180 +598,78 @@ class Executor:
                 columns.append(str(item.expression))
         return columns
 
-    def _project(
-        self,
-        statement: SelectStatement,
-        sources: List[Tuple[HeapTable, str]],
-        context: Dict[str, SQLValue],
-    ) -> Tuple[SQLValue, ...]:
-        values: List[SQLValue] = []
-        for item in statement.items:
-            if item.star:
-                for table, label in sources:
-                    values.extend(
-                        context[f"{label}.{column.name.lower()}"]
-                        for column in table.schema.columns
-                    )
-            else:
-                values.append(item.expression.evaluate(context))
-        return tuple(values)
+    @staticmethod
+    def _projector(items: Sequence[SelectItem], reader):
+        if items[0].star:  # the grammar makes '*' the whole select list
+            return reader.star
+        evaluators = [reader.evaluator(item.expression) for item in items]
+        return lambda row: tuple([evaluate(row) for evaluate in evaluators])
 
-    def _sorted(
-        self, contexts: List[Context], order_by: Sequence[OrderItem]
-    ) -> List[Context]:
-        result = list(contexts)
-        for item in reversed(order_by):
+    @staticmethod
+    def _ordered(entries, order_by: Sequence[OrderItem], evaluators):
+        """Stable multi-key ORDER BY: one stable sort per key, last first."""
+        result = list(entries)
+        for item, evaluate in reversed(list(zip(order_by, evaluators))):
             result.sort(
-                key=lambda pair: sort_key(item.expression.evaluate(pair[1])),
+                key=lambda entry: sort_key(evaluate(entry)),
                 reverse=item.descending,
             )
         return result
 
     # -- aggregates -------------------------------------------------------------
 
-    def _aggregate_result(
-        self, statement: SelectStatement, contexts: List[Context]
-    ) -> ResultSet:
-        for item in statement.items:
-            if not item.aggregate:
-                raise ExecutionError(
-                    "mixing aggregates with plain columns requires GROUP BY"
-                )
-        columns: List[str] = []
-        values: List[SQLValue] = []
-        for item in statement.items:
-            columns.append(item.alias or self._aggregate_label(item))
-            values.append(self._compute_aggregate(item, contexts))
-        rows = [tuple(values)]
-        rowids = [
-            rowid for touched, _ in contexts for _name, rowid in touched[:1]
-        ]
-        touched = [pair for group, _ in contexts for pair in group]
-        # LIMIT/OFFSET must trim rowids/touched consistently with rows
-        # (the plain and grouped paths already do): an aggregate row
-        # dropped by OFFSET or LIMIT 0 was never served, so its
-        # contributing tuples must not be charged or recorded.
-        offset = statement.offset or 0
-        if offset:
-            rows = rows[offset:]
-        if statement.limit is not None:
-            rows = rows[: statement.limit]
-        if not rows:
-            rowids = []
-            touched = []
-        return ResultSet(
-            columns=columns,
-            rows=rows,
-            rowids=rowids,
-            touched=touched,
-            table=statement.table,
-            rowcount=len(rows),
-            statement_kind="select",
+    def _aggregators(self, items: Sequence[SelectItem], reader):
+        """Per select item, a function from member rows to its aggregate
+        value, or None for a plain item."""
+
+        def aggregator(item: SelectItem):
+            if item.aggregate == "COUNT" and item.expression is None:
+                return len
+            evaluate = reader.evaluator(item.expression)
+            return lambda members: self._aggregate_of_values(
+                item.aggregate,
+                item.distinct,
+                [evaluate(row) for row in members],
+            )
+
+        return [aggregator(item) if item.aggregate else None for item in items]
+
+    def _grouped(self, statement: SelectStatement, reader, rows, columns):
+        """``(values, members)`` per group that passes HAVING, in order of
+        each group's first row."""
+        by = [reader.evaluator(key) for key in statement.group_by]
+        groups: Dict[Tuple, list] = {}
+        for row in rows:
+            key = tuple(sort_key(evaluate(row)) for evaluate in by)
+            members = groups.get(key)
+            if members is None:
+                groups[key] = [row]
+            else:
+                members.append(row)
+
+        items = statement.items
+        parts = list(zip(self._aggregators(items, reader), items))
+        having = statement.having
+        needs_context = having is not None or not all(
+            item.aggregate for item in items
         )
-
-    def _grouped_result(
-        self, statement: SelectStatement, contexts: List[Context]
-    ) -> ResultSet:
-        for item in statement.items:
-            if item.star:
-                raise ExecutionError("SELECT * is not valid with GROUP BY")
-        groups: Dict[Tuple, List[Context]] = {}
-        order: List[Tuple] = []
-        for context in contexts:
-            key = tuple(
-                sort_key(expression.evaluate(context[1]))
-                for expression in statement.group_by
-            )
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(context)
-
-        columns: List[str] = [
-            item.alias
-            or (
-                self._aggregate_label(item)
-                if item.aggregate
-                else str(item.expression)
-            )
-            for item in statement.items
-        ]
-
-        rows: List[Tuple[SQLValue, ...]] = []
-        row_touched: List[List[Touched]] = []
-        for key in order:
-            members = groups[key]
-            first_context = members[0][1]
-            values: List[SQLValue] = []
-            for item in statement.items:
-                if item.aggregate:
-                    values.append(self._compute_aggregate(item, members))
-                else:
-                    values.append(item.expression.evaluate(first_context))
-            if statement.having is not None:
-                having_context = self._having_context(
-                    statement, columns, values, first_context
-                )
-                if not predicate_holds(statement.having, having_context):
-                    continue
-            rows.append(tuple(values))
-            row_touched.append(
-                [pair for touched, _ in members for pair in touched]
-            )
-
-        combined = list(zip(rows, row_touched))
-        if statement.order_by:
-            combined = self._sort_grouped(combined, columns, statement)
-
-        offset = statement.offset or 0
-        if offset:
-            combined = combined[offset:]
-        if statement.limit is not None:
-            combined = combined[: statement.limit]
-
-        return ResultSet(
-            columns=columns,
-            rows=[row for row, _ in combined],
-            rowids=[
-                rowid
-                for _, touched in combined
-                for name, rowid in touched[:1]
-            ],
-            touched=[pair for _, touched in combined for pair in touched],
-            table=statement.table,
-            rowcount=len(combined),
-            statement_kind="select",
-        )
-
-    def _sort_grouped(self, combined, columns, statement):
-        """Stable multi-key ORDER BY over grouped output rows.
-
-        Sort keys may reference select-list aliases or aggregate labels.
-        """
         lowered = [column.lower() for column in columns]
-
-        def context_of(row):
-            return dict(zip(lowered, row))
-
-        result = list(combined)
-        for item in reversed(statement.order_by):
-            result.sort(
-                key=lambda pair: sort_key(
-                    item.expression.evaluate(context_of(pair[0]))
-                ),
-                reverse=item.descending,
+        shaped = []
+        for members in groups.values():
+            context = reader.context(members[0]) if needs_context else None
+            values = tuple(
+                aggregate(members)
+                if aggregate is not None
+                else item.expression.evaluate(context)
+                for aggregate, item in parts
             )
-        return result
-
-    def _having_context(
-        self, statement, columns, values, first_context
-    ) -> Dict[str, SQLValue]:
-        """Context for HAVING: group-row values by alias/label, plus the
-        underlying first-row context for grouping columns."""
-        context = dict(first_context)
-        for column, value in zip(columns, values):
-            context[column.lower()] = value
-        return context
+            if having is not None:
+                having_context = dict(context)
+                having_context.update(zip(lowered, values))
+                if not predicate_holds(having, having_context):
+                    continue
+            shaped.append((values, members))
+        return shaped
 
     @staticmethod
     def _aggregate_label(item: SelectItem) -> str:
@@ -680,28 +678,15 @@ class Executor:
         return f"{item.aggregate}({prefix}{inner})"
 
     @staticmethod
-    def _compute_aggregate(
-        item: SelectItem, contexts: List[Context]
-    ) -> SQLValue:
-        func = item.aggregate
-        if func == "COUNT" and item.expression is None:
-            return len(contexts)
-        assert item.expression is not None
-        observed = [
-            item.expression.evaluate(context) for _, context in contexts
-        ]
-        return Executor._aggregate_of_values(func, item.distinct, observed)
-
-    @staticmethod
     def _aggregate_of_values(
         func: str, distinct: bool, observed: List[SQLValue]
     ) -> SQLValue:
         """Aggregate already-evaluated values.
 
-        Shared by the classic and vectorized executors so both paths
-        aggregate bit-identically — including Python's sequential
-        ``sum`` order for SUM/AVG (numpy's pairwise summation rounds
-        differently and must never be substituted here).
+        SUM/AVG add in Python's sequential ``sum`` order. numpy's
+        pairwise summation rounds differently, so a vectorised
+        aggregate must never substitute it: results would stop being
+        bit-identical to the row tier's.
         """
         observed = [value for value in observed if value is not None]
         if distinct:

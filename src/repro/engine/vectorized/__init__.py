@@ -5,9 +5,10 @@ dict contexts. This package provides a columnar path: tables expose
 cached column arrays (:mod:`.columns`), predicates compile from the
 ``expr`` AST into batch evaluators over those arrays (:mod:`.compiler`),
 and a :class:`~repro.engine.vectorized.executor.VectorizedExecutor`
-runs SELECTs end to end over positions instead of dicts — hash joins
-and grouped aggregation included — falling back to the classic
-executor for any statement shape it does not cover.
+sources SELECT rows over positions instead of dicts — filters and hash
+joins — and shapes them with the classic executor's own shaper,
+falling back to the classic executor for any statement shape it does
+not cover.
 
 The invariant that makes the fallback (and the whole path) safe is
 **bit-identical output**: ``ResultSet.rows``, ``rowids``, and
@@ -18,13 +19,12 @@ in ``tests/engine/test_vectorized_equivalence.py`` enforces this over
 a statement corpus plus seeded fuzzing.
 """
 
-from .columns import ColumnBatch, HAVE_NUMPY
+from .columns import ColumnBatch
 from .compiler import NotVectorizable, compile_filter
 from .executor import VectorizedExecutor
 
 __all__ = [
     "ColumnBatch",
-    "HAVE_NUMPY",
     "NotVectorizable",
     "compile_filter",
     "VectorizedExecutor",

@@ -73,15 +73,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from ..types import DataType, SQLValue
-
-try:  # pragma: no cover - exercised implicitly by every test run
-    import numpy as _np
-
-    HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - environment without numpy
-    _np = None
-    HAVE_NUMPY = False
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -93,15 +87,12 @@ _INT64_MAX = 2**63 - 1
 #: stays under the cost of the rebuild it ends with.
 MAX_UNREAD_COPIES = 64
 
-if HAVE_NUMPY:
-    #: dtype -> (numpy dtype, value standing in for NULL under the mask)
-    _NP_FORMS = {
-        DataType.INTEGER: (_np.int64, 0),
-        DataType.FLOAT: (_np.float64, 0.0),
-        DataType.BOOLEAN: (_np.bool_, False),
-    }
-else:  # pragma: no cover - environment without numpy
-    _NP_FORMS = {}
+#: dtype -> (numpy dtype, value standing in for NULL under the mask)
+_NP_FORMS = {
+    DataType.INTEGER: (_np.int64, 0),
+    DataType.FLOAT: (_np.float64, 0.0),
+    DataType.BOOLEAN: (_np.bool_, False),
+}
 
 
 class ColumnBatch:
@@ -335,7 +326,7 @@ class ColumnBatch:
 
     def _build_numpy(self, index: int):
         form = _NP_FORMS.get(self.dtypes[index])
-        if form is None:  # TEXT (or no numpy): object tier only
+        if form is None:  # TEXT: object tier only
             return (None, None)
         np_dtype, null_fill = form
         values = self.columns[index]

@@ -31,6 +31,8 @@ from __future__ import annotations
 import math
 from typing import Callable, List, Optional, Tuple
 
+import numpy as _np
+
 from ..expr import (
     Between,
     ColumnRef,
@@ -49,10 +51,7 @@ from ..expr import (
     _like_to_regex,
 )
 from ..types import DataType, SQLValue
-from .columns import ColumnBatch, HAVE_NUMPY, _INT64_MAX, _INT64_MIN
-
-if HAVE_NUMPY:
-    import numpy as _np
+from .columns import ColumnBatch, _INT64_MAX, _INT64_MIN
 
 
 class NotVectorizable(Exception):
@@ -110,10 +109,8 @@ class SelView:
 class Tri:
     """A vector of SQL three-valued truth: per row TRUE, FALSE, or NULL.
 
-    Internally two parallel boolean vectors: ``t`` (exactly TRUE) and
-    ``n`` (exactly NULL); FALSE is neither. Numpy arrays when numpy is
-    available, plain lists otherwise — the combinators below handle
-    both representations.
+    Internally two parallel numpy boolean vectors: ``t`` (exactly TRUE)
+    and ``n`` (exactly NULL); FALSE is neither.
     """
 
     __slots__ = ("t", "n")
@@ -124,72 +121,45 @@ class Tri:
 
     @classmethod
     def const(cls, size: int, value: Optional[bool]) -> "Tri":
-        if HAVE_NUMPY:
-            t = _np.full(size, value is True, dtype=bool)
-            n = _np.full(size, value is None, dtype=bool)
-            return cls(t, n)
-        return cls([value is True] * size, [value is None] * size)
+        t = _np.full(size, value is True, dtype=bool)
+        n = _np.full(size, value is None, dtype=bool)
+        return cls(t, n)
 
     @classmethod
     def from_rows(cls, truths: List[Optional[bool]]) -> "Tri":
-        if HAVE_NUMPY:
-            t = _np.fromiter(
-                (value is True for value in truths),
-                dtype=bool,
-                count=len(truths),
-            )
-            n = _np.fromiter(
-                (value is None for value in truths),
-                dtype=bool,
-                count=len(truths),
-            )
-            return cls(t, n)
-        return cls(
-            [value is True for value in truths],
-            [value is None for value in truths],
+        t = _np.fromiter(
+            (value is True for value in truths),
+            dtype=bool,
+            count=len(truths),
         )
+        n = _np.fromiter(
+            (value is None for value in truths),
+            dtype=bool,
+            count=len(truths),
+        )
+        return cls(t, n)
 
     def true_positions(self) -> List[int]:
         """Indices (within the selection) where the value is TRUE."""
-        if HAVE_NUMPY:
-            return _np.flatnonzero(self.t).tolist()
-        return [i for i, flag in enumerate(self.t) if flag]
+        return _np.flatnonzero(self.t).tolist()
 
 
 def tri_and(a: Tri, b: Tri) -> Tri:
-    if HAVE_NUMPY:
-        t = a.t & b.t
-        false_a = ~a.t & ~a.n
-        false_b = ~b.t & ~b.n
-        n = (a.n | b.n) & ~false_a & ~false_b
-        return Tri(t, n)
-    t, n = [], []
-    for at, an, bt, bn in zip(a.t, a.n, b.t, b.n):
-        false_either = (not at and not an) or (not bt and not bn)
-        t.append(at and bt)
-        n.append(not false_either and (an or bn))
+    t = a.t & b.t
+    false_a = ~a.t & ~a.n
+    false_b = ~b.t & ~b.n
+    n = (a.n | b.n) & ~false_a & ~false_b
     return Tri(t, n)
 
 
 def tri_or(a: Tri, b: Tri) -> Tri:
-    if HAVE_NUMPY:
-        t = a.t | b.t
-        n = (a.n | b.n) & ~t
-        return Tri(t, n)
-    t, n = [], []
-    for at, an, bt, bn in zip(a.t, a.n, b.t, b.n):
-        t.append(at or bt)
-        n.append(not (at or bt) and (an or bn))
+    t = a.t | b.t
+    n = (a.n | b.n) & ~t
     return Tri(t, n)
 
 
 def tri_not(a: Tri) -> Tri:
-    if HAVE_NUMPY:
-        return Tri(~a.t & ~a.n, a.n)
-    return Tri(
-        [not t and not n for t, n in zip(a.t, a.n)],
-        list(a.n),
-    )
+    return Tri(~a.t & ~a.n, a.n)
 
 
 # -- name resolution --------------------------------------------------------
@@ -325,8 +295,6 @@ def _compile_col_lit(
     op: str, index: int, dtype: DataType, literal: SQLValue
 ) -> Optional[BatchFilter]:
     """Numpy-tier column-vs-literal comparison, or None if not exact."""
-    if not HAVE_NUMPY:
-        return None
     if literal is None:
 
         def all_null(view: SelView) -> Tri:
@@ -371,8 +339,6 @@ def _compile_col_col(
     left: Tuple[int, DataType],
     right: Tuple[int, DataType],
 ) -> Optional[BatchFilter]:
-    if not HAVE_NUMPY:
-        return None
     left_index, left_dtype = left
     right_index, right_dtype = right
     numeric = (DataType.INTEGER, DataType.FLOAT)
@@ -451,21 +417,15 @@ def _compile_is_null(node: IsNull, resolver) -> BatchFilter:
     negated = node.negated
 
     def run(view: SelView) -> Tri:
-        if HAVE_NUMPY:
-            _values, nulls = view.np_col(index)
-            if nulls is None:
-                nulls = _np.fromiter(
-                    (value is None for value in view.values(index)),
-                    dtype=bool,
-                    count=view.size,
-                )
-            t = ~nulls if negated else nulls
-            return Tri(t, _np.zeros(view.size, dtype=bool))
-        truths = [
-            (value is not None) if negated else (value is None)
-            for value in view.values(index)
-        ]
-        return Tri(truths, [False] * view.size)
+        _values, nulls = view.np_col(index)
+        if nulls is None:
+            nulls = _np.fromiter(
+                (value is None for value in view.values(index)),
+                dtype=bool,
+                count=view.size,
+            )
+        t = ~nulls if negated else nulls
+        return Tri(t, _np.zeros(view.size, dtype=bool))
 
     return run
 
@@ -556,8 +516,7 @@ def _compile_between(node: Between, resolver) -> BatchFilter:
     operand, low, high = node.operand, node.low, node.high
     fast_ge = fast_le = None
     if (
-        HAVE_NUMPY
-        and isinstance(operand, ColumnRef)
+        isinstance(operand, ColumnRef)
         and isinstance(low, Literal)
         and isinstance(high, Literal)
         and low.value is not None

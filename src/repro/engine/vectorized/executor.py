@@ -1,15 +1,17 @@
 """The vectorized SELECT executor.
 
 :class:`VectorizedExecutor` subclasses the classic
-:class:`~repro.engine.executor.Executor` and overrides only the bound
-SELECT path. Instead of materialising a dict context per row, it works
-over *positions* into each table's :class:`~repro.engine.vectorized.
+:class:`~repro.engine.executor.Executor` and replaces only its row
+source: instead of materialising a dict context per row, it works over
+*positions* into each table's :class:`~repro.engine.vectorized.
 columns.ColumnBatch` view, which only a writer holding the engine's
-exclusive lock patches: a working row is a tuple of per-source
+exclusive lock patches. A working row is a tuple of per-source
 positions (``-1`` marks an outer-join null extension). Predicates
-compile into batch evaluators (:mod:`.compiler`), equi-joins become
-positional hash joins, and aggregation gathers value lists straight
-from the column arrays.
+compile into batch evaluators (:mod:`.compiler`) and equi-joins become
+positional hash joins. Projection, grouping, aggregation, ordering,
+slicing and the ``rowids``/``touched`` lists are the classic
+:meth:`~repro.engine.executor.Executor._shape`, run over these tuples
+through :class:`PositionReader`.
 
 Everything that is not provably reproducible raises
 :class:`~repro.engine.vectorized.compiler.NotVectorizable` during
@@ -18,30 +20,29 @@ and DDL never enter this module at all. The invariant is bit-identical
 output: ``rows``, ``rowids``, and ``touched`` (values *and* order)
 must equal the classic executor's, because the delay guard prices
 queries, maintains popularity counts, and keys its result cache off
-them. Every equivalence-relevant decision below mirrors a specific
-classic code path and says which one.
+them. The row source therefore keeps the classic scan and join order:
+the same planner access path, and hash joins only where the classic
+path would hash-join.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
+import numpy as _np
+
 from ..catalog import Catalog
-from ..errors import ExecutionError
 from ..executor import Executor, ResultSet, Touched
-from ..expr import ColumnRef, Comparison, Expression, predicate_holds
+from ..expr import ColumnRef, Comparison, Expression
 from ..parser.ast import SelectStatement
-from ..types import SQLValue, sort_key
-from .columns import HAVE_NUMPY, ColumnBatch
+from ..types import SQLValue
+from .columns import ColumnBatch
 from .compiler import (
     NotVectorizable,
     SelView,
     SingleTableResolver,
     compile_filter,
 )
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 #: A working row: one position per FROM source, -1 = outer-join null.
 PosTuple = Tuple[int, ...]
@@ -112,6 +113,115 @@ class MultiResolver:
         return entry, self._batches[source].dtypes[column]
 
 
+class PositionReader:
+    """The columnar tier's reader for :meth:`Executor._shape`.
+
+    A working row is a position tuple; ``-1`` (an outer-join null
+    extension) reads as NULL and contributes no ``touched`` pair, like
+    the classic tier's null fragments. Star gathers are built on first
+    use, so a statement that never projects ``*`` pays nothing for them.
+    """
+
+    def __init__(self, sources, batches, key_map, shared):
+        self._sources = sources
+        self._batches = batches
+        self._key_map = key_map
+        self._shared = shared
+        self._gathers: Optional[List[Tuple[int, List[SQLValue]]]] = None
+
+    def evaluator(
+        self, expression: Expression
+    ) -> Callable[[PosTuple], SQLValue]:
+        """Per-tuple evaluator over a minimal referenced-column context.
+
+        Semantics (including error messages and evaluation order) come
+        from ``Expression.evaluate`` itself; only context construction
+        is narrowed. Unresolvable references fall back to classic,
+        which reproduces the resolve-or-raise behaviour exactly.
+        """
+        batches = self._batches
+        if isinstance(expression, ColumnRef):
+            entry = self._key_map.get(expression.name.lower())
+            if entry is None:
+                raise NotVectorizable(
+                    f"unresolvable column {expression.name!r}"
+                )
+            source, column = entry
+            values = batches[source].columns[column]
+
+            def fast(t: PosTuple) -> SQLValue:
+                position = t[source]
+                return values[position] if position >= 0 else None
+
+            return fast
+
+        referenced: Dict[str, Tuple[int, int]] = {}
+        for name in expression.columns():
+            key = name.lower()
+            if key in referenced:
+                continue
+            entry = self._key_map.get(key)
+            if entry is None:
+                raise NotVectorizable(f"unresolvable column {name!r}")
+            referenced[key] = entry
+
+        def run(t: PosTuple) -> SQLValue:
+            context = {
+                key: (
+                    batches[source].columns[column][t[source]]
+                    if t[source] >= 0
+                    else None
+                )
+                for key, (source, column) in referenced.items()
+            }
+            return expression.evaluate(context)
+
+        return run
+
+    def star(self, t: PosTuple) -> Tuple[SQLValue, ...]:
+        if self._gathers is None:
+            self._gathers = [
+                (source, values)
+                for source, batch in enumerate(self._batches)
+                for values in batch.columns
+            ]
+        return tuple(
+            [
+                values[t[source]] if t[source] >= 0 else None
+                for source, values in self._gathers
+            ]
+        )
+
+    def context(self, t: PosTuple) -> Dict[str, SQLValue]:
+        """The classic executor's fragment union for one tuple."""
+        context: Dict[str, SQLValue] = {}
+        for (_table, label), batch, position in zip(
+            self._sources, self._batches, t
+        ):
+            for values, name in zip(batch.columns, batch.column_names):
+                value = values[position] if position >= 0 else None
+                context[f"{label}.{name}"] = value
+                if name not in self._shared:
+                    context[name] = value
+        return context
+
+    def rowids(self, tuples: List[PosTuple]) -> List[int]:
+        rowids = self._batches[0].rowids
+        return [rowids[t[0]] for t in tuples]
+
+    def touched(self, tuples: List[PosTuple]) -> List[Touched]:
+        if len(self._batches) == 1:
+            key, rowids = self._batches[0].table_key, self._batches[0].rowids
+            return [(key, rowids[t[0]]) for t in tuples]
+        sides = [(batch.table_key, batch.rowids) for batch in self._batches]
+        return [
+            (key, rowids[position])
+            for t in tuples
+            for (key, rowids), position in zip(sides, t)
+            if position >= 0
+        ]
+
+
 class VectorizedExecutor(Executor):
     """Columnar SELECT execution with classic fallback."""
 
@@ -167,17 +277,8 @@ class VectorizedExecutor(Executor):
                 statement, sources[0], batches[0]
             )
 
-        if statement.group_by:
-            return self._vector_grouped(
-                statement, sources, batches, key_map, shared, tuples
-            )
-        if any(item.aggregate for item in statement.items):
-            return self._vector_aggregate(
-                statement, sources, batches, key_map, tuples
-            )
-        return self._vector_plain(
-            statement, sources, batches, key_map, tuples
-        )
+        reader = PositionReader(sources, batches, key_map, shared)
+        return self._shape(statement, sources, reader, tuples)
 
     # -- row sourcing ---------------------------------------------------------
 
@@ -310,333 +411,3 @@ class VectorizedExecutor(Executor):
         if b in left_keys and a in right_keys and a not in left_keys:
             return b, a
         return None
-
-    # -- shared shaping helpers ------------------------------------------------
-
-    def _touched_of(
-        self, batches: List[ColumnBatch], t: PosTuple
-    ) -> List[Touched]:
-        """(table, rowid) pairs in source order; -1 contributes nothing
-        (classic outer joins don't record the unmatched side)."""
-        return [
-            (batches[s].table_key, batches[s].rowids[p])
-            for s, p in enumerate(t)
-            if p >= 0
-        ]
-
-    def _evaluator(
-        self,
-        expression: Expression,
-        key_map: Dict[str, Tuple[int, int]],
-        batches: List[ColumnBatch],
-    ) -> Callable[[PosTuple], SQLValue]:
-        """Per-tuple evaluator over a minimal referenced-column context.
-
-        Semantics (including error messages and evaluation order) come
-        from ``Expression.evaluate`` itself; only context construction
-        is narrowed. Unresolvable references fall back to classic,
-        which reproduces the resolve-or-raise behaviour exactly.
-        """
-        if isinstance(expression, ColumnRef):
-            entry = key_map.get(expression.name.lower())
-            if entry is None:
-                raise NotVectorizable(
-                    f"unresolvable column {expression.name!r}"
-                )
-            source, column = entry
-            values = batches[source].columns[column]
-
-            def fast(t: PosTuple) -> SQLValue:
-                position = t[source]
-                return values[position] if position >= 0 else None
-
-            return fast
-
-        referenced: Dict[str, Tuple[int, int]] = {}
-        for name in expression.columns():
-            key = name.lower()
-            if key in referenced:
-                continue
-            entry = key_map.get(key)
-            if entry is None:
-                raise NotVectorizable(f"unresolvable column {name!r}")
-            referenced[key] = entry
-
-        def run(t: PosTuple) -> SQLValue:
-            context = {
-                key: (
-                    batches[source].columns[column][t[source]]
-                    if t[source] >= 0
-                    else None
-                )
-                for key, (source, column) in referenced.items()
-            }
-            return expression.evaluate(context)
-
-        return run
-
-    def _context_of(
-        self, sources, batches: List[ColumnBatch], shared, t: PosTuple
-    ) -> Dict[str, SQLValue]:
-        """The full merged context dict of one tuple — byte-for-byte the
-        classic executor's fragment union (for HAVING and grouped
-        non-aggregate items, which may reference any column)."""
-        context: Dict[str, SQLValue] = {}
-        for source_index, ((_table, label), batch) in enumerate(
-            zip(sources, batches)
-        ):
-            position = t[source_index]
-            for column_index, name in enumerate(batch.column_names):
-                value = (
-                    batch.columns[column_index][position]
-                    if position >= 0
-                    else None
-                )
-                context[f"{label}.{name}"] = value
-                if name not in shared:
-                    context[name] = value
-        return context
-
-    def _sort_tuples(
-        self,
-        statement: SelectStatement,
-        tuples: List[PosTuple],
-        key_map,
-        batches,
-    ) -> List[PosTuple]:
-        """ORDER BY via the classic reversed-stable-sort recipe."""
-        evaluators = [
-            self._evaluator(item.expression, key_map, batches)
-            for item in statement.order_by
-        ]
-        result = list(tuples)
-        for item, evaluate in reversed(
-            list(zip(statement.order_by, evaluators))
-        ):
-            result.sort(
-                key=lambda t: sort_key(evaluate(t)),
-                reverse=item.descending,
-            )
-        return result
-
-    # -- plain SELECT -----------------------------------------------------------
-
-    def _vector_plain(
-        self, statement, sources, batches, key_map, tuples
-    ) -> ResultSet:
-        if statement.order_by:
-            tuples = self._sort_tuples(statement, tuples, key_map, batches)
-
-        columns = self._output_columns(statement, sources)
-        projectors: List[Tuple[str, object]] = []
-        for item in statement.items:
-            if item.star:
-                gathers = []
-                for source_index, ((_table, _label), batch) in enumerate(
-                    zip(sources, batches)
-                ):
-                    for column_index in range(len(batch.column_names)):
-                        gathers.append(
-                            (source_index, batch.columns[column_index])
-                        )
-                projectors.append(("star", gathers))
-            else:
-                projectors.append(
-                    (
-                        "expr",
-                        self._evaluator(item.expression, key_map, batches),
-                    )
-                )
-
-        projected: List[Tuple[PosTuple, Tuple[SQLValue, ...]]] = []
-        for t in tuples:
-            values: List[SQLValue] = []
-            for kind, payload in projectors:
-                if kind == "star":
-                    for source_index, column_values in payload:
-                        position = t[source_index]
-                        values.append(
-                            column_values[position] if position >= 0 else None
-                        )
-                else:
-                    values.append(payload(t))
-            projected.append((t, tuple(values)))
-
-        if statement.distinct:
-            seen = set()
-            unique = []
-            for t, row in projected:
-                key = tuple(sort_key(value) for value in row)
-                if key not in seen:
-                    seen.add(key)
-                    unique.append((t, row))
-            projected = unique
-
-        offset = statement.offset or 0
-        if offset:
-            projected = projected[offset:]
-        if statement.limit is not None:
-            projected = projected[: statement.limit]
-
-        driving = sources[0][0]
-        return ResultSet(
-            columns=columns,
-            rows=[row for _, row in projected],
-            rowids=[
-                batches[0].rowids[t[0]] for t, _ in projected
-            ],
-            touched=[
-                pair
-                for t, _ in projected
-                for pair in self._touched_of(batches, t)
-            ],
-            table=driving.name,
-            rowcount=len(projected),
-            statement_kind="select",
-        )
-
-    # -- aggregates -------------------------------------------------------------
-
-    def _aggregate_item_value(
-        self, item, member_tuples: List[PosTuple], key_map, batches
-    ) -> SQLValue:
-        if item.aggregate == "COUNT" and item.expression is None:
-            return len(member_tuples)
-        evaluate = self._evaluator(item.expression, key_map, batches)
-        observed = [evaluate(t) for t in member_tuples]
-        return self._aggregate_of_values(
-            item.aggregate, item.distinct, observed
-        )
-
-    def _vector_aggregate(
-        self, statement, sources, batches, key_map, tuples
-    ) -> ResultSet:
-        for item in statement.items:
-            if not item.aggregate:
-                raise ExecutionError(
-                    "mixing aggregates with plain columns requires GROUP BY"
-                )
-        columns: List[str] = []
-        values: List[SQLValue] = []
-        for item in statement.items:
-            columns.append(item.alias or self._aggregate_label(item))
-            values.append(
-                self._aggregate_item_value(item, tuples, key_map, batches)
-            )
-        rows = [tuple(values)]
-        rowids = [batches[0].rowids[t[0]] for t in tuples]
-        touched = [
-            pair for t in tuples for pair in self._touched_of(batches, t)
-        ]
-        # Mirror the classic path's LIMIT/OFFSET handling (including
-        # the consistent-trim bugfix there).
-        offset = statement.offset or 0
-        if offset:
-            rows = rows[offset:]
-        if statement.limit is not None:
-            rows = rows[: statement.limit]
-        if not rows:
-            rowids = []
-            touched = []
-        return ResultSet(
-            columns=columns,
-            rows=rows,
-            rowids=rowids,
-            touched=touched,
-            table=statement.table,
-            rowcount=len(rows),
-            statement_kind="select",
-        )
-
-    def _vector_grouped(
-        self, statement, sources, batches, key_map, shared, tuples
-    ) -> ResultSet:
-        for item in statement.items:
-            if item.star:
-                raise ExecutionError("SELECT * is not valid with GROUP BY")
-        group_evaluators = [
-            self._evaluator(expression, key_map, batches)
-            for expression in statement.group_by
-        ]
-        groups: Dict[Tuple, List[PosTuple]] = {}
-        order: List[Tuple] = []
-        for t in tuples:
-            key = tuple(
-                sort_key(evaluate(t)) for evaluate in group_evaluators
-            )
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(t)
-
-        columns: List[str] = [
-            item.alias
-            or (
-                self._aggregate_label(item)
-                if item.aggregate
-                else str(item.expression)
-            )
-            for item in statement.items
-        ]
-
-        rows: List[Tuple[SQLValue, ...]] = []
-        row_touched: List[List[Touched]] = []
-        for key in order:
-            members = groups[key]
-            first_context: Optional[Dict[str, SQLValue]] = None
-            values: List[SQLValue] = []
-            for item in statement.items:
-                if item.aggregate:
-                    values.append(
-                        self._aggregate_item_value(
-                            item, members, key_map, batches
-                        )
-                    )
-                else:
-                    if first_context is None:
-                        first_context = self._context_of(
-                            sources, batches, shared, members[0]
-                        )
-                    values.append(item.expression.evaluate(first_context))
-            if statement.having is not None:
-                if first_context is None:
-                    first_context = self._context_of(
-                        sources, batches, shared, members[0]
-                    )
-                having_context = self._having_context(
-                    statement, columns, values, first_context
-                )
-                if not predicate_holds(statement.having, having_context):
-                    continue
-            rows.append(tuple(values))
-            row_touched.append(
-                [
-                    pair
-                    for t in members
-                    for pair in self._touched_of(batches, t)
-                ]
-            )
-
-        combined = list(zip(rows, row_touched))
-        if statement.order_by:
-            combined = self._sort_grouped(combined, columns, statement)
-
-        offset = statement.offset or 0
-        if offset:
-            combined = combined[offset:]
-        if statement.limit is not None:
-            combined = combined[: statement.limit]
-
-        return ResultSet(
-            columns=columns,
-            rows=[row for row, _ in combined],
-            rowids=[
-                rowid
-                for _, touched in combined
-                for _name, rowid in touched[:1]
-            ],
-            touched=[pair for _, touched in combined for pair in touched],
-            table=statement.table,
-            rowcount=len(combined),
-            statement_kind="select",
-        )

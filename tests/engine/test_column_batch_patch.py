@@ -12,17 +12,14 @@ explicit ROLLBACKs — with reads interleaved so numpy pairs exist when
 the patches run, and compare after every step.
 """
 
-import pytest
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine import Database
 from repro.engine.errors import EngineError
-from repro.engine.vectorized import HAVE_NUMPY, ColumnBatch
+from repro.engine.vectorized import ColumnBatch
 from repro.engine.vectorized import columns as columns_module
-
-if HAVE_NUMPY:
-    import numpy as np
 
 INT64_MAX = 2**63 - 1
 
@@ -198,8 +195,7 @@ class TestPatchedEqualsRebuilt:
         db.execute(f"UPDATE p SET n = {INT64_MAX} WHERE id = 3")
         assert table.column_batch().numpy_column(1) == (None, None)
         db.execute("DELETE FROM p WHERE id = 50")
-        if HAVE_NUMPY:
-            assert table.column_batch().numpy_column(1)[0] is not None
+        assert table.column_batch().numpy_column(1)[0] is not None
         assert_live_equals_rebuild(table, every_column=True)
         rows = db.execute(f"SELECT id FROM p WHERE n = {INT64_MAX}").rows
         assert rows == [(3,)]
@@ -278,8 +274,7 @@ class TestDropInsteadOfPatch:
         db.execute("SELECT id FROM p WHERE n >= 0 AND x < 100.0")
         fresh = [(rows + i, 1, 1.0, "new", True) for i in range(1, 5001)]
         db.insert_rows("p", fresh)
-        if HAVE_NUMPY:
-            assert (table.batch_patches, table.batch_drops) == (2 * bound, 2)
+        assert (table.batch_patches, table.batch_drops) == (2 * bound, 2)
         assert_live_equals_rebuild(table, every_column=True)
 
     def test_bulk_load_before_any_read_builds_nothing(self):
@@ -300,7 +295,6 @@ class TestDropInsteadOfPatch:
         assert_live_equals_rebuild(table, every_column=True)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="numpy tier only")
 def test_cold_numpy_build_forms():
     """One-pass fromiter builds: dtypes, NULL fill, overflow verdict."""
     db = fresh_db(rows=4)

@@ -14,6 +14,9 @@ of the defense's contract:
   LIMIT/OFFSET on aggregates entirely — the regression pinned here).
 
 Every case runs on both executors and asserts they agree exactly.
+Both executors shape a SELECT with the same code, so agreement alone
+no longer pins that code: ``EXPECTED`` spells out the ``rows``,
+``rowids`` and ``touched`` each shape must produce.
 """
 
 import pytest
@@ -113,3 +116,71 @@ def test_aggregate_within_limit_still_charges_all_aggregated_tuples(db):
         assert result.rows == [(12,)]
         # the single output row aggregates all 12 tuples — all charged
         assert len(result.touched) == 12
+
+
+def t(*rowids):
+    return [("t", rowid) for rowid in rowids]
+
+
+EXPECTED = {
+    "distinct keeps the first occurrence's tuples": (
+        "SELECT DISTINCT grp FROM t WHERE id > 4",
+        [(2,), (0,), (1,)],
+        [5, 6, 7],
+        t(5, 6, 7),
+    ),
+    "order by window": (
+        "SELECT id, v FROM t ORDER BY v DESC LIMIT 3 OFFSET 2",
+        [(10, 10.0), (9, 9.0), (8, 8.0)],
+        [10, 9, 8],
+        t(10, 9, 8),
+    ),
+    "aggregate under limit 1": (
+        "SELECT COUNT(*), SUM(v) FROM t WHERE grp = 0 LIMIT 1",
+        [(4, 30.0)],
+        [3, 6, 9, 12],
+        t(3, 6, 9, 12),
+    ),
+    "aggregate under limit 0": (
+        "SELECT COUNT(*), SUM(v) FROM t WHERE grp = 0 LIMIT 0",
+        [],
+        [],
+        [],
+    ),
+    "having on an alias, order by an aggregate's alias": (
+        "SELECT grp, COUNT(*) AS n, SUM(v) AS total FROM t WHERE id <= 11 "
+        "GROUP BY grp HAVING n > 3 ORDER BY total DESC",
+        [(2, 4, 26.0), (1, 4, 22.0)],
+        [2, 1],
+        t(2, 5, 8, 11, 1, 4, 7, 10),
+    ),
+    "grouped plain item read from a joined table": (
+        "SELECT t.grp, t.v, COUNT(*) AS n FROM u JOIN t ON u.tid = t.id "
+        "WHERE u.id <= 6 GROUP BY t.grp",
+        [(2, 2.0, 2), (0, 3.0, 2), (1, 4.0, 2)],
+        [1, 2, 3],
+        [
+            ("u", 1), ("t", 2), ("u", 4), ("t", 5),
+            ("u", 2), ("t", 3), ("u", 5), ("t", 6),
+            ("u", 3), ("t", 4), ("u", 6), ("t", 7),
+        ],
+    ),
+    "star over a left join: the unmatched side is NULL and untouched": (
+        "SELECT * FROM t LEFT JOIN u ON t.grp = u.id WHERE t.id <= 3",
+        [(1, 1, 1.0, 1, 2), (2, 2, 2.0, 2, 3), (3, 0, 3.0, None, None)],
+        [1, 2, 3],
+        [("t", 1), ("u", 1), ("t", 2), ("u", 2), ("t", 3)],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXPECTED))
+def test_shaping_produces_expected_rows_rowids_and_touched(db, case):
+    sql, rows, rowids, touched = EXPECTED[case]
+    classic, vectorized = both(db, sql)
+    assert vectorized.execution_path == "vectorized", sql
+    for result in (classic, vectorized):
+        assert repr(result.rows) == repr(rows), sql
+        assert result.rowids == rowids, sql
+        assert result.touched == touched, sql
+        assert result.rowcount == len(rows), sql

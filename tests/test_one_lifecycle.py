@@ -7,6 +7,10 @@ file under ``src/repro/`` in which one of the lifecycle's calls or
 choices may appear (definitions included), so a second hand-written
 copy of the lifecycle means editing a list here, on purpose.
 
+A SELECT's result is shaped once too: projection, grouping,
+aggregation, ordering, slicing and ``touched`` are ``Executor._shape``,
+and the columnar tier only sources rows and reads them.
+
 The same goes for what a guard can be configured to be: options only
 an ablation set are gone from ``GuardConfig``, the §4.4 count stores
 live in ``repro.experiments``, and the serving packages never import
@@ -29,6 +33,7 @@ from repro.core.guard import DelayGuard
 from repro.core.popularity import DecayedCounts, PopularityTracker
 from repro.core.result_cache import ResultCache
 from repro.core.update_tracker import UpdateRateTracker
+from repro.engine import Executor, VectorizedExecutor
 
 SRC = Path(repro.__file__).parent
 
@@ -159,3 +164,32 @@ def test_one_decayed_count_primitive():
         assert issubclass(tracker, DecayedCounts)
         for name in shared:
             assert name not in vars(tracker), (tracker.__name__, name)
+
+
+def test_one_select_shaper():
+    # The columnar tier keeps dispatch, row sourcing and its row reader;
+    # everything after the scan is the classic tier's shaper.
+    sourcing = {
+        "_execute_bound_select",
+        "_vector_select",
+        "_single_table_tuples",
+        "_joined_tuples",
+        "_static_equi_keys",
+    }
+    own = {
+        name for name in vars(VectorizedExecutor) if not name.startswith("__")
+    }
+    assert own <= sourcing, own - sourcing
+    shaping = (
+        "_shape",
+        "_grouped",
+        "_ordered",
+        "_projector",
+        "_aggregators",
+        "_aggregate_of_values",
+        "_output_columns",
+    )
+    for name in shaping:
+        assert name in vars(Executor), name
+    # numpy is a declared dependency: no tier runs without it
+    assert files_mentioning("HAVE_NUMPY") == []
