@@ -42,8 +42,8 @@ class GuardConfig:
             paper's point is that a robot trivially defeats it with
             many selective queries, which the tests demonstrate.
         result_cache_size: capacity of the guard's delay-aware result
-            cache — SELECT results keyed on (normalized SQL, snapshot
-            epoch), where hits skip only the engine execute stage:
+            cache — SELECT results keyed on (statement shape, params,
+            snapshot epoch), where hits skip only the engine execute stage:
             account, price, record, and sleep still run, so the
             mandated delay and popularity counts are identical between
             a hit and a miss. None (the default) disables the cache

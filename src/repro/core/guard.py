@@ -30,7 +30,6 @@ import numpy as np
 
 from ..engine.database import Database
 from ..engine.executor import ResultSet
-from ..engine.parser.parser import parse_cache_info
 from ..obs import Histogram, Observability, QueryTrace
 from .accounts import AccountManager
 from .clock import Clock, VirtualClock
@@ -283,6 +282,14 @@ class DelayGuard(PipelineHost):
             # default: a Database may be shared (tests, embedding) and
             # rebuilding its executor resets the path counters.
             self.database.configure_execution(vectorized=False)
+        if self.obs.enabled:
+            # Counted from the pipeline's per-query records, so it
+            # exists before the pipeline does.
+            self._m_execution_path = self.obs.registry.counter(
+                "guard_execution_path_total",
+                "Statements served per engine execution path",
+                ("path",),
+            )
         self._start_lifecycle()
         if self.obs.enabled:
             self._register_metrics()
@@ -295,11 +302,6 @@ class DelayGuard(PipelineHost):
         :meth:`~repro.core.pipeline.PipelineHost._register_lifecycle_metrics`).
         """
         registry = self.obs.registry
-        self._m_execution_path = registry.counter(
-            "guard_execution_path_total",
-            "Statements served per engine execution path",
-            ("path",),
-        )
         registry.gauge(
             "guard_population", "Protected tuples (N in the formulas)"
         ).set_function(self.population)
@@ -351,18 +353,6 @@ class DelayGuard(PipelineHost):
                 lambda name=event: database.column_batch_counts()[name],
                 event=event,
             )
-        registry.gauge(
-            "guard_parse_cache_hits", "Statement parse-cache hits"
-        ).set_function(lambda: parse_cache_info().hits)
-        registry.gauge(
-            "guard_parse_cache_misses", "Statement parse-cache misses"
-        ).set_function(lambda: parse_cache_info().misses)
-        registry.gauge(
-            "guard_parse_cache_entries", "Statements currently cached"
-        ).set_function(lambda: parse_cache_info().currsize)
-        registry.gauge(
-            "guard_parse_cache_capacity", "Parse-cache maximum size"
-        ).set_function(lambda: parse_cache_info().maxsize or 0)
         cache = self.result_cache
         if cache is not None:
             descriptions = {

@@ -6,11 +6,22 @@ implementation:
     admit → parse → authorize → cache → execute → cache_store
           → account → price → record → forensics → sleep
 
-Each stage owns one concern, times itself (a trace span plus a
-``guard_stage_<name>_seconds`` histogram when observability is on), and
-declares which Table 5 cost bucket its time lands in: *parse* and
-*execute* feed ``engine_seconds``, the accounting stages feed
-``accounting_seconds``, and *sleep* is the product, charged to neither.
+Each stage owns one concern and declares which Table 5 cost bucket
+its time lands in: *parse* and *execute* feed ``engine_seconds``, the
+accounting stages feed ``accounting_seconds``, and *sleep* is the
+product, charged to neither.
+
+Watching costs one clock read per stage boundary. The pipeline reads
+``perf_counter`` once as a query starts and once as each stage ends,
+and keeps ``(stage, start, end)`` for every stage that ran: one record
+per query. Three things are built from that record. The
+:class:`~repro.core.guard.GuardStats` timing buckets add each span as
+it closes. With observability on, the record *is* the query's retained
+:class:`~repro.obs.QueryTrace`, and a :class:`StageWatch` queues it to
+be folded into the ``guard_stage_<name>_seconds`` histograms in
+batches, once per stage per batch instead of one locked
+``Histogram.observe`` per stage per query. Every histogram read folds
+the queue first, so a scrape never lags the queries that finished.
 
 Hosts: three front doors run this pipeline, each a
 :class:`PipelineHost` — :class:`~repro.core.guard.DelayGuard` over the
@@ -59,12 +70,12 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from ..engine.parser.ast import SelectStatement
-from ..engine.parser.normalize import normalize_sql
-from ..engine.parser.parser import parse_cached
+from ..engine.parser.parser import parse_cache_info, shaped_statement
 from ..obs import ForensicsMonitor, QueryTrace, delay_buckets
 from .delay_policy import DelayPolicy, policy_from_config
 from .detection import CoverageMonitor
@@ -103,9 +114,10 @@ class QueryContext:
     #: the parsed statement (set by *parse*, or directly for pre-parsed
     #: input).
     statement: object = None
-    #: canonical SQL text (set by *parse*; None for pre-parsed input,
-    #: which the result cache therefore never serves).
-    normalized_sql: Optional[str] = None
+    #: the statement's ``(shape, params)`` result-cache key (set by
+    #: *parse*; None for pre-parsed input, which the result cache
+    #: therefore never serves).
+    statement_key: Optional[tuple] = None
     #: the engine snapshot epoch the cache stage observed, and whether
     #: it served the result (execute is skipped on a hit).
     cache_epoch: Optional[int] = None
@@ -116,12 +128,17 @@ class QueryContext:
     keys: List[Tuple[str, int]] = field(default_factory=list)
     per_tuple: List[float] = field(default_factory=list)
     delay: float = 0.0
+    #: the delay *record* charged to ``identity`` for a served SELECT.
+    charged: float = 0.0
     engine_seconds: float = 0.0
     accounting_seconds: float = 0.0
     #: set when a denial should still count the query's timing buckets
     #: (the result-limit strawman denies *after* the engine did the
     #: work, so its cost must not vanish from Table 5).
     count_query_on_denial: bool = False
+    #: the watch record: ``(stage name, start, end)`` per stage run, in
+    #: ``perf_counter`` seconds (the trace's own span list when traced).
+    spans: List[tuple] = field(default_factory=list)
 
     @property
     def source(self) -> Optional[str]:
@@ -174,9 +191,11 @@ class AdmitStage(Stage):
 class ParseStage(Stage):
     """Parse SQL text (cached); pre-parsed statements skip this stage.
 
-    Parsing lands in the engine bucket: it used to happen inside
-    ``Database.execute``, and keeping it there keeps Table 5
-    comparisons stable across refactors.
+    Reads the one statement memo (:func:`shaped_statement`): a repeated
+    text is a dict hit, a fresh literal of a known shape is one lexer
+    pass and a bind. Parsing lands in the engine bucket: it used to
+    happen inside ``Database.execute``, and keeping it there keeps
+    Table 5 comparisons stable across refactors.
     """
 
     name = "parse"
@@ -186,8 +205,9 @@ class ParseStage(Stage):
         return isinstance(ctx.sql_or_statement, str)
 
     def run(self, ctx: QueryContext) -> None:
-        ctx.normalized_sql = normalize_sql(ctx.sql_or_statement)
-        ctx.statement = parse_cached(ctx.normalized_sql)
+        ctx.statement, ctx.statement_key = shaped_statement(
+            ctx.sql_or_statement
+        )
 
 
 class AuthorizeStage(Stage):
@@ -217,7 +237,7 @@ class CacheLookupStage(Stage):
     account, price, record, and sleep stages run on the cached result's
     ``touched`` set exactly as they would on a miss, so popularity
     counts, account charges, and the mandated delay are identical
-    either way. The key is ``(normalized SQL, snapshot epoch)`` —
+    either way. The key is ``(shape, params, snapshot epoch)`` —
     identity-independent by design, and bumped past every committed
     mutation by the engine's epoch counter. An adversary's probes are
     priced whether they hit or miss; only engine CPU is ever saved.
@@ -229,19 +249,17 @@ class CacheLookupStage(Stage):
     def applies(self, ctx: QueryContext) -> bool:
         return (
             self.host.result_cache is not None
-            and ctx.normalized_sql is not None
+            and ctx.statement_key is not None
             and isinstance(ctx.statement, SelectStatement)
         )
 
     def run(self, ctx: QueryContext) -> None:
         host = self.host
         ctx.cache_epoch = host.database.mutation_epoch
-        frozen = host.result_cache.get(ctx.normalized_sql, ctx.cache_epoch)
+        frozen = host.result_cache.get(ctx.statement_key, ctx.cache_epoch)
         if frozen is not None:
             ctx.result = frozen.thaw()
             ctx.cache_hit = True
-            if host.obs.enabled:
-                host._m_execution_path.inc(path="cached")
 
 
 class ExecuteStage(Stage):
@@ -272,10 +290,6 @@ class ExecuteStage(Stage):
         ctx.result = self.host.database.execute(
             ctx.statement, source=ctx.source, tracked=True
         )
-        if self.host.obs.enabled:
-            path = getattr(ctx.result, "execution_path", None)
-            if path:
-                self.host._m_execution_path.inc(path=path)
 
 
 class CacheStoreStage(Stage):
@@ -306,7 +320,7 @@ class CacheStoreStage(Stage):
         if host.database.mutation_epoch != ctx.cache_epoch:
             return
         host.result_cache.put(
-            ctx.normalized_sql,
+            ctx.statement_key,
             ctx.cache_epoch,
             CachedResult.freeze(ctx.result),
         )
@@ -406,12 +420,7 @@ class RecordStage(Stage):
             if ctx.record:
                 host.record_reads(ctx)
             host.stats.note_select(ctx.delay, len(ctx.keys))
-            if (
-                ctx.trace is not None
-                and ctx.identity is not None
-                and ctx.delay > 0
-            ):
-                host._m_identity_delay.inc(ctx.delay, identity=ctx.identity)
+            ctx.charged = ctx.delay
             return
         if result.table is not None:
             host.record_updates(result)
@@ -468,6 +477,90 @@ class SleepStage(Stage):
         self.host.clock.sleep(ctx.delay)
 
 
+class StageWatch:
+    """The ``guard_stage_<name>_seconds`` histograms, fed in batches.
+
+    :meth:`add` queues one query's record with the engine path that
+    served it, for a host that counts paths
+    (``guard_execution_path_total``), and the delay charged to its
+    identity (``guard_identity_delay_seconds_total``). The record is
+    the list the stage loop filled, which nothing appends to afterwards:
+    a span the server adds to a finished trace (its own sleep) goes to
+    a new list (:meth:`~repro.obs.QueryTrace.extend`). Every
+    :attr:`BATCH` records, and before any read of the histograms or the
+    counters, :meth:`fold` drains the queue into them with one locked
+    update per series. Records are appended from the I/O loop and from
+    workers without a lock (``deque.append`` is atomic) and are only
+    ever removed under the fold lock, so each is folded exactly once,
+    and a reader that folds waits for a fold in progress to land before
+    it reads. One registry serves one host (a second host's
+    :meth:`~PipelineHost._register_lifecycle_metrics` raises), so each
+    series has one watch to fold it.
+    """
+
+    BATCH = 256
+
+    def __init__(
+        self, registry, names: List[str], paths=None, identity_delay=None
+    ):
+        self._histograms = {
+            name: registry.histogram(
+                f"guard_stage_{name}_seconds",
+                f"Wall time in the {name!r} pipeline stage (seconds)",
+                buckets=_STAGE_BUCKETS,
+            )
+            for name in names
+        }
+        self._paths = paths
+        self._identity_delay = identity_delay
+        self._pending: "deque[tuple]" = deque()
+        self._fold_lock = threading.Lock()
+        for metric in (*self._histograms.values(), paths, identity_delay):
+            if metric is not None:
+                metric.defer_to(self.fold)
+
+    def add(
+        self,
+        record: List[tuple],
+        path: Optional[str] = None,
+        identity: Optional[str] = None,
+        charged: float = 0.0,
+    ) -> None:
+        """Queue one query's ``(stage, start, end)`` record, the path
+        that served it and the delay charged to its identity."""
+        pending = self._pending
+        pending.append((record, path, identity, charged))
+        if len(pending) >= self.BATCH:
+            self.fold()
+
+    def fold(self) -> None:
+        """Drain every queued record into the histograms and paths."""
+        with self._fold_lock:
+            pending = self._pending
+            durations = {name: [] for name in self._histograms}
+            appenders = {
+                name: values.append for name, values in durations.items()
+            }
+            paths, charged = {}, {}
+            while pending:
+                record, path, identity, delay = pending.popleft()
+                for name, start, end in record:
+                    appenders[name](end - start)
+                if path:
+                    paths[path] = paths.get(path, 0) + 1
+                if identity is not None and delay > 0:
+                    charged[identity] = charged.get(identity, 0.0) + delay
+            for name, values in durations.items():
+                if values:
+                    self._histograms[name].observe_many(values)
+            if self._paths is not None:
+                for path, served in paths.items():
+                    self._paths.inc(served, path=path)
+            if self._identity_delay is not None:
+                for identity, delay in charged.items():
+                    self._identity_delay.inc(delay, identity=identity)
+
+
 class QueryPipeline:
     """Runs the staged lifecycle for one host.
 
@@ -499,16 +592,19 @@ class QueryPipeline:
             for stage_class in self.STAGES
         ]
         # Fast-path probe order (``ctx.cache_only``): the cache lookup
-        # runs *before* admit/authorize so a miss can bail out without
-        # charging the account — the full pipeline run that follows
-        # charges exactly once. A hit still authorizes before a single
-        # byte is returned (AccountStage runs after AuthorizeStage).
+        # runs *before* admit/authorize so a miss can bail out at the
+        # gate (None) without charging the account — the full pipeline
+        # run that follows charges exactly once. A hit still authorizes
+        # before a single byte is returned (AccountStage runs after
+        # AuthorizeStage). Every stage asks its host per query whether
+        # it applies: a host may attach accounts after it is built.
         by_name = {stage.name: stage for stage in self.stages}
         self._probe_stages = [
-            by_name[name]
+            by_name[name] if name is not None else None
             for name in (
                 "parse",
                 "cache",
+                None,
                 "admit",
                 "authorize",
                 "account",
@@ -518,15 +614,16 @@ class QueryPipeline:
                 "sleep",
             )
         ]
-        self._histograms = {}
-        if host.obs.enabled:
-            for stage in self.stages:
-                self._histograms[stage.name] = host.obs.registry.histogram(
-                    f"guard_stage_{stage.name}_seconds",
-                    f"Wall time in the {stage.name!r} pipeline stage "
-                    "(seconds)",
-                    buckets=_STAGE_BUCKETS,
-                )
+        self.watch = (
+            StageWatch(
+                host.obs.registry,
+                [stage.name for stage in self.stages],
+                paths=getattr(host, "_m_execution_path", None),
+                identity_delay=host._m_identity_delay,
+            )
+            if host.obs.enabled
+            else None
+        )
 
     def serve(self, ctx: QueryContext) -> bool:
         """:meth:`run` inside the trace and audit envelope.
@@ -543,7 +640,9 @@ class QueryPipeline:
         if not obs.enabled:
             self.run(ctx)
             return ctx.cache_hit or not ctx.cache_only
-        ctx.trace = QueryTrace("query", identity=ctx.identity, sql=ctx.source)
+        ctx.trace = QueryTrace(
+            "query", identity=ctx.identity, sql=ctx.source, events=ctx.spans
+        )
         audit = obs.audit
         try:
             self.run(ctx)
@@ -593,31 +692,56 @@ class QueryPipeline:
         A stage that raises still gets its span and bucket time
         recorded (partial work costs real time). Denials flagged with
         ``count_query_on_denial`` contribute their timing buckets to
-        :class:`~repro.core.guard.GuardStats` before propagating.
+        :class:`~repro.core.guard.GuardStats` before propagating. The
+        record reaches the stage histograms however the run ends — a
+        ``cache_only`` probe that missed included.
         """
         if not isinstance(ctx.sql_or_statement, str):
             ctx.statement = ctx.sql_or_statement
         stages = self._probe_stages if ctx.cache_only else self.stages
-        for stage in stages:
-            if ctx.cache_only and not ctx.cache_hit and stage.name == "admit":
-                # Probe missed the cache: hand the query back untouched
-                # and uncharged — no engine work, no authorize charge,
-                # no query/timing stats (the full run counts it once).
-                return ctx
-            if not stage.applies(ctx):
-                continue
-            self._check_deadline(ctx)
-            start = time.perf_counter()
-            try:
-                stage.run(ctx)
-            except Exception:
-                self._finish_stage(stage, ctx, start)
-                if ctx.count_query_on_denial:
-                    self.host.stats.note_query(
-                        0.0, ctx.engine_seconds, ctx.accounting_seconds
-                    )
-                raise
-            self._finish_stage(stage, ctx, start)
+        spans = ctx.spans
+        clock = time.perf_counter
+        mark = clock()
+        try:
+            for stage in stages:
+                if stage is None:
+                    if ctx.cache_hit:
+                        continue
+                    # Probe missed the cache: hand the query back
+                    # untouched and uncharged — no engine work, no
+                    # authorize charge, no query/timing stats (the full
+                    # run counts it once).
+                    return ctx
+                if not stage.applies(ctx):
+                    continue
+                if ctx.deadline_at is not None:
+                    self._check_deadline(ctx)
+                try:
+                    stage.run(ctx)
+                finally:
+                    # One clock read per boundary: this stage's end is
+                    # the next one's start.
+                    now = clock()
+                    spans.append((stage.name, mark, now))
+                    if stage.bucket == "engine":
+                        ctx.engine_seconds += now - mark
+                    elif stage.bucket == "accounting":
+                        ctx.accounting_seconds += now - mark
+                    mark = now
+        except Exception:
+            if ctx.count_query_on_denial:
+                self.host.stats.note_query(
+                    0.0, ctx.engine_seconds, ctx.accounting_seconds
+                )
+            raise
+        finally:
+            if self.watch is not None:
+                self.watch.add(
+                    spans,
+                    getattr(ctx.result, "execution_path", None),
+                    ctx.identity,
+                    ctx.charged,
+                )
         self.host.stats.note_query(
             ctx.delay, ctx.engine_seconds, ctx.accounting_seconds
         )
@@ -628,28 +752,12 @@ class QueryPipeline:
 
         Cheap (one clock read) and early: a request that can no longer
         be answered in time should not consume engine or accounting
-        work it cannot finish.
+        work it cannot finish. Only called when ``ctx.deadline_at`` is
+        set.
         """
-        if ctx.deadline_at is None:
-            return
         if time.monotonic() >= ctx.deadline_at:
             self.host.note_denial("deadline_exceeded")
             raise AccessDenied("deadline_exceeded")
-
-    def _finish_stage(
-        self, stage: Stage, ctx: QueryContext, start: float
-    ) -> None:
-        now = time.perf_counter()
-        elapsed = now - start
-        if stage.bucket == "engine":
-            ctx.engine_seconds += elapsed
-        elif stage.bucket == "accounting":
-            ctx.accounting_seconds += elapsed
-        if ctx.trace is not None:
-            ctx.trace.add_span(stage.name, start, now)
-        histogram = self._histograms.get(stage.name)
-        if histogram is not None:
-            histogram.observe(elapsed)
 
     def stage_names(self) -> List[str]:
         """The configured stage order (introspection/docs)."""
@@ -731,9 +839,9 @@ class PipelineHost:
         The unlabelled totals are callback-backed views over
         :attr:`stats` — the hot path pays nothing for them, and a scrape
         can never disagree with the stats because they are read from the
-        same fields. Only the labelled metrics (denials by reason,
-        per-identity delay) are event-driven, and both sit on cold or
-        delay-charged paths.
+        same fields. Denials by reason are counted as they happen, on a
+        cold path; the delay per identity and the execution paths are
+        folded from the per-query records (:class:`StageWatch`).
         """
         registry = self.obs.registry
         stats = self.stats
@@ -765,6 +873,20 @@ class PipelineHost:
             "guard_shed_total",
             "Requests sacrificed by overload shedding",
         ).set_function(lambda: stats.shed)
+        # The parse stage's statement caches (process-global).
+        registry.gauge(
+            "guard_parse_cache_hits",
+            "Statements served without a parse (memo hit or bind)",
+        ).set_function(lambda: parse_cache_info().hits)
+        registry.gauge(
+            "guard_parse_cache_misses", "Statement shapes parsed"
+        ).set_function(lambda: parse_cache_info().misses)
+        registry.gauge(
+            "guard_parse_cache_entries", "Statement shapes cached"
+        ).set_function(lambda: parse_cache_info().currsize)
+        registry.gauge(
+            "guard_parse_cache_capacity", "Statement-cache maximum size"
+        ).set_function(lambda: parse_cache_info().maxsize or 0)
         self._m_denied = registry.counter(
             "guard_denied_total", "Queries refused", ("reason",)
         )

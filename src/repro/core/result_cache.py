@@ -14,7 +14,11 @@ cache is built so that can't happen, by construction:
   mandated delay are bit-identical between a hit and a miss. Only
   engine CPU is saved.
 * **Keys are identity-independent.** Entries are keyed on
-  ``(normalized SQL, snapshot epoch)`` — never on who asked. Admission
+  ``(shape, params, snapshot epoch)`` — never on who asked. The
+  statement key ``(shape, params)`` comes from the one lexer pass that
+  parses the statement (:mod:`repro.engine.parser.shapes`): textual
+  variants of one statement share it, and its typed slots keep
+  ``id = 1``, ``id = 1.0`` and ``id = '1'`` apart. Admission
   and authorization run *before* the lookup, and pricing after it, so
   sharing results across identities leaks nothing the guard wasn't
   already willing to serve each of them at full price.
@@ -36,7 +40,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple
 
 from ..engine.executor import ResultSet
 from .errors import ConfigError
@@ -118,8 +122,8 @@ class ResultCache:
             raise ConfigError(f"cache maxsize must be >= 1, got {maxsize}")
         self.maxsize = maxsize
         self._lock = threading.Lock()
-        #: (normalized sql, epoch) -> frozen result
-        self._entries: "OrderedDict[Tuple[str, int], CachedResult]" = (
+        #: ((shape, params), epoch) -> frozen result
+        self._entries: "OrderedDict[Tuple[Hashable, int], CachedResult]" = (
             OrderedDict()
         )
         self._epoch = 0
@@ -130,11 +134,14 @@ class ResultCache:
 
     # -- the hot path --------------------------------------------------------
 
-    def get(self, sql: str, epoch: int) -> Optional[CachedResult]:
-        """The frozen result for ``(sql, epoch)``, or None on a miss."""
+    def get(self, statement: Hashable, epoch: int) -> Optional[CachedResult]:
+        """The frozen result for ``(statement, epoch)``, or None on a miss.
+
+        ``statement`` is the statement's ``(shape, params)`` key.
+        """
         with self._lock:
             self._observe_epoch(epoch)
-            key = (sql, epoch)
+            key = (statement, epoch)
             frozen = self._entries.get(key)
             if frozen is None:
                 self.misses += 1
@@ -143,7 +150,9 @@ class ResultCache:
             self.hits += 1
             return frozen
 
-    def put(self, sql: str, epoch: int, frozen: CachedResult) -> bool:
+    def put(
+        self, statement: Hashable, epoch: int, frozen: CachedResult
+    ) -> bool:
         """Store a result; returns False when refused as stale.
 
         A put against an epoch below the cache's high-water mark means a
@@ -154,7 +163,7 @@ class ResultCache:
             self._observe_epoch(epoch)
             if epoch < self._epoch:
                 return False
-            key = (sql, epoch)
+            key = (statement, epoch)
             self._entries[key] = frozen
             self._entries.move_to_end(key)
             while len(self._entries) > self.maxsize:

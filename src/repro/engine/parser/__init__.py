@@ -22,6 +22,7 @@ from .parser import (
     parse,
     parse_cache_info,
     parse_cached,
+    shaped_statement,
 )
 
 __all__ = [
@@ -45,5 +46,6 @@ __all__ = [
     "parse",
     "parse_cache_info",
     "parse_cached",
+    "shaped_statement",
     "tokenize",
 ]

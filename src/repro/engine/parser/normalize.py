@@ -1,24 +1,28 @@
-"""Canonical SQL text for cache keying.
+"""Canonical SQL text.
 
 Two textual variants of the same statement — differing only in
 whitespace, line breaks, ``--`` comments, keyword case, ``<>`` versus
-``!=``, or a trailing semicolon — must land in one cache slot, both in
-the statement parse cache and in the guard's result cache. Otherwise an
-adversary can thrash either cache for free by permuting whitespace, and
-a legitimate client's textual habits fragment the hit rate.
+``!=``, or a trailing semicolon — are one statement, and must land in
+one slot of the statement cache and of the guard's result cache.
+Otherwise an adversary can thrash either cache for free by permuting
+whitespace, and a legitimate client's textual habits fragment the hit
+rate.
 
-:func:`normalize_sql` re-renders the token stream in one canonical
-spelling. It deliberately does *not* change identifier case: the engine
+:func:`render_token` is the one canonical spelling of a token. The
+statement caches use it through :mod:`repro.engine.parser.shapes`,
+which renders a statement's *shape* (its canonical text with each
+value literal lifted out as a typed slot) in the same lexer pass that
+feeds the parser, so serving a statement never lexes it twice.
+:func:`normalize_sql` renders a whole statement, literals included: it
+is the text a parse error's position refers to, and a standalone
+utility (benchmarks time it directly).
+
+Rendering deliberately does *not* change identifier case: the engine
 resolves tables and columns case-insensitively, but result *column
 labels* preserve the case the query wrote (``SELECT V FROM t`` labels
 its column ``V``), so collapsing identifier case would make a cached
 result answer a differently-labelled query. Keyword case, by contrast,
 never reaches the result and is collapsed to upper case by the lexer.
-
-Normalization is memoized on the raw text: repeated identical
-statements pay one dict lookup, and a whitespace-permuting adversary
-pays only a tokenize per variant — the *parse* and *result* caches
-behind it stay collapsed onto the canonical form.
 """
 
 from __future__ import annotations
@@ -29,7 +33,12 @@ from functools import lru_cache
 from ..errors import ParseError
 from .lexer import KEYWORDS, Token, tokenize
 
-__all__ = ["normalize_sql", "normalize_cache_info", "NORMALIZE_CACHE_SIZE"]
+__all__ = [
+    "normalize_sql",
+    "normalize_cache_info",
+    "render_token",
+    "NORMALIZE_CACHE_SIZE",
+]
 
 #: Capacity of the raw-text → canonical-text memo.
 NORMALIZE_CACHE_SIZE = 4096
@@ -37,7 +46,7 @@ NORMALIZE_CACHE_SIZE = 4096
 _BARE_IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 
 
-def _render(token: Token) -> str:
+def render_token(token: Token) -> str:
     """One token's canonical spelling (re-lexes to the same token)."""
     if token.kind == "string":
         escaped = token.value.replace("'", "''")
@@ -75,7 +84,7 @@ def normalize_sql(sql: str) -> str:
         tokens = tokenize(sql)
     except ParseError:
         return sql
-    rendered = [_render(token) for token in tokens if token.kind != "eof"]
+    rendered = [render_token(token) for token in tokens if token.kind != "eof"]
     while rendered and rendered[-1] == ";":
         rendered.pop()
     return " ".join(rendered)

@@ -18,12 +18,20 @@ Supported grammar (case-insensitive keywords)::
 
 Expression precedence (low to high): OR, AND, NOT, comparison /
 IN / BETWEEN / LIKE / IS NULL, additive, multiplicative, unary minus.
+
+Serving paths call :func:`parse_cached` (or :func:`shaped_statement`),
+which lexes a statement's text once, memoised on the raw text, and
+parses only a statement *shape* it has not seen before: a statement
+whose shape is cached binds its params into that shape's template
+(:mod:`repro.engine.parser.shapes`).
 """
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict, namedtuple
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ParseError
 from ..expr import (
@@ -61,6 +69,7 @@ from .ast import (
 )
 from .lexer import Token, tokenize
 from .normalize import normalize_sql
+from .shapes import Template, shape_of
 
 AGGREGATES = ("COUNT", "SUM", "AVG", "MIN", "MAX")
 
@@ -69,10 +78,13 @@ class Parser:
     """Single-statement SQL parser. Use :func:`parse` instead of this
     class directly unless you need token-level control."""
 
-    def __init__(self, sql: str):
+    def __init__(self, sql: str, tokens: Optional[List[Token]] = None):
         self.sql = sql
-        self.tokens = tokenize(sql)
+        self.tokens = tokenize(sql) if tokens is None else tokens
         self.position = 0
+        #: ``id()`` of each value Literal built -> index of its token
+        #: (how the statement cache finds a shape's slots).
+        self.literal_tokens: Dict[int, int] = {}
 
     # -- token helpers ---------------------------------------------------
 
@@ -535,6 +547,13 @@ class Parser:
             return self._parse_unary()
         return self._parse_primary()
 
+    def _literal(self, value) -> Literal:
+        """A value literal from the current token (which it consumes)."""
+        literal = Literal(value)
+        self.literal_tokens[id(literal)] = self.position
+        self._advance()
+        return literal
+
     def _parse_primary(self) -> Expression:
         token = self._peek()
         if token.is_operator("("):
@@ -547,14 +566,12 @@ class Parser:
             self._expect_operator(")")
             return inner
         if token.kind == "number":
-            self._advance()
             text = token.value
             if "." in text or "e" in text or "E" in text:
-                return Literal(float(text))
-            return Literal(int(text))
+                return self._literal(float(text))
+            return self._literal(int(text))
         if token.kind == "string":
-            self._advance()
-            return Literal(token.value)
+            return self._literal(token.value)
         if token.is_keyword("NULL"):
             self._advance()
             return Literal(None)
@@ -586,42 +603,142 @@ def parse(sql: str) -> Statement:
     return Parser(sql).parse_statement()
 
 
-#: Default capacity of the process-global statement cache.
+#: Default capacity of the process-global statement caches.
 PARSE_CACHE_DEFAULT_SIZE = 4096
 
-_parse_cache = lru_cache(maxsize=PARSE_CACHE_DEFAULT_SIZE)(parse)
+#: ``parse_cache_info()`` counters, as ``functools`` names them.
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+
+class ShapedStatement(NamedTuple):
+    """A parsed statement and the key its result is cached under."""
+
+    statement: Statement
+    #: ``(shape, params)``: two texts share it only when they denote
+    #: the same statement, literal types included
+    #: (see :mod:`repro.engine.parser.shapes`).
+    key: Tuple[str, tuple]
+
+
+class _TemplateCache:
+    """Thread-safe LRU of shape -> :class:`Template`, with counters."""
+
+    def __init__(self, maxsize: int):
+        self.maxsize = maxsize
+        self._lock = threading.Lock()
+        self._templates: "OrderedDict[str, Template]" = OrderedDict()
+        self.hits = 0
+        self.misses = 0
+
+    def get(self, shape: str) -> Optional[Template]:
+        with self._lock:
+            template = self._templates.get(shape)
+            if template is None:
+                self.misses += 1
+                return None
+            self._templates.move_to_end(shape)
+            self.hits += 1
+            return template
+
+    def put(self, template: Template) -> None:
+        with self._lock:
+            self._templates[template.shape] = template
+            while len(self._templates) > self.maxsize:
+                self._templates.popitem(last=False)
+
+    def __len__(self) -> int:
+        with self._lock:
+            return len(self._templates)
+
+
+_templates = _TemplateCache(PARSE_CACHE_DEFAULT_SIZE)
+
+
+def _shape_statement(sql: str) -> ShapedStatement:
+    """Lex ``sql`` once; bind into its shape's template or parse it.
+
+    A shape seen before costs the lexer pass and a bind. A new shape
+    parses the very token stream the shape came from. A statement that
+    does not parse raises what ``parse(normalize_sql(sql))`` raises, so
+    messages and positions refer to the canonical text, as they always
+    have.
+    """
+    try:
+        tokens = tokenize(sql)
+        shape, params, slots, end = shape_of(tokens)
+        template = _templates.get(shape)
+        if template is not None:
+            return ShapedStatement(
+                template.bind(params), (template.shape, params)
+            )
+        parser = Parser(sql, tokens[:end] + tokens[-1:])
+        statement = parser.parse_statement()
+    except Exception as error:
+        failure: Optional[Exception] = error
+    else:
+        failure = None
+    if failure is not None:
+        parse(normalize_sql(sql))  # raises the canonical text's error
+        raise failure
+    template = Template.build(
+        shape, statement, params, slots, parser.literal_tokens
+    )
+    if template is not None:
+        _templates.put(template)
+    return ShapedStatement(statement, (shape, params))
+
+
+_memo = lru_cache(maxsize=PARSE_CACHE_DEFAULT_SIZE)(_shape_statement)
+
+
+def shaped_statement(sql: str) -> ShapedStatement:
+    """The parsed statement of ``sql`` and its result-cache key.
+
+    Memoised on the raw text: a repeated text is one dict hit. Every
+    caller that serves SQL text (the guard's parse stage, the server's
+    read check, ``Database.execute``) reads this one memo, so a
+    statement is lexed once however many of them look at it.
+    """
+    return _memo(sql)
 
 
 def parse_cached(sql: str) -> Statement:
-    """Like :func:`parse`, with an LRU statement cache.
+    """Like :func:`parse`, through the statement caches.
 
     Statement nodes are immutable (frozen dataclasses), so callers may
-    share them freely. Use for hot paths that re-issue the same SQL
-    text (the guard, the SQLite proxy); parse errors are not cached.
-    The cache is keyed on :func:`normalize_sql` of the text, so
-    whitespace-, comment-, and keyword-case-permuted variants of one
-    statement share a single slot (and a single parse) instead of
-    letting an adversary thrash the LRU with textual noise.
-    The cache is process-global and thread-safe (``functools.lru_cache``
-    takes its own lock); resize it with :func:`configure_parse_cache`
-    and read hit/miss counters with :func:`parse_cache_info`.
+    share them freely; parse errors are not cached. Whitespace-,
+    comment-, keyword-case- and literal-permuted variants of one
+    statement share a single statement-cache slot (their shape) and a
+    single parse, so an adversary cannot thrash the cache with textual
+    noise or fresh literals. The caches are process-global and
+    thread-safe; resize them with :func:`configure_parse_cache` and
+    read hit/miss counters with :func:`parse_cache_info`.
     """
-    return _parse_cache(normalize_sql(sql))
+    return _memo(sql).statement
 
 
 def configure_parse_cache(maxsize: int) -> None:
-    """Resize the statement cache (rebuilds it, dropping cached entries).
+    """Resize the statement caches (rebuilds them, dropping entries).
 
-    Process-global: every ``parse_cached`` caller shares one cache, so
-    the last configuration wins. Hit/miss counters restart from zero.
+    Process-global: every ``parse_cached`` caller shares them, so the
+    last configuration wins. Hit/miss counters restart from zero.
     """
-    global _parse_cache
-    _parse_cache = lru_cache(maxsize=maxsize)(parse)
+    global _memo, _templates
+    _templates = _TemplateCache(maxsize)
+    _memo = lru_cache(maxsize=maxsize)(_shape_statement)
 
 
-def parse_cache_info():
-    """Current statement-cache counters (``functools`` CacheInfo).
+def parse_cache_info() -> CacheInfo:
+    """Statement-cache counters.
 
-    Fields: ``hits``, ``misses``, ``maxsize``, ``currsize``.
+    ``hits`` counts statements served without parsing (a repeated text,
+    or a new text of a known shape); ``misses`` counts parses of a new
+    shape. ``currsize`` is the number of shapes cached.
     """
-    return _parse_cache.cache_info()
+    memo = _memo.cache_info()
+    return CacheInfo(
+        hits=memo.hits + _templates.hits,
+        misses=_templates.misses,
+        maxsize=_templates.maxsize,
+        currsize=len(_templates),
+    )

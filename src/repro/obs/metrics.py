@@ -40,6 +40,8 @@ import threading
 from bisect import bisect_left
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "Counter",
     "Gauge",
@@ -100,6 +102,24 @@ class Metric:
         self.name = _check_name(name)
         self.help = help
         self._lock = threading.Lock()
+        #: the callable run before every read (see :meth:`defer_to`).
+        self._source: Optional[Callable[[], None]] = None
+
+    def defer_to(self, source: Callable[[], None]) -> None:
+        """Run ``source`` before every read of this metric.
+
+        For a writer that buffers updates and folds them in batches
+        (the query pipeline's per-query records): ``source`` folds
+        whatever is buffered, so no reader — a scrape, a quantile, a
+        count — ever sees the metric behind its writer. A metric has
+        one buffering writer: a later call replaces the source.
+        """
+        self._source = source
+
+    def _catch_up(self) -> None:
+        source = self._source
+        if source is not None:
+            source()
 
     def snapshot(self) -> Dict:
         """JSON-compatible view of the current state."""
@@ -224,6 +244,7 @@ class _LabelledValues(Metric):
     def _items(self) -> List[Tuple[Tuple[str, ...], float]]:
         """Every (key, value): written series, then callback-backed
         ones, skipping a callback that raises."""
+        self._catch_up()
         with self._lock:
             items = list(self._values.items())
         for key in list(self._callbacks):
@@ -238,6 +259,7 @@ class _LabelledValues(Metric):
         evaluated = self._evaluate(key)
         if evaluated is not None:
             return evaluated
+        self._catch_up()
         with self._lock:
             return self._values.get(key, 0.0)
 
@@ -367,6 +389,7 @@ class Histogram(Metric):
         if sorted(bounds) != bounds or len(set(bounds)) != len(bounds):
             raise MetricError("bucket bounds must be strictly ascending")
         self._bounds = bounds  # finite upper bounds; overflow is implicit
+        self._bound_array = np.array(bounds, dtype=float)
         size = len(bounds) + 1
         self._counts = [0] * size
         self._sums = [0.0] * size
@@ -394,38 +417,69 @@ class Histogram(Metric):
                 self._max = value
 
     def observe_many(self, values: Iterable[float]) -> None:
-        """Record several observations."""
-        for value in values:
-            self.observe(value)
+        """Record several observations under one lock acquisition.
+
+        The batch is bucketed as arrays — a few numpy calls instead of
+        a bisect and an update per value — which is what makes folding
+        the pipeline's per-query stage records cheap.
+        """
+        observed = np.fromiter(values, dtype=float)
+        if not observed.size:
+            return
+        if np.isnan(observed).any():
+            raise MetricError(f"cannot observe NaN in {self.name}")
+        slots = np.searchsorted(self._bound_array, observed)
+        size = len(self._counts)
+        counts = np.bincount(slots, minlength=size)
+        sums = np.bincount(slots, weights=observed, minlength=size).tolist()
+        touched = np.flatnonzero(counts).tolist()
+        counts = counts.tolist()
+        total = float(observed.sum())
+        low, high = float(observed.min()), float(observed.max())
+        with self._lock:
+            for index in touched:
+                self._counts[index] += counts[index]
+                self._sums[index] += sums[index]
+            self._count += int(observed.size)
+            self._sum += total
+            if low < self._min:
+                self._min = low
+            if high > self._max:
+                self._max = high
 
     # -- reading -----------------------------------------------------------
 
     @property
     def count(self) -> int:
         """Number of observations."""
+        self._catch_up()
         with self._lock:
             return self._count
 
     @property
     def sum(self) -> float:
         """Sum of all observations."""
+        self._catch_up()
         with self._lock:
             return self._sum
 
     @property
     def min(self) -> float:
         """Smallest observation (0.0 when empty)."""
+        self._catch_up()
         with self._lock:
             return self._min if self._count else 0.0
 
     @property
     def max(self) -> float:
         """Largest observation (0.0 when empty)."""
+        self._catch_up()
         with self._lock:
             return self._max if self._count else 0.0
 
     def mean(self) -> float:
         """Arithmetic mean (0.0 when empty)."""
+        self._catch_up()
         with self._lock:
             return self._sum / self._count if self._count else 0.0
 
@@ -439,6 +493,7 @@ class Histogram(Metric):
         """
         if not 0 <= q <= 1:
             raise MetricError(f"quantile must be in [0, 1], got {q}")
+        self._catch_up()
         with self._lock:
             if not self._count:
                 return 0.0
@@ -461,6 +516,7 @@ class Histogram(Metric):
 
     def cumulative_buckets(self) -> List[Tuple[float, int]]:
         """(upper_bound, cumulative_count) pairs, ending with +Inf."""
+        self._catch_up()
         with self._lock:
             counts = list(self._counts)
         cumulative: List[Tuple[float, int]] = []
@@ -472,6 +528,7 @@ class Histogram(Metric):
 
     def snapshot(self) -> Dict:
         """JSON view; only non-empty buckets are materialised."""
+        self._catch_up()
         with self._lock:
             counts = list(self._counts)
             sums = list(self._sums)
@@ -514,6 +571,7 @@ class Histogram(Metric):
         # One lock acquisition for buckets, sum, and count together:
         # a concurrent observe between two acquisitions would make the
         # +Inf bucket disagree with _count in the same exposition.
+        self._catch_up()
         with self._lock:
             counts = list(self._counts)
             total, count = self._sum, self._count

@@ -11,12 +11,13 @@ buffer of the most recent traces (bounded memory — a long-running server
 never accumulates them) and can mirror every finished trace to a
 JSON-lines sink for offline analysis.
 
-Traces are cheap: the guard adds spans from ``perf_counter`` readings it
-already takes for its timing buckets, so tracing adds a handful of
-clock reads and one small object per query. Span recording is
-deliberately allocation-lean — stages are kept as plain tuples of
-atomics (which the cyclic GC untracks) and only materialised into
-:class:`Span` objects when read. The dominant cost of tracing every
+Traces are cheap: the guard's pipeline reads ``perf_counter`` once per
+stage boundary for its timing buckets anyway, and the list of
+``(stage, start, end)`` tuples it keeps is handed to the trace as its
+span list (``events=``), so tracing adds no clock read and no copy.
+Span recording is deliberately allocation-lean — stages are kept as
+plain tuples of atomics (which the cyclic GC untracks) and only
+materialised into :class:`Span` objects when read. The dominant cost of tracing every
 query is not the instruction path but garbage-collector pressure from
 objects retained in the ring; keeping the retained graph GC-invisible
 is what keeps the overhead benchmark inside its budget.
@@ -45,10 +46,6 @@ SQL_LIMIT = 200
 # records can be joined offline.
 _TRACE_ID_PREFIX = f"{os.getpid():x}"
 _trace_counter = itertools.count(1)
-
-
-def _next_trace_id() -> str:
-    return f"{_TRACE_ID_PREFIX}-{next(_trace_counter):x}"
 
 
 class Span:
@@ -92,7 +89,7 @@ class QueryTrace:
 
     __slots__ = (
         "kind",
-        "trace_id",
+        "_serial",
         "identity",
         "sql",
         "started_at",
@@ -110,24 +107,31 @@ class QueryTrace:
         kind: str = "query",
         identity: Optional[str] = None,
         sql: Optional[str] = None,
+        events: Optional[List[tuple]] = None,
     ):
         self.kind = kind
-        self.trace_id = _next_trace_id()
+        self._serial = next(_trace_counter)
         self.identity = identity
         if sql is not None and len(sql) > SQL_LIMIT:
             sql = sql[:SQL_LIMIT]
         self.sql = sql or None
         self.started_at = time.time()
-        # (name, perf_start, perf_end) tuples. Tuples of atomics get
-        # untracked by the cyclic GC, so a ring full of finished traces
-        # costs the collector almost nothing to traverse.
-        self._events: List[tuple] = []
+        # (name, perf_start, perf_end) tuples, possibly a list the
+        # caller keeps appending to. Tuples of atomics get untracked by
+        # the cyclic GC, so a ring full of finished traces costs the
+        # collector almost nothing to traverse.
+        self._events: List[tuple] = [] if events is None else events
         self.status = "ok"
         self.reason: Optional[str] = None
         self.delay = 0.0
         self.rows = 0
         self.duration = 0.0
         self._perf_start = time.perf_counter()
+
+    @property
+    def trace_id(self) -> str:
+        """The correlation id, spelled only when someone reads it."""
+        return f"{_TRACE_ID_PREFIX}-{self._serial:x}"
 
     # -- recording ---------------------------------------------------------
 
@@ -167,9 +171,11 @@ class QueryTrace:
         serving the sleep outside its statement lock: the guard's trace
         is already finished and retained, and the server appends the
         observed sleep so the recorded lifecycle still covers the full
-        wall-clock the client experienced.
+        wall-clock the client experienced. The span list is replaced,
+        not appended to: the pipeline's stage watch may still hold the
+        list it recorded, which must stay the stages it ran.
         """
-        self._events.append((name, start, end))
+        self._events = [*self._events, (name, start, end)]
         self.duration = end - self._perf_start
 
     # -- reading -----------------------------------------------------------

@@ -519,9 +519,9 @@ class DelayServer:
 
         Only reads may run on the I/O loop: DML, DDL and transaction
         statements take the engine's write lock and fsync the journal.
-        ``parse_cached`` fills the normalisation and statement caches
-        the pipeline's parse stage reads, so serving the statement
-        lexes nothing a second time.
+        ``parse_cached`` fills the statement memo the pipeline's parse
+        stage reads, so serving the statement lexes nothing a second
+        time.
         """
         if not sql:
             return False

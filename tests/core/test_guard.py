@@ -117,6 +117,27 @@ class TestAccountsIntegration:
             guard.execute("SELECT * FROM t WHERE id = 2", identity="u")
         assert guard.stats.denied == 1
 
+    def test_accounts_attached_after_construction_are_enforced(self):
+        # Hosts may swap ``guard.accounts`` between scenarios (the web
+        # directory example does): every query asks the host afresh.
+        guard, clock = make_guard(config=GuardConfig(result_cache_size=16))
+        guard.execute("SELECT * FROM t WHERE id = 1")
+        guard.accounts = AccountManager(
+            policy=AccountPolicy(daily_query_quota=1), clock=clock
+        )
+        with pytest.raises(ConfigError, match="identity"):
+            guard.execute("SELECT * FROM t WHERE id = 1")
+        guard.accounts.register("u")
+        guard.execute("SELECT * FROM t WHERE id = 1", identity="u")
+        with pytest.raises(AccessDenied) as denied:
+            guard.execute("SELECT * FROM t WHERE id = 1", identity="u")
+        assert denied.value.reason == "query_quota"
+        assert guard.accounts.account("u").queries_issued == 1
+        guard.accounts = None
+        assert guard.execute("SELECT * FROM t WHERE id = 2").rows == [
+            (2, "v2")
+        ]
+
     def test_retrievals_recorded_per_identity(self):
         clock = VirtualClock()
         accounts = AccountManager(clock=clock)

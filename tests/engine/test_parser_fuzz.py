@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from repro.engine import Database
 from repro.engine.errors import EngineError
-from repro.engine.parser import parse
+from repro.engine.parser import normalize_sql, parse, parse_cached
 
 sql_alphabet = (
     string.ascii_letters + string.digits + " '\"(),.*=<>!+-/%;_\n\t"
@@ -64,3 +64,43 @@ class TestParserNeverCrashes:
             db.execute(statement)
         except EngineError:
             pass
+
+
+class TestStatementCacheMatchesTheCanonicalParse:
+    """Whatever the text, the statement caches answer what parsing the
+    canonical text answers: the same tree, or the same error with the
+    same message and position."""
+
+    @staticmethod
+    def outcome(call, text):
+        try:
+            return "ok", call(text)
+        except Exception as error:  # noqa: BLE001 - the error is the answer
+            return "error", (
+                type(error),
+                getattr(error, "message", str(error)),
+                getattr(error, "position", None),
+            )
+
+    @given(
+        st.text(alphabet=sql_alphabet, max_size=60),
+        st.sampled_from(
+            [
+                "SELECT {} FROM t",
+                "SELECT * FROM t WHERE {}",
+                "SELECT * FROM t WHERE id = 1 {}",
+                "INSERT INTO t VALUES ({})",
+                "UPDATE t SET v = {}",
+                "CREATE TABLE x ({})",
+                "{}",
+            ]
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shaped_equals_canonical(self, filler, template):
+        text = template.format(filler)
+        canonical = self.outcome(lambda sql: parse(normalize_sql(sql)), text)
+        assert self.outcome(parse_cached, text) == canonical
+        # Again: now the memo or the shape's template answers.
+        assert self.outcome(parse_cached, text) == canonical
+        assert self.outcome(parse_cached, text + " ") == canonical

@@ -195,6 +195,37 @@ class TestHistogram:
         assert len(histogram._counts) == buckets
         assert histogram.count == 10_000
 
+    def test_observe_many_matches_observe_one_by_one(self):
+        # observe_many buckets as arrays; observe is the reference.
+        values = [0.0, 1e-4, 1e-4, 0.25, 3.0, 3.0, 1e-7, 99.0, 1e6, 5e-3]
+        batched, one_by_one = Histogram("b"), Histogram("o")
+        batched.observe_many(values)
+        batched.observe_many([])
+        for value in values:
+            one_by_one.observe(value)
+        assert batched.cumulative_buckets() == one_by_one.cumulative_buckets()
+        assert (batched.count, batched.min, batched.max) == (
+            one_by_one.count,
+            one_by_one.min,
+            one_by_one.max,
+        )
+        assert batched.sum == pytest.approx(one_by_one.sum, rel=1e-12)
+        for q in (0.1, 0.5, 0.9):
+            assert batched.quantile(q) == pytest.approx(
+                one_by_one.quantile(q), rel=1e-12
+            )
+        with pytest.raises(MetricError, match="NaN"):
+            batched.observe_many([1.0, float("nan")])
+        assert batched.count == len(values)
+
+    def test_defer_to_runs_one_source_before_reads(self):
+        histogram = Histogram("d")
+        pending = [[0.5], [2.0]]
+        histogram.defer_to(lambda: histogram.observe_many(pending.pop(0)))
+        histogram.defer_to(lambda: histogram.observe_many(pending.pop()))
+        assert histogram.count == 1  # only the later source ran
+        assert histogram.max == 2.0 and pending == []
+
     def test_render_cumulative_buckets(self):
         histogram = Histogram("h", buckets=[1.0, 10.0])
         histogram.observe_many([0.5, 5.0, 50.0])

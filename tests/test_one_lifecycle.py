@@ -193,3 +193,48 @@ def test_one_select_shaper():
         assert name in vars(Executor), name
     # numpy is a declared dependency: no tier runs without it
     assert files_mentioning("HAVE_NUMPY") == []
+
+
+def _fresh_literal_reads(monkeypatch):
+    """1 000 fresh-literal point reads through a guard, counting
+    ``Parser`` constructions and ``Histogram.observe`` calls."""
+    from repro.engine import Database
+    from repro.engine.parser import parser as parser_module
+    from repro.obs import Histogram
+
+    database = Database()
+    database.execute("CREATE TABLE items (id INTEGER PRIMARY KEY, v TEXT)")
+    database.insert_rows("items", [(i, f"v{i}") for i in range(1, 1001)])
+    guard = DelayGuard(database)
+    parser_module.configure_parse_cache(parser_module.PARSE_CACHE_DEFAULT_SIZE)
+    built, observed = [], []
+    construct, observe = parser_module.Parser.__init__, Histogram.observe
+
+    def counting_construct(self, *args, **kwargs):
+        built.append(1)
+        construct(self, *args, **kwargs)
+
+    def counting_observe(self, value):
+        observed.append(self.name)
+        observe(self, value)
+
+    monkeypatch.setattr(parser_module.Parser, "__init__", counting_construct)
+    monkeypatch.setattr(Histogram, "observe", counting_observe)
+    for item in range(1, 1001):
+        guard.execute(f"SELECT * FROM items WHERE id = {item}")
+    return guard, built, observed
+
+
+def test_a_statement_shape_is_parsed_once(monkeypatch):
+    # Every later literal binds into the shape's template.
+    _guard, built, _observed = _fresh_literal_reads(monkeypatch)
+    assert len(built) == 1
+
+
+def test_the_stage_loop_observes_no_histogram(monkeypatch):
+    # One record per query, folded in batches; the one observe per
+    # SELECT left is GuardStats' delay histogram.
+    guard, _built, observed = _fresh_literal_reads(monkeypatch)
+    assert observed == ["guard_select_delay_seconds"] * 1000
+    stage = guard.obs.registry.get("guard_stage_execute_seconds")
+    assert stage.count == 1000
