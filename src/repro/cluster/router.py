@@ -32,18 +32,20 @@ Routing by statement kind:
   serves repeats) and its policy — a gossip-merged tracker view against
   the *global* population — prices it, so the price equals the
   single-node price up to gossip staleness. Anything else — scans,
-  joins, aggregates — executes against a merged read-only engine built
-  from every shard's rows under their read locks (cached per
-  cluster-wide mutation-epoch vector) and is priced **once** from the
-  merged touched-set. Either way the reads are recorded at each tuple's
-  owning shard, so the owners stay the authoritative count holders.
+  joins, aggregates — executes, holding every shard's read lock,
+  against one live merged engine (copied from the shards at the first
+  scatter, then patched from their row events) and is priced **once**
+  from the merged touched-set. Either way the reads are recorded at
+  each tuple's owning shard, so the owners stay the authoritative
+  count holders.
 """
 
 from __future__ import annotations
 
 import threading
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from ..core.accounts import AccountManager
 from ..core.clock import Clock
@@ -63,6 +65,7 @@ from ..engine.parser.ast import (
     TransactionStatement,
     UpdateStatement,
 )
+from ..engine.table import HeapTable
 from ..obs import Observability
 from .sharding import ShardMap, pk_values_from_where, render_insert_sql
 
@@ -145,8 +148,13 @@ class ClusterRouter(PipelineHost):
         self.obs = obs if obs is not None else Observability.disabled()
         self.population = population
         self.stats = GuardStats()
+        #: the live merged view (:meth:`_live_view`), the shard heaps it
+        #: mirrors and its observers; the lock serialises patch and seed.
         self._merged_lock = threading.Lock()
-        self._merged_cache: Optional[Tuple[tuple, Database]] = None
+        self._view: Optional[Database] = None
+        self._view_sources: Tuple[HeapTable, ...] = ()
+        self._view_observers: List[Tuple[HeapTable, Callable]] = []
+        self.merged_view_seeds = self.merged_view_patches = 0
         #: routing counters for cluster health.
         self.single_shard_queries = 0
         self.scatter_queries = 0
@@ -156,6 +164,15 @@ class ClusterRouter(PipelineHost):
         self.unavailable_denials = 0
         self.partial_scatter_queries = 0
         self._start_lifecycle()
+        if self.obs.enabled:
+            self.obs.registry.counter(
+                "cluster_merged_view_seeds_total",
+                "Whole copies of the shards made for the scatter view",
+            ).set_function(lambda: self.merged_view_seeds)
+            self.obs.registry.counter(
+                "cluster_merged_view_patches_total",
+                "Shard row events patched into the scatter view",
+            ).set_function(lambda: self.merged_view_patches)
 
     # -- shard availability --------------------------------------------------
 
@@ -460,9 +477,20 @@ class ClusterRouter(PipelineHost):
         # live shard's gossip-merged trackers (every shard converges on
         # the same global view).
         ctx.policy = self._reference_shard().guard.policy
-        return self._merged_database(tuple(answering)).execute(
-            statement, tracked=True
-        )
+        databases = [self.shards[index].database for index in answering]
+        with ExitStack() as held:
+            # Every answering shard's read lock, in shard order, for the
+            # whole execution: no shard commits (so no patch lands)
+            # while the scatter reads, and it sees a committed cut. A
+            # degraded scatter reads an unsubscribed one-off copy.
+            for database in databases:
+                held.enter_context(database.read_view())
+            view = (
+                self._seed(databases)[0]
+                if missing
+                else self._live_view(databases)
+            )
+            return view.execute(statement, tracked=True)
 
     def _single_shard_for(
         self, statement: SelectStatement
@@ -523,46 +551,70 @@ class ClusterRouter(PipelineHost):
 
     # -- the merged read view ------------------------------------------------
 
-    def _merged_database(
-        self, indexes: Optional[Tuple[int, ...]] = None
-    ) -> Database:
-        """A read-only engine holding every shard's rows, global rowids.
+    @staticmethod
+    def _seed(
+        databases: Sequence[Database],
+    ) -> Tuple[Database, List[Tuple[HeapTable, HeapTable]]]:
+        """An engine holding these shards' rows at their global rowids
+        (so the merged touched-set prices and records the owners' keys)
+        and its ``(shard heap, merged heap)`` pairs. The caller holds
+        every database's read view."""
+        merged, pairs = Database(), []
+        for database in databases:
+            pairs += merged.catalog.copy_tables_from(database.catalog)
+        return merged, pairs
 
-        Cached on (participating shards, their mutation-epoch vector):
-        any committed mutation on any included shard invalidates it
-        (the epoch moves), so a served scatter-read is always against a
-        consistent cut no older than the last commit; a degraded merge
-        over fewer shards never aliases the full one. Rows keep their
-        global rowids via ``HeapTable.copy_from`` (which does not
-        re-validate what the owner validated), so the merged
-        touched-set prices and records against exactly the same keys
-        the owners track.
-        """
-        if indexes is None:
-            indexes = tuple(range(len(self.shards)))
-        participants = [self.shards[index] for index in indexes]
-        epochs = (
-            indexes,
-            tuple(
-                shard.database.mutation_epoch for shard in participants
-            ),
+    def _live_view(self, databases: Sequence[Database]) -> Database:
+        """The merged engine over every shard; the caller holds their
+        read views. It is valid while it mirrors the shards' current
+        heaps, by identity: CREATE, DROP, promotion and recovery swap a
+        heap and reseed it once. In between, :meth:`_patcher` applies
+        each shard row event, so a write costs one row here."""
+        current = tuple(
+            heap for db in databases for heap in db.catalog.tables()
         )
         with self._merged_lock:
-            cached = self._merged_cache
-            if cached is not None and cached[0] == epochs:
-                return cached[1]
-        merged = Database()
-        for shard in participants:
-            with shard.database.read_view():
-                catalog = shard.database.catalog
-                for name in catalog.table_names():
-                    heap = catalog.table(name)
-                    if not merged.catalog.has_table(name):
-                        merged.catalog.create_table(heap.schema)
-                    merged.catalog.table(name).copy_from(heap)
+            if self._view is None or self._view_sources != current:
+                self._detach()
+                self._view, pairs = self._seed(databases)
+                for source, target in pairs:
+                    observer = self._patcher(self._view, target)
+                    source.subscribe(observer)
+                    self._view_observers.append((source, observer))
+                self._view_sources = current
+                self.merged_view_seeds += 1
+            return self._view
+
+    def _patcher(self, merged: Database, target: HeapTable) -> Callable:
+        """The observer mirroring one shard heap, rollback's inverse
+        events included, into ``target``. It runs under the shard's
+        write lock (no scatter reads) and the router's (no other shard
+        patches); a patch that cannot apply drops the view for a reseed.
+        """
+
+        def patch(event, rowid, row, old) -> None:
+            with self._merged_lock:
+                if self._view is not merged:
+                    return
+                try:
+                    target.mirror(event, rowid, row)
+                    self.merged_view_patches += 1
+                except Exception as error:
+                    # Never fail the shard's write for its mirror.
+                    self._view = None
+                    self._emit_audit("cluster_view_dropped", error=repr(error))
+
+        return patch
+
+    def _detach(self) -> None:
+        for source, observer in self._view_observers:
+            source.unsubscribe(observer)
+        self._view_observers, self._view = [], None
+
+    def close(self) -> None:
+        """Drop the merged view and unsubscribe it (idempotent)."""
         with self._merged_lock:
-            self._merged_cache = (epochs, merged)
-        return merged
+            self._detach()
 
     # -- observability -------------------------------------------------------
 
@@ -580,4 +632,6 @@ class ClusterRouter(PipelineHost):
             "shard_failures": self.shard_failures,
             "unavailable_denials": self.unavailable_denials,
             "partial_scatter_queries": self.partial_scatter_queries,
+            "merged_view_seeds": self.merged_view_seeds,
+            "merged_view_patches": self.merged_view_patches,
         }

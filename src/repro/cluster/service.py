@@ -338,10 +338,7 @@ class ClusterService:
             database = Database()
             database.set_rowid_allocation(index, self.shard_count)
             with primary.database.read_view():
-                catalog = primary.database.catalog
-                for name in catalog.table_names():
-                    heap = catalog.table(name)
-                    database.catalog.create_table(heap.schema).copy_from(heap)
+                database.catalog.copy_tables_from(primary.database.catalog)
             member_id = f"shard-{index}-r{replica}"
             follower = DataProviderService(
                 database=database,
@@ -485,8 +482,7 @@ class ClusterService:
             if available:
                 with shard.database.read_view():
                     rows = sum(
-                        len(shard.database.catalog.table(name))
-                        for name in shard.database.catalog.table_names()
+                        len(heap) for heap in shard.database.catalog.tables()
                     )
                 epoch = shard.database.mutation_epoch
                 attached = shard.journal is not None
@@ -536,21 +532,25 @@ class ClusterService:
         }
 
     def close(self) -> None:
-        """Stop the background gossip/monitor loops (idempotent)."""
+        """Stop the background gossip/monitor loops and detach the
+        router's merged view from the shards (idempotent)."""
         if self.gossip is not None:
             self.gossip.stop()
         if self.monitor is not None:
             self.monitor.stop()
+        self.router.close()
 
     # -- sizing --------------------------------------------------------------
 
     def population(self) -> int:
-        """Global tuple count, cached per cluster-wide epoch vector.
+        """Global tuple count, cached per each shard's (database, epoch).
 
         Every shard guard prices against this (see
         :meth:`~repro.core.guard.DelayGuard.set_population_provider`):
         a committed mutation on any shard moves that shard's epoch and
-        invalidates the cache, so the count is always exact.
+        invalidates the cache, so the count is always exact. The
+        database is part of the key because a promoted follower can
+        reach the epoch its deposed primary had with other rows.
 
         A down replica group contributes its last-known count: the
         partition's tuples still exist (they are merely unservable), so
@@ -560,7 +560,8 @@ class ClusterService:
         epochs = []
         for index, shard in enumerate(self.shards):
             if getattr(shard, "available", True):
-                epochs.append(shard.database.mutation_epoch)
+                database = shard.database
+                epochs.append((database, database.mutation_epoch))
             else:
                 epochs.append(("down", self._last_counts.get(index, 0)))
         epochs = tuple(epochs)
@@ -573,10 +574,10 @@ class ClusterService:
             if not getattr(shard, "available", True):
                 total += self._last_counts.get(index, 0)
                 continue
-            count = 0
             with shard.database.read_view():
-                for name in shard.database.catalog.table_names():
-                    count += len(shard.database.catalog.table(name))
+                count = sum(
+                    len(heap) for heap in shard.database.catalog.tables()
+                )
             self._last_counts[index] = count
             total += count
         value = max(total, 1)

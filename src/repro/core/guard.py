@@ -429,9 +429,8 @@ class DelayGuard(PipelineHost):
             return cached[1]
         with self.database.read_view():
             epoch = self.database.mutation_epoch
-            total = 0
-            for name in self.database.catalog.table_names():
-                total += len(self.database.catalog.table(name))
+            catalog = self.database.catalog
+            total = sum(len(heap) for heap in catalog.tables())
         value = max(total, 1)
         self._population_cache = (epoch, value)
         return value

@@ -9,7 +9,7 @@ classified as writers by :meth:`repro.engine.database.Database.execute`).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .errors import CatalogError
 from .index import Index, create_index
@@ -80,6 +80,20 @@ class Catalog:
         del self._tables[key]
         return True
 
+    def copy_tables_from(
+        self, source: "Catalog"
+    ) -> List[Tuple[HeapTable, HeapTable]]:
+        """Copy every table of ``source`` in (rows at their own rowids,
+        into a same-named table if one exists; no indexes) and return the
+        ``(source heap, copy)`` pairs. Caller holds ``source``'s read view.
+        """
+        pairs = []
+        for heap in source.tables():
+            copy = self.create_table(heap.schema, if_not_exists=True)
+            copy.copy_from(heap)
+            pairs.append((heap, copy))
+        return pairs
+
     def table(self, name: str) -> HeapTable:
         """Look up a table by name or raise CatalogError."""
         try:
@@ -90,6 +104,10 @@ class Catalog:
     def has_table(self, name: str) -> bool:
         """True if a table with this name exists."""
         return name.lower() in self._tables
+
+    def tables(self) -> List[HeapTable]:
+        """All heap tables, in creation order."""
+        return list(self._tables.values())
 
     def table_names(self) -> List[str]:
         """Names of all tables, in creation order."""

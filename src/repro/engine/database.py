@@ -188,8 +188,7 @@ class Database:
         an ordinary counter reset).
         """
         counts = {"build": 0, "patch": 0, "drop": 0}
-        for name in self.catalog.table_names():
-            table = self.catalog.table(name)
+        for table in self.catalog.tables():
             counts["build"] += table.batch_builds
             counts["patch"] += table.batch_patches
             counts["drop"] += table.batch_drops

@@ -92,8 +92,7 @@ def dump_database(database: Database) -> Dict:
     """
     with database.write_txn():
         tables = []
-        for name in database.catalog.table_names():
-            heap = database.catalog.table(name)
+        for heap in database.catalog.tables():
             tables.append(
                 {
                     "name": heap.schema.name,

@@ -68,13 +68,17 @@ class HeapTable:
         self, observer: Callable[[str, int, Row, Optional[Row]], None]
     ) -> None:
         """Register a mutation observer (called after each change)."""
-        self._observers.append(observer)
+        # Replace the list, never change it in place: a notification
+        # already iterating it must not see an (un)subscribe.
+        self._observers = self._observers + [observer]
 
     def unsubscribe(
         self, observer: Callable[[str, int, Row, Optional[Row]], None]
     ) -> None:
         """Remove a previously registered observer."""
-        self._observers.remove(observer)
+        observers = list(self._observers)
+        observers.remove(observer)
+        self._observers = observers
 
     def _notify(
         self, event: str, rowid: int, row: Row, old: Optional[Row] = None
@@ -180,6 +184,10 @@ class HeapTable:
         if rowid not in self._rows:
             raise ConstraintError(f"no row {rowid} in table {self.name!r}")
         row = self.schema.validate_row(values)
+        self._replace(rowid, row)
+        return row
+
+    def _replace(self, rowid: int, row: Row) -> None:
         old_row = self._rows[rowid]
         if self._pk_index is not None:
             old_key = old_row[self._pk_position]
@@ -192,7 +200,6 @@ class HeapTable:
             self._pk_index[new_key] = rowid
         self._rows[rowid] = row
         self._notify("update", rowid, row, old_row)
-        return row
 
     def delete(self, rowid: int) -> Row:
         """Remove and return the row at ``rowid``."""
@@ -227,6 +234,16 @@ class HeapTable:
             )
         for rowid, row in source.scan():
             self._place(rowid, row)
+
+    def mirror(self, event: str, rowid: int, row: Row) -> None:
+        """Apply another heap's row event (:meth:`subscribe`) to this
+        :meth:`copy_from` copy of it, checking only what copy_from does."""
+        if event == "insert":
+            self._place(rowid, row)
+        elif event == "update":
+            self._replace(rowid, row)
+        else:
+            self.delete(rowid)
 
     def _place(self, rowid: int, row: Row) -> None:
         if rowid in self._rows:

@@ -202,6 +202,11 @@ def test_one_shard_cluster_is_the_single_node():
 def test_four_shards_match_the_parent_commit():
     captured = json.loads(CAPTURED.read_text())
     ours = compact(run_cluster(4))
+    # The parent had no live merged view, so it reported no counters
+    # for it: both tables exist before the first scatter, so the view
+    # is seeded once and every later write is a patch.
+    assert ours["routing"].pop("merged_view_seeds") == 1
+    assert ours["routing"].pop("merged_view_patches") > 0
     for theirs, mine in zip(captured["served"], ours["served"]):
         assert mine == theirs, theirs["sql"]
     assert ours == captured

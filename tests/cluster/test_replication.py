@@ -332,6 +332,49 @@ class TestFailover:
         finally:
             cluster.close()
 
+    def test_scatter_after_promotion_serves_the_new_primary(self, tmp_path):
+        # The promoted follower lagged two frames, so two new commits
+        # bring its epoch back to the value the deposed primary had
+        # when the last scatter ran: a view keyed on epochs alone would
+        # serve the dead primary's rows.
+        cluster = build_cluster(tmp_path)
+        try:
+            cluster.monitor.ship_all()
+            owned = [
+                i
+                for i in range(100, 200)
+                if cluster.shard_map.shard_for(TABLE, i) == 0
+            ]
+            lost, committed = owned[:2], owned[2:4]
+            for i in lost:
+                cluster.query(
+                    None, f"INSERT INTO {TABLE} VALUES ({i}, 'lost')"
+                )
+            before = cluster.query(None, f"SELECT id FROM {TABLE}")
+            assert set(lost) <= {row[0] for row in before.result.rows}
+            group0 = cluster.groups[0]
+            deposed_epoch = group0.database.mutation_epoch
+            group0.primary.kill()
+            assert cluster.monitor.probe()[0]["promoted"] == "shard-0-r1"
+            for i in committed:
+                cluster.query(
+                    None, f"INSERT INTO {TABLE} VALUES ({i}, 'kept')"
+                )
+            assert group0.database.mutation_epoch == deposed_epoch
+            after = cluster.query(None, f"SELECT id FROM {TABLE}").result
+            ids = {row[0] for row in after.rows}
+            assert ids == set(range(1, 21)) | set(committed)
+            # ...and prices exactly the live rows, at their owners' rowids.
+            owned_rowids = []
+            for i in ids:
+                owner = cluster.shards[cluster.shard_map.shard_for(TABLE, i)]
+                owned_rowids.append(owner.database.table(TABLE).lookup_pk(i))
+            assert sorted(after.touched) == sorted(
+                (TABLE, rowid) for rowid in owned_rowids
+            )
+        finally:
+            cluster.close()
+
 
 class TestClusterSurface:
     def test_health_exposes_replication(self, tmp_path):
@@ -384,5 +427,34 @@ class TestClusterSurface:
             for member in cluster.groups[0].members:
                 member.kill()
             assert cluster.population() == before
+        finally:
+            cluster.close()
+
+    def test_population_after_promotion_counts_the_new_primary(
+        self, tmp_path
+    ):
+        # Two unshipped inserts die with the primary; two deletes on the
+        # promoted follower bring its epoch back to the deposed one's.
+        cluster = build_cluster(tmp_path)
+        try:
+            cluster.monitor.ship_all()
+            owned = [
+                i
+                for i in range(1, 200)
+                if cluster.shard_map.shard_for(TABLE, i) == 0
+            ]
+            for i in owned[-2:]:
+                cluster.query(
+                    None, f"INSERT INTO {TABLE} VALUES ({i}, 'lost')"
+                )
+            assert cluster.population() == 22
+            group0 = cluster.groups[0]
+            deposed_epoch = group0.database.mutation_epoch
+            group0.primary.kill()
+            cluster.monitor.probe()
+            for i in owned[:2]:
+                cluster.query(None, f"DELETE FROM {TABLE} WHERE id = {i}")
+            assert group0.database.mutation_epoch == deposed_epoch
+            assert cluster.population() == 18
         finally:
             cluster.close()
