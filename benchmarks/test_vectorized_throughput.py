@@ -78,7 +78,7 @@ def _run_case(benchmark, db, sql, floor):
     # throughput means nothing if the answers differ
     assert repr(result.rows) == repr(expected.rows)
     assert result.touched == expected.touched
-    assert vectorized.path_counts["classic"] == 0, "fell back to classic"
+    assert result.execution_path == "vectorized", result.execution_path
     classic_seconds = _best_seconds(Executor(db.catalog), statement)
     vectorized_seconds = _best_seconds(vectorized, statement)
     ratio = classic_seconds / vectorized_seconds

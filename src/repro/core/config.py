@@ -73,13 +73,11 @@ class GuardConfig:
             reclaim its own pre-crash entries. None (the default)
             generates a fresh process-unique origin, which is correct
             for every single-node deployment.
-        vectorized_execution: run SELECTs on the engine's columnar
-            executor (the default). Statement shapes it cannot prove
-            reproducible fall back to the classic row-at-a-time path
-            per statement; both paths emit bit-identical
+        vectorized_execution: True (the default) runs every statement
+            on the engine's columnar executor. False selects the
+            row-at-a-time reference tier; both emit bit-identical
             rows/rowids/touched, so pricing and popularity are
-            unaffected either way. False pins the classic executor
-            (ablation / debugging).
+            unaffected either way.
     """
 
     policy: str = "popularity"

@@ -279,15 +279,15 @@ class DelayGuard(PipelineHost):
         self.obs = obs if obs is not None else Observability()
         if not self.config.vectorized_execution:
             # Only reconfigure when the config deviates from the engine
-            # default: a Database may be shared (tests, embedding) and
-            # rebuilding its executor resets the path counters.
+            # default: a Database may be shared (tests, embedding), and
+            # its owner's choice of tier stands.
             self.database.configure_execution(vectorized=False)
         if self.obs.enabled:
             # Counted from the pipeline's per-query records, so it
             # exists before the pipeline does.
             self._m_execution_path = self.obs.registry.counter(
                 "guard_execution_path_total",
-                "Statements served per engine execution path",
+                "SELECTs served per engine execution path",
                 ("path",),
             )
         self._start_lifecycle()

@@ -130,6 +130,9 @@ class QueryContext:
     delay: float = 0.0
     #: the delay *record* charged to ``identity`` for a served SELECT.
     charged: float = 0.0
+    #: set by *record* for a SELECT; the pipeline counts it as served
+    #: (``GuardStats.note_select``) once the whole run has finished.
+    served_select: bool = False
     engine_seconds: float = 0.0
     accounting_seconds: float = 0.0
     #: set when a denial should still count the query's timing buckets
@@ -419,8 +422,8 @@ class RecordStage(Stage):
         if result.statement_kind == "select":
             if ctx.record:
                 host.record_reads(ctx)
-            host.stats.note_select(ctx.delay, len(ctx.keys))
             ctx.charged = ctx.delay
+            ctx.served_select = True
             return
         if result.table is not None:
             host.record_updates(result)
@@ -742,9 +745,12 @@ class QueryPipeline:
                     ctx.identity,
                     ctx.charged,
                 )
-        self.host.stats.note_query(
-            ctx.delay, ctx.engine_seconds, ctx.accounting_seconds
-        )
+        stats = self.host.stats
+        stats.note_query(ctx.delay, ctx.engine_seconds, ctx.accounting_seconds)
+        # Counted after the query, never before: at any instant the
+        # delay histogram's count is at most ``stats.queries``.
+        if ctx.served_select:
+            stats.note_select(ctx.delay, len(ctx.keys))
         return ctx
 
     def _check_deadline(self, ctx: QueryContext) -> None:
@@ -845,6 +851,13 @@ class PipelineHost:
         """
         registry = self.obs.registry
         stats = self.stats
+        # The canonical delay distribution IS the stats histogram:
+        # registering the same object means a scrape and GuardStats can
+        # never disagree. Registered ahead of the totals, so a scrape
+        # reads it first: a SELECT lands in it only after its query was
+        # counted, hence its count never exceeds ``guard_queries_total``
+        # in the same scrape.
+        registry.register(stats.delay_histogram)
         registry.counter(
             "guard_queries_total", "Statements executed through the guard"
         ).set_function(lambda: stats.queries)
@@ -896,10 +909,6 @@ class PipelineHost:
             "raw material",
             ("identity",),
         )
-        # The canonical delay distribution IS the stats histogram:
-        # registering the same object means a scrape and GuardStats can
-        # never disagree.
-        registry.register(stats.delay_histogram)
         if self.forensics is not None:
             self.forensics.register_metrics(registry)
 

@@ -163,20 +163,16 @@ class Database:
     # -- execution engine selection ------------------------------------------
 
     def configure_execution(self, vectorized: bool = True) -> None:
-        """Choose the SELECT execution engine.
+        """Choose the execution tier.
 
         Args:
-            vectorized: use the columnar executor (falls back to the
-                classic path per statement); False pins the classic
-                row-at-a-time executor.
+            vectorized: the columnar executor (the default) runs every
+                statement; False selects the row-at-a-time reference
+                tier.
         """
         with self.write_txn():
             executor = VectorizedExecutor if vectorized else Executor
             self.executor = executor(self.catalog)
-
-    def execution_path_counts(self) -> Dict[str, int]:
-        """How many SELECTs each engine path served (observability)."""
-        return dict(getattr(self.executor, "path_counts", {}) or {})
 
     def column_batch_counts(self) -> Dict[str, int]:
         """What writes did to the tables' columnar views (observability).

@@ -14,7 +14,15 @@ LIMIT/OFFSET and the ``rowids``/``touched`` lists. The shaper is the
 only code that decides what a statement is charged for, and every
 executor tier runs it: a tier supplies its own row source and a reader
 for its working rows (:class:`ContextReader` here, the columnar tier's
-``PositionReader`` in :mod:`.vectorized.executor`).
+``PositionReader`` in :mod:`.vectorized.executor`). UPDATE and DELETE
+take their targets from the same tier's single-table row source.
+
+This module's :class:`Executor` is the row-at-a-time tier. It serves
+nothing by default — the columnar
+:class:`~repro.engine.vectorized.executor.VectorizedExecutor` runs every
+statement — and stays as the reference the equivalence tests and the
+benchmark's oracle compare against
+(``GuardConfig(vectorized_execution=False)``).
 
 Concurrency audit: the executor is stateless between calls (it holds
 only the catalog reference), and the whole SELECT path — planning,
@@ -90,10 +98,10 @@ class ResultSet:
         table: name of the driving base table, if any.
         rowcount: rows affected, for DML statements.
         statement_kind: "select" | "insert" | "update" | "delete" | "ddl".
-        execution_path: which engine path produced this result —
-            "classic" (row-at-a-time), "vectorized", or "cached"
-            (thawed from the result cache). Observability only; never
-            affects content.
+        execution_path: which tier served a SELECT — "vectorized"
+            (columnar), "classic" (the row-at-a-time reference tier),
+            or "cached" (thawed from the result cache); None for every
+            other statement. Observability only; never affects content.
     """
 
     columns: List[str] = field(default_factory=list)
@@ -103,7 +111,7 @@ class ResultSet:
     table: Optional[str] = None
     rowcount: int = 0
     statement_kind: str = "select"
-    execution_path: str = "classic"
+    execution_path: Optional[str] = None
 
     def scalar(self) -> SQLValue:
         """Return the single value of a 1×1 result (or raise)."""
@@ -338,7 +346,8 @@ class Executor:
     def _collect_contexts(
         self, statement: SelectStatement, sources: List[Tuple[HeapTable, str]]
     ) -> List[Context]:
-        """Produce joined row contexts for a SELECT."""
+        """Produce joined row contexts for a SELECT (or, single-table,
+        for an UPDATE/DELETE's WHERE)."""
         from .planner import candidate_rowids, choose_access_path
 
         shared = self._shared_columns(sources)
@@ -481,7 +490,9 @@ class Executor:
         sources = self._select_sources(statement)
         contexts = self._collect_contexts(statement, sources)
         reader = ContextReader(sources)
-        return self._shape(statement, sources, reader, contexts)
+        result = self._shape(statement, sources, reader, contexts)
+        result.execution_path = "classic"
+        return result
 
     def _shape(
         self, statement: SelectStatement, sources, reader, rows
@@ -742,67 +753,52 @@ class Executor:
             statement_kind="insert",
         )
 
+    def _write_targets(self, statement) -> Tuple[HeapTable, str, List[int]]:
+        """An UPDATE's or DELETE's table, its label, and its targets.
+
+        Binds the WHERE's subqueries (a write is charged for the rows it
+        writes, not for what its subqueries read), then takes the target
+        rowids from the tier's single-table row source: the one a SELECT
+        with the same FROM and WHERE reads, in the planner's candidate
+        order. The list is complete before the caller writes anything.
+        """
+        where = self._bind_subqueries(statement.where, [])
+        select = SelectStatement(table=statement.table, items=(), where=where)
+        source = self._select_sources(select)[0]
+        return source[0], source[1], self._target_rowids(select, source)
+
+    def _target_rowids(
+        self, statement: SelectStatement, source: Tuple[HeapTable, str]
+    ) -> List[int]:
+        """The row tier's pick: the driving rowid of each context."""
+        return ContextReader.rowids(self._collect_contexts(statement, [source]))
+
     def execute_update(self, statement: UpdateStatement) -> ResultSet:
-        from .planner import candidate_rowids, choose_access_path
-
-        subquery_touched: List[Touched] = []
-        bound = self._bind_subqueries(statement.where, subquery_touched)
-        if bound is not statement.where:
-            from dataclasses import replace
-
-            statement = replace(statement, where=bound)
-        table = self.catalog.table(statement.table)
+        table, label, targets = self._write_targets(statement)
         schema = table.schema
-        names = [c.name.lower() for c in schema.columns]
-        positions = {
-            column: schema.position(column)
-            for column, _ in statement.assignments
-        }
-        path = choose_access_path(self.catalog, table, statement.where)
-        # Materialize targets first: mutating during a scan is unsafe.
-        targets: List[Tuple[int, Row]] = []
-        for rowid in candidate_rowids(self.catalog, table, path):
+        assignments = [
+            (schema.position(column), expression)
+            for column, expression in statement.assignments
+        ]
+        for rowid in targets:
             row = table.get(rowid)
-            if row is None:
-                continue
-            if predicate_holds(statement.where, dict(zip(names, row))):
-                targets.append((rowid, row))
-        updated: List[int] = []
-        for rowid, row in targets:
-            context = dict(zip(names, row))
+            # SET sees the context a SELECT's WHERE sees: label.col and col
+            context = self._fragment(table, label, row, frozenset())
             new_row = list(row)
-            for column, expression in statement.assignments:
-                new_row[positions[column]] = expression.evaluate(context)
+            for position, expression in assignments:
+                new_row[position] = expression.evaluate(context)
             table.update(rowid, new_row)
-            updated.append(rowid)
         key = table.name.lower()
         return ResultSet(
             table=table.name,
-            rowids=updated,
-            touched=[(key, rowid) for rowid in updated],
-            rowcount=len(updated),
+            rowids=targets,
+            touched=[(key, rowid) for rowid in targets],
+            rowcount=len(targets),
             statement_kind="update",
         )
 
     def execute_delete(self, statement: DeleteStatement) -> ResultSet:
-        from .planner import candidate_rowids, choose_access_path
-
-        subquery_touched: List[Touched] = []
-        bound = self._bind_subqueries(statement.where, subquery_touched)
-        if bound is not statement.where:
-            from dataclasses import replace
-
-            statement = replace(statement, where=bound)
-        table = self.catalog.table(statement.table)
-        names = [c.name.lower() for c in table.schema.columns]
-        path = choose_access_path(self.catalog, table, statement.where)
-        targets: List[int] = []
-        for rowid in candidate_rowids(self.catalog, table, path):
-            row = table.get(rowid)
-            if row is None:
-                continue
-            if predicate_holds(statement.where, dict(zip(names, row))):
-                targets.append(rowid)
+        table, _label, targets = self._write_targets(statement)
         for rowid in targets:
             table.delete(rowid)
         key = table.name.lower()

@@ -1,8 +1,8 @@
 """Compile ``expr`` AST nodes into batch evaluators over column arrays.
 
-The compiler turns a WHERE-clause expression into a closure evaluating
-the predicate for a whole selection of rows at once, returning a
-three-valued mask (:class:`Tri`). Two tiers:
+The compiler turns a WHERE (or join ON) expression into a closure
+evaluating the predicate for a whole selection of rows at once,
+returning a three-valued mask (:class:`Tri`). Two tiers:
 
 * **numpy tier** — comparisons on INTEGER/FLOAT columns where
   exactness is *provable*: int64-vs-int64 comparisons are exact, and
@@ -16,14 +16,16 @@ three-valued mask (:class:`Tri`). Two tiers:
   of the *original* scalar semantics (``Expression.evaluate`` against
   a minimal context of just the referenced columns), so LIKE, string
   comparisons, arithmetic, and every error message behave exactly as
-  the classic executor's, just without per-row full-fragment dicts.
+  the row tier's, just without per-row full-fragment dicts.
 
-Unsupported *structure* (an unresolvable column name, a subquery node)
-raises :class:`NotVectorizable` at compile time; the caller then runs
-the whole statement on the classic executor, which reproduces the
-classic behaviour for those shapes by construction. Value-dependent
-behaviour (type errors, division by zero) never causes fallback — the
-object tier reproduces it.
+A column the statement cannot resolve (unknown, or a name shared by two
+joined tables) is no compile-time error: it sends its tree to the object
+tier, whose minimal context lacks the key, so ``Expression.evaluate``
+raises the row tier's error on the first evaluated row — and an empty
+selection raises nothing, as on the row tier. An unbound subquery (one
+in a join's ON clause) takes the same road and raises its own error.
+Value-dependent behaviour (type errors, division by zero) is the object
+tier's too.
 """
 
 from __future__ import annotations
@@ -40,26 +42,16 @@ from ..expr import (
     Expression,
     InList,
     InSet,
-    InSubquery,
     IsNull,
     Like,
     Literal,
     Logical,
     Not,
-    ScalarSubquery,
     _as_bool,
     _like_to_regex,
 )
 from ..types import DataType, SQLValue
 from .columns import ColumnBatch, _INT64_MAX, _INT64_MIN
-
-
-class NotVectorizable(Exception):
-    """Raised at compile time when a statement shape is unsupported.
-
-    Callers catch this and fall back to the classic executor; it never
-    escapes the engine.
-    """
 
 
 # -- selections -------------------------------------------------------------
@@ -169,12 +161,9 @@ class SingleTableResolver:
     """Resolve column references for a single-table statement.
 
     Accepts ``label.column`` and bare ``column`` spellings, mirroring
-    the classic executor's fragment keys for a FROM clause with one
-    table (where no name is ever shared). Unknown names raise
-    :class:`NotVectorizable` — the classic path's behaviour for them
-    (an error per evaluated row, or *no* error on an empty candidate
-    set) is subtle enough that falling back is the only way to stay
-    bit-identical.
+    the row tier's context keys for a FROM clause with one table (where
+    no name is ever shared). ``resolve`` answers None for any other
+    name.
     """
 
     def __init__(self, batch: ColumnBatch, label: str):
@@ -184,10 +173,10 @@ class SingleTableResolver:
             self._by_name[f"{label}.{name}"] = index
         self._dtypes = batch.dtypes
 
-    def resolve(self, name: str) -> Tuple[int, DataType]:
+    def resolve(self, name: str) -> Optional[Tuple[int, DataType]]:
         index = self._by_name.get(name.lower())
         if index is None:
-            raise NotVectorizable(f"unresolvable column {name!r}")
+            return None
         return index, self._dtypes[index]
 
 
@@ -204,14 +193,14 @@ def _object_tier(expr: Expression, resolver) -> BatchFilter:
     Builds a minimal row context holding only the columns the
     expression references, so the per-row cost is proportional to the
     expression, not the schema width. Exactness and error behaviour
-    are inherited from ``Expression.evaluate`` itself.
+    are inherited from ``Expression.evaluate`` itself; an unresolvable
+    name is left out of the context, so it raises per evaluated row.
     """
     referenced = {}
     for name in expr.columns():
-        key = name.lower()
-        if key not in referenced:
-            index, _dtype = resolver.resolve(key)
-            referenced[key] = index
+        resolved = resolver.resolve(name)
+        if resolved is not None:
+            referenced[name.lower()] = resolved[0]
 
     def run(view: SelView) -> Tri:
         columns = {
@@ -567,17 +556,20 @@ def _value_category(value: SQLValue) -> Optional[str]:
 
 
 def _leaf_category(expression: Expression, resolver) -> Optional[str]:
-    """Type category of a ColumnRef/Literal leaf, or None otherwise."""
+    """Type category of a ColumnRef/Literal leaf, or None otherwise
+    (an unresolvable column included)."""
     if isinstance(expression, Literal):
         return _value_category(expression.value)
     if isinstance(expression, ColumnRef):
-        _index, dtype = resolver.resolve(expression.name)
+        resolved = resolver.resolve(expression.name)
+        if resolved is None:
+            return None
         return {
             DataType.INTEGER: "numeric",
             DataType.FLOAT: "numeric",
             DataType.TEXT: "text",
             DataType.BOOLEAN: "bool",
-        }[dtype]
+        }[resolved[1]]
     return None
 
 
@@ -642,28 +634,11 @@ def is_safe_bool(expression: Expression, resolver) -> bool:
     if isinstance(expression, Literal):
         return expression.value is None or isinstance(expression.value, bool)
     if isinstance(expression, ColumnRef):
-        _index, dtype = resolver.resolve(expression.name)
-        return dtype is DataType.BOOLEAN
-    # Arithmetic, Negate, unknown nodes: may raise (type errors,
-    # division by zero, non-boolean predicate results).
-    return False
-
-
-def contains_subquery(expression: Optional[Expression]) -> bool:
-    """Whether any subquery node appears anywhere in the tree."""
-    if expression is None:
-        return False
-    if isinstance(expression, (ScalarSubquery, InSubquery)):
-        return True
-    for attribute in ("left", "right", "operand", "low", "high", "pattern"):
-        child = getattr(expression, attribute, None)
-        if isinstance(child, Expression) and contains_subquery(child):
-            return True
-    items = getattr(expression, "items", None)
-    if items:
-        for item in items:
-            if contains_subquery(item):
-                return True
+        resolved = resolver.resolve(expression.name)
+        return resolved is not None and resolved[1] is DataType.BOOLEAN
+    # Arithmetic, Negate, subqueries, unknown nodes: may raise (type
+    # errors, division by zero, non-boolean predicate results, unbound
+    # subqueries).
     return False
 
 
@@ -672,18 +647,14 @@ def compile_filter(
 ) -> Optional[BatchFilter]:
     """Compile a predicate into a batch evaluator.
 
-    Returns None for an absent predicate (every row passes). Raises
-    :class:`NotVectorizable` for structurally unsupported expressions
-    (unknown columns, subqueries).
+    Returns None for an absent predicate (every row passes).
     """
     if expression is None:
         return None
-    if contains_subquery(expression):
-        raise NotVectorizable("subquery in predicate")
     if not is_safe_bool(expression, resolver):
         # The tree can raise: evaluate it whole, row by row, so the
         # first error comes from the first offending row exactly as on
-        # the classic path (batching subtrees would reorder errors).
+        # the row tier (batching subtrees would reorder errors).
         return _object_tier(expression, resolver)
     return _compile(expression, resolver)
 

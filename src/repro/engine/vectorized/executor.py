@@ -1,28 +1,29 @@
-"""The vectorized SELECT executor.
+"""The columnar executor: the serving tier's one row source.
 
-:class:`VectorizedExecutor` subclasses the classic
+:class:`VectorizedExecutor` subclasses the row-at-a-time
 :class:`~repro.engine.executor.Executor` and replaces only its row
-source: instead of materialising a dict context per row, it works over
+sources: instead of materialising a dict context per row, it works over
 *positions* into each table's :class:`~repro.engine.vectorized.
 columns.ColumnBatch` view, which only a writer holding the engine's
 exclusive lock patches. A working row is a tuple of per-source
 positions (``-1`` marks an outer-join null extension). Predicates
-compile into batch evaluators (:mod:`.compiler`) and equi-joins become
-positional hash joins. Projection, grouping, aggregation, ordering,
-slicing and the ``rowids``/``touched`` lists are the classic
+compile into batch evaluators (:mod:`.compiler`); equi-joins become
+positional hash joins and every other ON condition a positional nested
+loop. Projection, grouping, aggregation, ordering, slicing and the
+``rowids``/``touched`` lists are the inherited
 :meth:`~repro.engine.executor.Executor._shape`, run over these tuples
-through :class:`PositionReader`.
+through :class:`PositionReader`. UPDATE and DELETE pick their targets
+from the same single-table row source (:meth:`VectorizedExecutor.
+_target_rowids`).
 
-Everything that is not provably reproducible raises
-:class:`~repro.engine.vectorized.compiler.NotVectorizable` during
-planning and the statement reruns on the inherited classic path — DML
-and DDL never enter this module at all. The invariant is bit-identical
-output: ``rows``, ``rowids``, and ``touched`` (values *and* order)
-must equal the classic executor's, because the delay guard prices
-queries, maintains popularity counts, and keys its result cache off
-them. The row source therefore keeps the classic scan and join order:
-the same planner access path, and hash joins only where the classic
-path would hash-join.
+Every statement runs here; nothing falls back to the row tier, which
+stays only as the reference the equivalence tests compare against. The
+invariant is bit-identical output: ``rows``, ``rowids``, and ``touched``
+(values *and* order), and the same error for the same statement, as
+the row tier's, because the delay guard prices queries, maintains
+popularity counts, and keys its result cache off them. The row source
+therefore keeps the row tier's scan and join order: the same planner
+access path, and hash joins only where the row tier would hash-join.
 """
 
 from __future__ import annotations
@@ -31,18 +32,12 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as _np
 
-from ..catalog import Catalog
 from ..executor import Executor, ResultSet, Touched
 from ..expr import ColumnRef, Comparison, Expression
 from ..parser.ast import SelectStatement
 from ..types import SQLValue
 from .columns import ColumnBatch
-from .compiler import (
-    NotVectorizable,
-    SelView,
-    SingleTableResolver,
-    compile_filter,
-)
+from .compiler import SelView, SingleTableResolver, compile_filter
 
 #: A working row: one position per FROM source, -1 = outer-join null.
 PosTuple = Tuple[int, ...]
@@ -99,7 +94,8 @@ class MultiView:
 
 
 class MultiResolver:
-    """Resolve column names to ``(source, column)`` across all sources."""
+    """Resolve column names to ``(source, column)`` across all sources
+    (None for a name the key map lacks)."""
 
     def __init__(self, key_map: Dict[str, Tuple[int, int]], batches):
         self._key_map = key_map
@@ -108,7 +104,7 @@ class MultiResolver:
     def resolve(self, name: str):
         entry = self._key_map.get(name.lower())
         if entry is None:
-            raise NotVectorizable(f"unresolvable column {name!r}")
+            return None
         source, column = entry
         return entry, self._batches[source].dtypes[column]
 
@@ -136,16 +132,17 @@ class PositionReader:
 
         Semantics (including error messages and evaluation order) come
         from ``Expression.evaluate`` itself; only context construction
-        is narrowed. Unresolvable references fall back to classic,
-        which reproduces the resolve-or-raise behaviour exactly.
+        is narrowed. An unresolvable name is left out of the context,
+        so it raises the row tier's error on each evaluated row.
         """
         batches = self._batches
-        if isinstance(expression, ColumnRef):
-            entry = self._key_map.get(expression.name.lower())
-            if entry is None:
-                raise NotVectorizable(
-                    f"unresolvable column {expression.name!r}"
-                )
+        key_map = self._key_map
+        entry = (
+            key_map.get(expression.name.lower())
+            if isinstance(expression, ColumnRef)
+            else None
+        )
+        if entry is not None:
             source, column = entry
             values = batches[source].columns[column]
 
@@ -157,13 +154,9 @@ class PositionReader:
 
         referenced: Dict[str, Tuple[int, int]] = {}
         for name in expression.columns():
-            key = name.lower()
-            if key in referenced:
-                continue
-            entry = self._key_map.get(key)
-            if entry is None:
-                raise NotVectorizable(f"unresolvable column {name!r}")
-            referenced[key] = entry
+            entry = key_map.get(name.lower())
+            if entry is not None:
+                referenced[name.lower()] = entry
 
         def run(t: PosTuple) -> SQLValue:
             context = {
@@ -223,38 +216,27 @@ class PositionReader:
 
 
 class VectorizedExecutor(Executor):
-    """Columnar SELECT execution with classic fallback."""
-
-    def __init__(self, catalog: Catalog):
-        super().__init__(catalog)
-        #: dispatch counters, surfaced by the guard's observability.
-        self.path_counts: Dict[str, int] = {"vectorized": 0, "classic": 0}
-
-    # -- dispatch -----------------------------------------------------------
+    """Columnar execution of every SELECT and of every UPDATE/DELETE's
+    target pick."""
 
     def _execute_bound_select(self, statement: SelectStatement) -> ResultSet:
-        try:
-            result = self._vector_select(statement)
-        except NotVectorizable:
-            result = super()._execute_bound_select(statement)
-            result.execution_path = "classic"
-            self.path_counts["classic"] += 1
-            return result
+        sources, reader, tuples = self._vector_select(statement)
+        result = self._shape(statement, sources, reader, tuples)
         result.execution_path = "vectorized"
-        self.path_counts["vectorized"] += 1
         return result
 
-    # -- planning -----------------------------------------------------------
+    # -- row sourcing ---------------------------------------------------------
 
-    def _vector_select(self, statement: SelectStatement) -> ResultSet:
+    def _vector_select(self, statement: SelectStatement):
+        """A SELECT's sources, its reader, and its filtered position tuples."""
         # Source resolution raises the same CatalogError /
-        # ExecutionError the classic path would (shared methods).
+        # ExecutionError the row tier would (shared methods).
         sources = self._select_sources(statement)
         shared = self._shared_columns(sources)
         batches = [table.column_batch() for table, _ in sources]
-        # name -> (source, column): the static image of the classic
-        # executor's merged fragment keys (label.col always, bare col
-        # only when unshared; labels are unique so keys never collide).
+        # name -> (source, column): the static image of the row tier's
+        # merged fragment keys (label.col always, bare col only when
+        # unshared; labels are unique so keys never collide).
         key_map: Dict[str, Tuple[int, int]] = {}
         for source_index, ((_table, label), batch) in enumerate(
             zip(sources, batches)
@@ -265,7 +247,7 @@ class VectorizedExecutor(Executor):
                     key_map[name] = (source_index, column_index)
 
         if statement.joins:
-            tuples = self._joined_tuples(statement, sources, batches, key_map)
+            tuples = self._joined_tuples(statement, batches, key_map)
             if statement.where is not None:
                 batch_filter = compile_filter(
                     statement.where, MultiResolver(key_map, batches)
@@ -276,11 +258,18 @@ class VectorizedExecutor(Executor):
             tuples = self._single_table_tuples(
                 statement, sources[0], batches[0]
             )
-
         reader = PositionReader(sources, batches, key_map, shared)
-        return self._shape(statement, sources, reader, tuples)
+        return sources, reader, tuples
 
-    # -- row sourcing ---------------------------------------------------------
+    def _target_rowids(self, statement: SelectStatement, source) -> List[int]:
+        """An UPDATE/DELETE's targets: the rowids at the positions the
+        single-table row source selects, in its order."""
+        batch = source[0].column_batch()
+        rowids = batch.rowids
+        return [
+            rowids[position]
+            for position, in self._single_table_tuples(statement, source, batch)
+        ]
 
     def _single_table_tuples(
         self,
@@ -288,9 +277,9 @@ class VectorizedExecutor(Executor):
         source,
         batch: ColumnBatch,
     ) -> List[PosTuple]:
-        """Filtered positions for a single-table SELECT.
+        """Filtered positions for a single-table statement.
 
-        Uses the same planner access path as the classic executor, so
+        Uses the same planner access path as the row tier, so
         candidate order (and therefore output order) is identical.
         """
         from ..planner import candidate_rowids, choose_access_path
@@ -304,7 +293,7 @@ class VectorizedExecutor(Executor):
             positions = []
             for rowid in candidate_rowids(self.catalog, table, path):
                 position = batch.position_of(rowid)
-                if position is not None:  # classic skips vanished rows
+                if position is not None:  # the row tier skips them too
                     positions.append(position)
 
         if statement.where is None:
@@ -325,76 +314,83 @@ class VectorizedExecutor(Executor):
     def _joined_tuples(
         self,
         statement: SelectStatement,
-        sources,
         batches: List[ColumnBatch],
         key_map: Dict[str, Tuple[int, int]],
     ) -> List[PosTuple]:
-        """Positional hash joins, replicating the classic join exactly.
+        """Positional joins, replicating the row tier's exactly.
 
-        The classic `_apply_join` picks its hash path from the merged
-        context keys at runtime; those key sets equal our static
+        The row tier's ``_apply_join`` picks its hash path from the
+        merged context keys at runtime; those key sets equal our static
         ``key_map`` prefixes, so the same statements hash-join here.
-        Bucket lookups use a plain dict exactly like the classic path
-        (so e.g. ``1`` and ``1.0`` share a bucket there and here).
-        Conditions the classic path would nested-loop fall back
-        entirely (NotVectorizable).
+        Bucket lookups use a plain dict exactly like the row tier (so
+        e.g. ``1`` and ``1.0`` share a bucket there and here). Every
+        other ON condition is a nested loop: compiled once per join
+        against the sources joined so far, it runs per left tuple over
+        all right positions, so memory stays O(right) and pairs (and the
+        first error a condition raises) come in the row tier's order.
         """
-        # Classic: joins drive off table.rowids() (full scan order).
+        # The row tier's joins drive off table.rowids() (full scan order).
         tuples: List[PosTuple] = [(p,) for p in range(len(batches[0]))]
-        left_keys = {
-            name
-            for name, (source, _column) in key_map.items()
-            if source == 0
-        }
         for join_index, join in enumerate(statement.joins, start=1):
             batch = batches[join_index]
+            visible = {
+                name: entry
+                for name, entry in key_map.items()
+                if entry[0] <= join_index
+            }
             right_keys = {
-                name
-                for name, (source, _column) in key_map.items()
-                if source == join_index
+                name for name, entry in visible.items() if entry[0] == join_index
             }
             equi = self._static_equi_keys(
-                join.condition, left_keys, right_keys
+                join.condition, visible.keys() - right_keys, right_keys
             )
-            if equi is None:
-                raise NotVectorizable("non-equi join condition")
-            left_name, right_name = equi
-            left_source, left_column = key_map[left_name]
-            right_column = key_map[right_name][1]
-            left_values = batches[left_source].columns[left_column]
-            right_values = batch.columns[right_column]
-
-            buckets: Dict[SQLValue, List[int]] = {}
-            for position, value in enumerate(right_values):
-                if value is None:
-                    continue
-                buckets.setdefault(value, []).append(position)
-
             joined: List[PosTuple] = []
-            for t in tuples:
-                left_position = t[left_source]
-                value = (
-                    left_values[left_position] if left_position >= 0 else None
+            if equi is None:
+                on = compile_filter(
+                    join.condition, MultiResolver(visible, batches)
                 )
-                matches = (
-                    buckets.get(value, []) if value is not None else []
-                )
-                for right_position in matches:
-                    joined.append(t + (right_position,))
-                if not matches and join.outer:
-                    joined.append(t + (-1,))
+                right = range(len(batch))
+                for t in tuples:
+                    pairs = [t + (p,) for p in right]
+                    hits = on(MultiView(batches, pairs)).true_positions()
+                    joined.extend([pairs[i] for i in hits])
+                    if not hits and join.outer:
+                        joined.append(t + (-1,))
+            else:
+                left_name, right_name = equi
+                left_source, left_column = key_map[left_name]
+                left_values = batches[left_source].columns[left_column]
+                buckets: Dict[SQLValue, List[int]] = {}
+                for position, value in enumerate(
+                    batch.columns[key_map[right_name][1]]
+                ):
+                    if value is not None:
+                        buckets.setdefault(value, []).append(position)
+                for t in tuples:
+                    left_position = t[left_source]
+                    value = (
+                        left_values[left_position]
+                        if left_position >= 0
+                        else None
+                    )
+                    matches = (
+                        buckets.get(value, []) if value is not None else []
+                    )
+                    for right_position in matches:
+                        joined.append(t + (right_position,))
+                    if not matches and join.outer:
+                        joined.append(t + (-1,))
             tuples = joined
-            left_keys |= right_keys
         return tuples
 
     @staticmethod
     def _static_equi_keys(
         condition: Expression, left_keys, right_keys
     ) -> Optional[Tuple[str, str]]:
-        """Static twin of the classic ``_equi_join_keys`` membership test.
+        """Static twin of the row tier's ``_equi_join_keys`` membership test.
 
-        The classic check also returns None when either input is empty
-        (falling to its nested loop) — but on an empty side both
+        The row tier's check also returns None when either input is
+        empty (falling to its nested loop) — but on an empty side both
         branches produce identical output, so resolving statically here
         is equivalence-preserving.
         """

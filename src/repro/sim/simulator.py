@@ -148,8 +148,8 @@ class TraceReplayer:
         key = (self.table.lower(), self._rowid_of(item))
         delay = guard.policy.delay_for(key)
         guard.popularity.record(key)
-        guard.stats.note_select(delay, 1)
         guard.stats.note_query(delay, 0.0, 0.0)
+        guard.stats.note_select(delay, 1)
         if delay > 0:
             guard.clock.sleep(delay)
         report.queries += 1

@@ -184,6 +184,39 @@ class TestDelete:
         assert db.execute("DELETE FROM users WHERE id = 99").rowcount == 0
 
 
+@pytest.mark.parametrize("vectorized", [True, False])
+class TestQualifiedNamesInDML:
+    """UPDATE and DELETE see the ``table.column`` spelling a SELECT's
+    WHERE sees (and SQLite accepts), on either executor tier."""
+
+    @pytest.fixture
+    def t(self, vectorized):
+        database = Database()
+        database.configure_execution(vectorized=vectorized)
+        database.execute("CREATE TABLE t (id INTEGER PRIMARY KEY, v INTEGER)")
+        database.execute("INSERT INTO t VALUES (1, 10), (2, 20), (3, 30)")
+        return database
+
+    def test_update_where_qualified(self, t):
+        result = t.execute("UPDATE t SET v = 11 WHERE t.id = 1")
+        assert (result.rowids, result.rowcount) == ([1], 1)
+        assert t.query("SELECT v FROM t ORDER BY id") == [(11,), (20,), (30,)]
+
+    def test_update_set_reads_qualified(self, t):
+        t.execute("UPDATE t SET v = t.v + 1 WHERE t.id = 1")
+        assert t.query("SELECT v FROM t WHERE id = 1") == [(11,)]
+
+    def test_delete_where_qualified(self, t):
+        result = t.execute("DELETE FROM t WHERE t.id = 3")
+        assert (result.rowids, result.touched) == ([3], [("t", 3)])
+        assert t.query("SELECT id FROM t ORDER BY id") == [(1,), (2,)]
+
+    def test_unknown_qualifier_still_rejected(self, t):
+        with pytest.raises(ExecutionError, match="unknown or ambiguous"):
+            t.execute("UPDATE t SET v = 1 WHERE u.id = 1")
+        assert t.query("SELECT v FROM t ORDER BY id") == [(10,), (20,), (30,)]
+
+
 class TestDDL:
     def test_create_and_drop_table(self, db):
         db.execute("CREATE TABLE extra (a INTEGER)")

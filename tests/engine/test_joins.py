@@ -7,8 +7,7 @@ from repro.engine.errors import ExecutionError, ParseError
 from repro.engine.parser import parse
 
 
-@pytest.fixture
-def db():
+def make_db():
     database = Database()
     database.execute(
         "CREATE TABLE orders (id INTEGER PRIMARY KEY, customer INTEGER, "
@@ -27,6 +26,11 @@ def db():
         "(12, 2, 3.0), (13, 9, 1.0)"
     )
     return database
+
+
+@pytest.fixture
+def db():
+    return make_db()
 
 
 class TestParsing:

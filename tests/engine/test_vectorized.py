@@ -2,15 +2,17 @@
 
 The equivalence harness (``test_vectorized_equivalence``) proves
 *what* the vectorized path returns; these tests pin down *how* it is
-selected — dispatch, per-statement fallback, the configuration knob —
-and the two hot-path bugs the refactor fixed (integer precision above
-2**53, aggregate LIMIT/OFFSET).
+selected — the default tier, the path each statement reports, the
+configuration knob — and the two hot-path bugs the refactor fixed
+(integer precision above 2**53, aggregate LIMIT/OFFSET).
 """
 
 import pytest
 
 from repro.core.config import GuardConfig
 from repro.engine import Database, Executor, VectorizedExecutor
+from repro.engine.errors import ExecutionError
+from repro.engine.parser import parse
 
 BIG = 2**53
 
@@ -33,23 +35,35 @@ class TestDispatch:
     def test_vectorized_is_the_default_executor(self, db):
         assert isinstance(db.executor, VectorizedExecutor)
 
-    def test_vectorizable_select_marked_and_counted(self, db):
+    def test_every_statement_kind_reports_its_path(self, db):
+        # Only a SELECT names the tier that served it; a write or DDL
+        # names none, so the path metric counts SELECTs alone.
         result = db.execute("SELECT id FROM t WHERE grp = 1")
         assert result.execution_path == "vectorized"
-        assert db.execution_path_counts()["vectorized"] == 1
-        assert db.execution_path_counts()["classic"] == 0
+        for sql in (
+            "INSERT INTO t VALUES (41, 0, 0, 0.0)",
+            "UPDATE t SET grp = 5 WHERE id = 41",
+            "DELETE FROM t WHERE id = 41",
+            "CREATE INDEX t_grp ON t (grp)",
+        ):
+            assert db.execute(sql).execution_path is None, sql
 
-    def test_unvectorizable_statement_falls_back_per_statement(self, db):
-        # A non-equi join has no batch form; the statement (and only
-        # the statement) drops to the classic row-at-a-time path.
-        result = db.execute(
-            "SELECT a.id FROM t a JOIN t b ON a.id < b.id WHERE b.id = 2"
+    def test_former_fallback_shapes_run_columnar(self, db):
+        # A non-equi join and an ambiguous column once dropped the
+        # statement to the row tier; now the columnar tier runs them
+        # and answers what the row tier answers.
+        sql = "SELECT a.id FROM t a JOIN t b ON a.id < b.id WHERE b.id = 3"
+        result = db.execute(sql)
+        assert result.execution_path == "vectorized"
+        assert result.rows == [(1,), (2,)]
+        expected = Executor(db.catalog).execute(parse(sql))
+        assert expected.execution_path == "classic"
+        assert (result.rows, result.touched) == (
+            expected.rows,
+            expected.touched,
         )
-        assert result.execution_path == "classic"
-        counts = db.execution_path_counts()
-        assert counts["classic"] == 1
-        db.execute("SELECT id FROM t WHERE grp = 2")
-        assert db.execution_path_counts()["vectorized"] == 1
+        with pytest.raises(ExecutionError, match="ambiguous column 'id'"):
+            db.execute("SELECT id FROM t a JOIN t b ON a.id = b.grp")
 
     def test_configure_execution_pins_classic(self, db):
         db.configure_execution(vectorized=False)
@@ -133,5 +147,10 @@ class TestGuardWiring:
         )
         guard.execute("SELECT * FROM g WHERE id = 1", sleep=False)
         guard.execute("SELECT * FROM g WHERE id = 1", sleep=False)
+        # writes are on no path: the series counts SELECTs only
+        guard.execute("INSERT INTO g VALUES (3)", sleep=False)
+        guard.execute("UPDATE g SET id = 4 WHERE id = 3", sleep=False)
+        guard.execute("DELETE FROM g WHERE id = 4", sleep=False)
         assert guard._m_execution_path.value(path="vectorized") == 1
         assert guard._m_execution_path.value(path="cached") == 1
+        assert guard._m_execution_path.value(path="classic") == 0

@@ -1,18 +1,20 @@
-"""Differential harness: vectorized executor == classic executor.
+"""Differential harness: vectorized executor == row-tier executor.
 
-The vectorized path is only admissible because it is *bit-identical*
-to the row-at-a-time executor: the guard prices delay off
-``ResultSet.touched``, records popularity off the same, and keys the
-result cache off the emitted rows — any divergence silently corrupts
-the defense. This harness runs every statement through both executors
-over the same catalog and asserts equality of columns, rows (by
-``repr``, so ``1`` vs ``1.0`` and ``True`` vs ``1`` cannot slip
-through), rowids, touched, and rowcount — or that both raise the same
-error.
+The columnar tier serves every statement, and it is only admissible
+because it is *bit-identical* to the row-at-a-time reference tier: the
+guard prices delay off ``ResultSet.touched``, records popularity off the
+same, and keys the result cache off the emitted rows — any divergence
+silently corrupts the defense. This harness runs every statement
+through both executors over the same catalog and asserts equality of
+columns, rows (by ``repr``, so ``1`` vs ``1.0`` and ``True`` vs ``1``
+cannot slip through), rowids, touched, and rowcount — or that both
+raise the same error.
 
-Coverage is a fixed corpus (every statement shape the engine parses)
-plus a seeded random fuzzer over NULL-heavy tables with >2**53
-integers and mixed int/float columns.
+Coverage is a fixed SELECT corpus (every statement shape the engine
+parses), the shapes the columnar tier once handed to the row tier, a
+DML corpus whose targets each tier picks with its own row source, plus
+seeded random fuzzers over NULL-heavy tables with >2**53 integers and
+mixed int/float columns.
 """
 
 import random
@@ -26,6 +28,8 @@ from repro.engine import Database, Executor
 from repro.engine.errors import EngineError, ExecutionError
 from repro.engine.parser import parse
 from repro.engine.vectorized import VectorizedExecutor
+
+from .test_joins import make_db as make_joins_db
 
 BIG = 2**53  # above float64's exact-integer range
 
@@ -214,14 +218,133 @@ def test_corpus_statement(db, sql):
 
 
 def test_corpus_actually_exercises_vectorized_path(db):
-    """Guard against the harness silently comparing classic-vs-classic."""
+    """Guard against the harness silently comparing the row tier with
+    itself: every corpus SELECT runs columnar, or raises there."""
     vectorized = VectorizedExecutor(db.catalog)
     for sql in CORPUS:
         try:
-            vectorized.execute(parse(sql))
+            result = vectorized.execute(parse(sql))
         except ExecutionError:
-            pass
-    assert vectorized.path_counts["vectorized"] > len(CORPUS) // 2
+            continue
+        assert result.execution_path == "vectorized", sql
+
+
+# -- shapes the columnar tier once handed to the row tier --------------------
+
+#: Statements over ``test_joins``' orders/customers tables: non-equi ON
+#: conditions run as positional nested loops, an ambiguous bare column
+#: raises lazily, on the first evaluated row, as on the row tier.
+FORMER_FALLBACKS = [
+    "SELECT o.id FROM orders o JOIN customers c "
+    "ON o.customer < c.id ORDER BY o.id",
+    "SELECT o.id, c.id FROM orders o LEFT JOIN customers c "
+    "ON o.customer = c.id AND o.total > 100 ORDER BY o.id",
+    "SELECT id FROM orders o JOIN customers c ON o.customer = c.id",
+    # the same shapes where no row is ever evaluated: no error either
+    "SELECT id FROM orders o JOIN customers c ON o.customer = c.id "
+    "WHERE c.id > 99",
+    "SELECT o.id FROM orders o JOIN customers c "
+    "ON o.customer < c.id AND c.nosuch = 1 WHERE o.id > 99",
+    # a non-equi LEFT JOIN whose right side is empty pads every row
+    "SELECT o.id, c.name FROM orders o LEFT JOIN customers c "
+    "ON o.customer < c.id AND c.id > 99",
+    # a non-equi condition that raises mid-loop, on the same pair
+    "SELECT o.id FROM orders o JOIN customers c "
+    "ON o.total / (c.id - 2) > 1",
+    # a three-way join mixing a hash join and a nested loop
+    "SELECT o.id, c.name, p.id FROM orders o "
+    "JOIN customers c ON o.customer = c.id "
+    "JOIN orders p ON p.total > o.total ORDER BY o.id, p.id",
+    # an ON condition sees only the tables joined so far
+    "SELECT o.id FROM orders o JOIN customers c ON o.customer < p.id "
+    "JOIN orders p ON p.id = o.id",
+]
+
+
+@pytest.mark.parametrize("sql", FORMER_FALLBACKS)
+def test_former_fallback_statement(sql):
+    result = run_both(make_joins_db(), sql)
+    if result is not None:
+        assert result.execution_path == "vectorized", sql
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT id FROM users WHERE nosuch = 1",
+        "SELECT id FROM users WHERE id = 99 AND nosuch = 1",
+        "SELECT nosuch FROM users WHERE id = 99",
+        "SELECT users.id FROM users "
+        "JOIN orders ON users.id IN (SELECT uid FROM orders)",
+    ],
+)
+def test_unresolvable_names_raise_lazily(db, sql):
+    run_both(db, sql)
+
+
+def test_unresolvable_column_on_an_empty_table():
+    database = Database()
+    database.execute("CREATE TABLE e (id INTEGER PRIMARY KEY, v INTEGER)")
+    for sql in (
+        "SELECT id FROM e WHERE nosuch = 1",
+        "SELECT nosuch FROM e",
+        "SELECT e.id FROM e JOIN e f ON e.nosuch < f.id",
+    ):
+        assert run_both(database, sql).rows == [], sql
+
+
+# -- DML: each tier picks the targets with its own row source -----------------
+
+DML_CORPUS = [
+    # pk point
+    "UPDATE users SET age = 31 WHERE id = 1",
+    "DELETE FROM orders WHERE oid = 13",
+    # full-scan predicates
+    "UPDATE users SET score = score + 1 WHERE age > 26",
+    "DELETE FROM orders WHERE amount < 6",
+    "UPDATE big SET v = v - 1 WHERE v > " + str(BIG),
+    # IN-list
+    "UPDATE users SET active = FALSE WHERE id IN (2, 4, 6)",
+    # IN-subquery (bound first; its reads are not charged to the write)
+    "UPDATE users SET age = age + 1 WHERE id IN (SELECT uid FROM orders)",
+    "DELETE FROM orders WHERE uid IN (SELECT id FROM users WHERE age > 30)",
+    # table-qualified names in WHERE and SET
+    "UPDATE users SET age = users.age + 1 WHERE users.id = 1",
+    "DELETE FROM users WHERE users.id = 5",
+    # a type error mid-scan (after row 1 is written) rolls back
+    "UPDATE users SET score = 10 / (age - 26) WHERE id <= 4",
+    "UPDATE users SET name = age + name WHERE id >= 2",
+    # unresolvable names raise on the first evaluated row, or never
+    "DELETE FROM users WHERE nosuch = 1",
+    "DELETE FROM users WHERE id = 99 AND nosuch = 1",
+    "UPDATE users SET age = nosuch WHERE id = 99",
+    # no WHERE at all
+    "UPDATE orders SET item = 'x'",
+    "DELETE FROM big",
+]
+
+
+def _contents(database):
+    return {
+        name: repr(list(database.catalog.table(name).scan()))
+        for name in ("users", "orders", "big")
+    }
+
+
+def test_dml_corpus_equivalence():
+    vectorized, classic = populate(Database()), populate(Database())
+    classic.configure_execution(vectorized=False)
+    for sql in DML_CORPUS:
+        before = _contents(vectorized)
+        outcome = _outcome(vectorized, sql)
+        assert outcome == _outcome(classic, sql), sql
+        assert _contents(vectorized) == _contents(classic), sql
+        if isinstance(outcome, str):  # an error: the statement left no trace
+            assert _contents(vectorized) == before, sql
+    # ``big`` is only ever written, never SELECTed: its one column batch
+    # was built to pick the targets of the first statement that wrote it
+    assert vectorized.catalog.table("big").batch_builds == 1
+    assert classic.catalog.table("big").batch_builds == 0
 
 
 # -- seeded fuzz --------------------------------------------------------------
@@ -421,7 +544,6 @@ def test_fuzz_equivalence_under_writes(seed):
         )
     table = vectorized.catalog.table("f")
     assert table.batch_patches > 0 and table.batch_builds == 1
-    assert vectorized.execution_path_counts()["vectorized"] > 0
     assert classic.catalog.table("f").batch_builds == 0
 
 
@@ -467,5 +589,5 @@ def test_guard_priced_delay_identical_across_executors():
         assert vectorized.result.rowids == classic.result.rowids
         assert vectorized.result.touched == classic.result.touched
         assert vectorized.delay == classic.delay, sql
-    counts = vectorized_guard.database.execution_path_counts()
-    assert counts.get("vectorized", 0) > 0
+        assert vectorized.result.execution_path == "vectorized", sql
+        assert classic.result.execution_path == "classic", sql

@@ -9,7 +9,9 @@ copy of the lifecycle means editing a list here, on purpose.
 
 A SELECT's result is shaped once too: projection, grouping,
 aggregation, ordering, slicing and ``touched`` are ``Executor._shape``,
-and the columnar tier only sources rows and reads them.
+and the columnar tier only sources rows and reads them. It serves every
+statement: no shape falls back to the row tier, and UPDATE and DELETE
+pick their targets from the same row source a SELECT reads.
 
 The same goes for what a guard can be configured to be: options only
 an ablation set are gone from ``GuardConfig``, the §4.4 count stores
@@ -175,6 +177,7 @@ def test_one_select_shaper():
         "_single_table_tuples",
         "_joined_tuples",
         "_static_equi_keys",
+        "_target_rowids",
     }
     own = {
         name for name in vars(VectorizedExecutor) if not name.startswith("__")
@@ -193,6 +196,24 @@ def test_one_select_shaper():
         assert name in vars(Executor), name
     # numpy is a declared dependency: no tier runs without it
     assert files_mentioning("HAVE_NUMPY") == []
+
+
+def test_one_serving_row_source():
+    # No per-statement fallback to the row tier, and no counter of it.
+    for needle in ("NotVectorizable", "path_counts", "execution_path_counts"):
+        assert files_mentioning(needle) == [], needle
+    # UPDATE and DELETE take their targets from the tier's row source,
+    # not from a candidate loop of their own.
+    for handler in (
+        Executor.execute_update,
+        Executor.execute_delete,
+        Executor._write_targets,
+    ):
+        code = inspect.getsource(handler)
+        for name in ("candidate_rowids", "predicate_holds"):
+            assert name not in code, (handler.__name__, name)
+    for name in ("execute_update", "execute_delete"):
+        assert name not in vars(VectorizedExecutor), name
 
 
 def _fresh_literal_reads(monkeypatch):
