@@ -8,7 +8,7 @@ zero false positives among the browsers.
 
 import pytest
 
-from repro.core.detection import CoverageMonitor
+from repro.obs import ForensicsMonitor
 from repro.sim.experiment import ResultTable
 from repro.workloads.zipf import ZipfSampler
 
@@ -22,7 +22,7 @@ def run_detection_experiment():
     # 5k requests) plateaus around 15% coverage and ~50% novelty; the
     # robot is 100% novel forever, so novelty catches it right after
     # the grace period while coverage stays a safe backstop.
-    monitor = CoverageMonitor(
+    monitor = ForensicsMonitor(
         population=POPULATION,
         coverage_threshold=0.25,
         novelty_threshold=0.90,
@@ -36,13 +36,13 @@ def run_detection_experiment():
         )
         name = f"browser-{index}"
         for item in sampler.sample_many(BROWSER_REQUESTS):
-            monitor.record(name, [("t", int(item))])
+            monitor.observe(name, [("t", int(item))])
 
     # The robot walks the key space; find when it gets flagged.
     flagged_at = None
     for item in range(1, POPULATION + 1):
-        monitor.record("robot", [("t", item)])
-        if flagged_at is None and monitor.evaluate("robot") is not None:
+        monitor.observe("robot", [("t", item)])
+        if flagged_at is None and "robot" in monitor.flagged():
             flagged_at = item
     return monitor, flagged_at
 
@@ -60,21 +60,16 @@ def test_ablation_detection(benchmark):
             f"({flagged_at / POPULATION:.1%} copied)"
         ),
     )
-    suspects = {s.identity for s in monitor.suspects()}
-    for index in (0, BROWSERS // 2, BROWSERS - 1):
-        name = f"browser-{index}"
+    suspects = set(monitor.flagged())
+    names = [f"browser-{index}" for index in (0, BROWSERS // 2, BROWSERS - 1)]
+    for name in names + ["robot"]:
+        profile = monitor.profiles[name]
         table.add_row(
             name,
-            f"{monitor.coverage(name):.1%}",
-            f"{monitor.novelty_rate(name):.1%}",
+            f"{profile.coverage(monitor.population):.1%}",
+            f"{profile.novelty_rate():.1%}",
             "YES" if name in suspects else "no",
         )
-    table.add_row(
-        "robot",
-        f"{monitor.coverage('robot'):.1%}",
-        f"{monitor.novelty_rate('robot'):.1%}",
-        "YES" if "robot" in suspects else "no",
-    )
     table.show()
 
     # The robot is caught early...

@@ -19,7 +19,11 @@ from repro.core import AccountPolicy, GuardConfig, RealClock
 from repro.server import DelayClient, DelayServer
 from repro.service import DataProviderService
 
-ROWS = 100
+#: Small enough that each client's 12 distinct reads cover more than
+#: half the table, so every instrumented client trips the forensics
+#: coverage flag at the monitor's default threshold (0.5) and the run
+#: pays for flag audit events too, not only served/priced ones.
+ROWS = 20
 CLIENTS = 8
 QUERIES_PER_CLIENT = 12
 FIXED_DELAY = 0.02
@@ -33,11 +37,7 @@ def build_server(tmp_path=None, observability=False):
     config = dict(policy="fixed", fixed_delay=FIXED_DELAY)
     audit_path = None
     if observability:
-        config.update(
-            forensics=True,
-            forensics_min_requests=10,
-            forensics_window=50,
-        )
+        config.update(forensics=True)
         audit_path = str(tmp_path / "audit.jsonl")
     service = DataProviderService(
         guard_config=GuardConfig(**config),
@@ -121,6 +121,8 @@ def test_audit_and_forensics_overhead(benchmark, tmp_path):
         assert stats["dropped"] == 0
         forensics = instrumented.service.guard.forensics
         assert forensics.summary()["tracked_identities"] > 0
+        assert forensics.summary()["flags_raised_total"] >= 1
+        assert stats["by_kind"].get("forensic_flag", 0) >= 1
         assert overhead <= MAX_OVERHEAD, (
             f"audit + forensics cost {overhead:.1%} of throughput "
             f"({instrumented_rate:.1f} vs {baseline_rate:.1f} q/s); "

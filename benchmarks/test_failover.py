@@ -131,7 +131,7 @@ def run_failover(tmp_path):
             "steady_qps": steady_qps,
             "outage_denied": outage_denied,
             "steady_denied": steady_denied,
-            "failovers": cluster.monitor.failovers_total,
+            "failovers": sum(group.failovers for group in cluster.groups),
         }
     finally:
         cluster.close()

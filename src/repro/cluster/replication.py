@@ -723,19 +723,3 @@ class GroupMonitor:
                 # (an injected fault, a racing teardown): skipping one
                 # pass costs staleness, dying costs failover entirely.
                 self.probe_failures_total += 1
-
-    # -- observability -------------------------------------------------------
-
-    @property
-    def failovers_total(self) -> int:
-        return sum(group.failovers for group in self.groups)
-
-    def stats(self) -> Dict:
-        return {
-            "probes_total": self.probes_total,
-            "probe_failures_total": self.probe_failures_total,
-            "failovers_total": self.failovers_total,
-            "interval": self.interval,
-            "running": self.running,
-            "groups": [group.replication_health() for group in self.groups],
-        }

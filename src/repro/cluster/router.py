@@ -115,7 +115,7 @@ class ClusterRouter(PipelineHost):
             allocates rowids ≡ ``i + 1 (mod M)``).
         shard_map: the cluster's partitioning scheme.
         config: the cluster-wide guard configuration — pricing mode,
-            cap, forensics thresholds. Shard guards run with forensics
+            cap, forensics on or off. Shard guards run with forensics
             off; the router runs the cluster-wide monitor over the
             global population so spray-across-shards coverage is
             visible in one place.

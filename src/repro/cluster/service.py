@@ -501,12 +501,13 @@ class ClusterService:
             )
         replication = None
         if self.groups is not None:
+            group_rows = [
+                group.replication_health() for group in self.groups
+            ]
             replication = {
                 "factor": self.replication_factor,
-                "summary": replication_summary(self.groups),
-                "groups": [
-                    group.replication_health() for group in self.groups
-                ],
+                "summary": replication_summary(group_rows),
+                "groups": group_rows,
                 "monitor": (
                     {
                         "probes_total": self.monitor.probes_total,

@@ -20,7 +20,6 @@ from .accounts import Account, AccountManager, AccountPolicy
 from .clock import Clock, RealClock, VirtualClock
 from .config import GuardConfig
 from .counts import InMemoryCountStore
-from .detection import CoverageMonitor, IdentityProfile, Suspect, attach_monitor
 from .delay_policy import (
     CompositeDelayPolicy,
     DelayPolicy,
@@ -58,7 +57,6 @@ __all__ = [
     "Clock",
     "CompositeDelayPolicy",
     "ConfigError",
-    "CoverageMonitor",
     "DelayDefenseError",
     "DelayGuard",
     "DelayPolicy",
@@ -68,7 +66,6 @@ __all__ = [
     "GuardConfig",
     "GuardStats",
     "GuardedResult",
-    "IdentityProfile",
     "InMemoryCountStore",
     "NoDelayPolicy",
     "PopularityDelayPolicy",
@@ -80,7 +77,6 @@ __all__ = [
     "Stage",
     "Snapshot",
     "StalenessReport",
-    "Suspect",
     "TokenBucket",
     "TupleKey",
     "UnknownAccount",
@@ -88,7 +84,6 @@ __all__ = [
     "UpdateRateTracker",
     "VirtualClock",
     "analysis",
-    "attach_monitor",
     "stale_fraction",
     "stale_fraction_from_history",
 ]

@@ -238,11 +238,6 @@ def staleness_fraction(c: float, alpha: float) -> float:
     return min(1.0, (c / (1.0 + alpha)) ** (1.0 / alpha))
 
 
-def max_staleness(cmax: float, alpha: float) -> float:
-    """Equation (12) at the largest tolerable constant ``cmax``."""
-    return staleness_fraction(cmax, alpha)
-
-
 def required_c_for_staleness(target: float, alpha: float) -> float:
     """Invert eq. (12): the constant c achieving staleness ``target``."""
     if not 0 < target <= 1:

@@ -51,22 +51,13 @@ class GuardConfig:
             cost split unperturbed for the replication experiments;
             production front doors should turn it on.
         forensics: enable live extraction forensics — a
-            :class:`~repro.core.detection.CoverageMonitor` fed by a
-            pipeline stage after record, scored and exported by
-            :class:`repro.obs.forensics.ForensicsMonitor` (per-identity
-            coverage/novelty/extraction-ETA, audit flag events, the
-            server's ``forensics`` op). Off by default: it adds a
-            per-SELECT accounting cost and the replication experiments
-            drive the monitor offline.
-        forensics_coverage_threshold / forensics_novelty_threshold /
-            forensics_window / forensics_min_requests: monitor
-            thresholds (see :class:`CoverageMonitor`).
-        forensics_max_identities: identities profiled individually
-            before the long tail folds into the ``_other`` aggregate
-            (memory bound for million-user deployments).
-        forensics_max_keys_per_identity: cap on each identity's
-            retrieved-key set (memory bound; coverage saturates at
-            cap / population).
+            :class:`repro.obs.forensics.ForensicsMonitor` fed by a
+            pipeline stage after record (per-identity coverage/novelty/
+            extraction-ETA, audit flag events, the server's
+            ``forensics`` op) at the monitor's default thresholds and
+            memory bounds. Off by default: it adds a per-SELECT
+            accounting cost and the replication experiments drive the
+            monitor offline.
         node_id: stable identity for this guard's trackers in a
             cluster — the origin stamped on gossip deltas, so peers
             can mirror this shard's counts and a recovered shard can
@@ -91,12 +82,6 @@ class GuardConfig:
     max_result_rows: Optional[int] = None
     result_cache_size: Optional[int] = None
     forensics: bool = False
-    forensics_coverage_threshold: float = 0.5
-    forensics_novelty_threshold: float = 0.9
-    forensics_window: int = 200
-    forensics_min_requests: int = 100
-    forensics_max_identities: int = 4096
-    forensics_max_keys_per_identity: int = 100_000
     node_id: Optional[str] = None
     vectorized_execution: bool = True
 
@@ -126,34 +111,5 @@ class GuardConfig:
             raise ConfigError(
                 f"result_cache_size must be >= 1, "
                 f"got {self.result_cache_size}"
-            )
-        if not 0 < self.forensics_coverage_threshold <= 1:
-            raise ConfigError(
-                f"forensics_coverage_threshold must be in (0, 1], got "
-                f"{self.forensics_coverage_threshold}"
-            )
-        if not 0 < self.forensics_novelty_threshold <= 1:
-            raise ConfigError(
-                f"forensics_novelty_threshold must be in (0, 1], got "
-                f"{self.forensics_novelty_threshold}"
-            )
-        if self.forensics_window < 1:
-            raise ConfigError(
-                f"forensics_window must be >= 1, got {self.forensics_window}"
-            )
-        if self.forensics_min_requests < 1:
-            raise ConfigError(
-                f"forensics_min_requests must be >= 1, got "
-                f"{self.forensics_min_requests}"
-            )
-        if self.forensics_max_identities < 1:
-            raise ConfigError(
-                f"forensics_max_identities must be >= 1, got "
-                f"{self.forensics_max_identities}"
-            )
-        if self.forensics_max_keys_per_identity < 1:
-            raise ConfigError(
-                f"forensics_max_keys_per_identity must be >= 1, got "
-                f"{self.forensics_max_keys_per_identity}"
             )
         return self

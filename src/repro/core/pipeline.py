@@ -78,7 +78,6 @@ from ..engine.parser.ast import SelectStatement
 from ..engine.parser.parser import parse_cache_info, shaped_statement
 from ..obs import ForensicsMonitor, QueryTrace, delay_buckets
 from .delay_policy import DelayPolicy, policy_from_config
-from .detection import CoverageMonitor
 from .errors import AccessDenied, ConfigError
 from .popularity import PopularityTracker
 from .result_cache import CachedResult
@@ -436,7 +435,7 @@ class ForensicsStage(Stage):
     final) and before *sleep* (the caller's mandated delay should not
     postpone their own risk evaluation). Skipped entirely unless the
     guard was built with ``GuardConfig.forensics`` — the monitor's
-    record+evaluate is an extra accounting cost per identified SELECT.
+    observe is an extra accounting cost per identified SELECT.
     """
 
     name = "forensics"
@@ -822,17 +821,7 @@ class PipelineHost:
         config = self.config
         if config.forensics:
             self.forensics = ForensicsMonitor(
-                CoverageMonitor(
-                    population=self.population,
-                    coverage_threshold=config.forensics_coverage_threshold,
-                    novelty_threshold=config.forensics_novelty_threshold,
-                    window=config.forensics_window,
-                    min_requests=config.forensics_min_requests,
-                    max_identities=config.forensics_max_identities,
-                    max_keys_per_identity=(
-                        config.forensics_max_keys_per_identity
-                    ),
-                ),
+                self.population,
                 audit=self.obs.audit if self.obs.enabled else None,
             )
         if self.obs.enabled:

@@ -216,11 +216,6 @@ class Database:
         with self.write_txn():
             self._journal = journal
 
-    def detach_journal(self) -> None:
-        """Stop journalling (the journal itself is left open)."""
-        with self.write_txn():
-            self._journal = None
-
     def _journal_entry(self, entry: Dict) -> None:
         """Record one committed mutation; caller holds the write side."""
         if self._transaction is not None:
@@ -478,10 +473,6 @@ class Database:
         else:
             self.rollback()
         return ResultSet(statement_kind="ddl")
-
-    def execute_many(self, sql_statements: Iterable[str]) -> List[ResultSet]:
-        """Execute several statements, returning all result sets."""
-        return [self.execute(sql) for sql in sql_statements]
 
     def query(self, sql: str) -> List[Tuple[SQLValue, ...]]:
         """Execute a SELECT and return just its rows."""

@@ -15,8 +15,8 @@ makes a running deployment show those numbers continuously:
   (served/denied/shed/cached, delays priced, checkpoints, forensic
   flags) with correlation ids, a bounded-queue rotating background
   writer, and replayable readers.
-* :mod:`repro.obs.forensics` — live extraction-risk scoring over an
-  injected coverage monitor: per-identity coverage/novelty/delay-paid,
+* :mod:`repro.obs.forensics` — live extraction forensics (§2.4's "we
+  will notice"): per-identity coverage/novelty/delay-paid profiles,
   extraction-ETA from the paper's §2.2 cost model evaluated online,
   flag-transition audit events, bounded-cardinality metrics.
 * :mod:`repro.obs.health` — build info and a rolling per-second SLO
@@ -30,7 +30,8 @@ makes a running deployment show those numbers continuously:
 This package never imports ``repro.core``/``repro.engine`` (they import
 *it*); its only inward dependency is the stdlib-only fault-injection
 seam ``repro.testing.faults``, so any layer can depend on it without
-cycles. Domain objects such as the coverage monitor are injected, not
+cycles. What it needs of a domain object (the forensics monitor's
+population count, the replica groups' health rows) is handed in, not
 imported.
 """
 

@@ -1,60 +1,156 @@
-"""Live extraction-risk scoring over an injected coverage monitor.
+"""Live extraction forensics: noticing the robot in the traffic.
 
 The paper argues in two places that the operator can win by *watching*:
-§2.4 ("we will notice the increased traffic") and §2.2, whose cost
-model says an extraction of N tuples at per-tuple delay d takes N·d
-seconds. This module evaluates both online, per identity:
+§2.4 ("If the adversary is of significant size, we will notice the
+increased traffic, and a simple imposition of a limit on queries from a
+single user will suffice") and §2.2, whose cost model says an
+extraction of N tuples at per-tuple delay d takes N·d seconds.
+:class:`ForensicsMonitor` evaluates both online, per identity, from the
+served SELECTs the guard's forensics stage feeds it:
 
-* **coverage / novelty** come from the injected monitor (the guard's
-  :class:`repro.core.detection.CoverageMonitor` in practice — but this
-  module is duck-typed over ``record``/``evaluate``/``summaries``/
-  ``population`` so it never imports ``repro.core``).
-* **extraction ETA** is the §2.2 model priced from observed behaviour:
-  ``remaining population × (delay paid / tuples charged)`` — how many
-  seconds of mandated delay stand between this identity and the rest
-  of the database *at the price the defense is currently charging
-  them*. A browser's ETA stays astronomically high (cheap per-tuple
-  price, but no progress); a robot's ETA is exactly the paper's
-  deterrent, counting down.
+* **coverage** — the fraction of the protected population the identity
+  has ever retrieved. Legitimate Zipf-skewed users revisit the same hot
+  tuples and plateau at small coverage; an extraction robot's coverage
+  grows linearly toward 1.
+* **novelty** — over the identity's recent requests, the fraction that
+  retrieved a tuple the identity had never seen before. Browsers are
+  dominated by repeats; a key-space walker is ~100% novel by
+  construction.
+* **extraction ETA** — the §2.2 model priced from observed behaviour:
+  ``remaining population × (delay paid / tuples charged)``, the seconds
+  of mandated delay between this identity and the rest of the database
+  *at the price the defense is currently charging them*. A browser's
+  ETA stays astronomically high; a robot's counts down.
 * **risk** ranks identities for the server's ``forensics`` op:
   ``coverage + novelty × min(requests / min_requests, 1)`` — coverage
   dominates (it is the ground truth of extraction progress), novelty
   breaks ties once an identity has enough history to trust it.
 
-Flag transitions (monitor verdict appearing or clearing) emit audit
-events and update bounded-cardinality per-identity gauges — only
-*flagged* identities get label series, so 10k browsing identities cost
-zero label cardinality.
+An identity is flagged while its coverage is at least
+``coverage_threshold``, or its novelty at least ``novelty_threshold``
+once it has issued ``min_requests`` requests (young accounts are
+all-novel). Flag transitions emit audit events and update per-identity
+gauges — only *flagged* identities get label series, so 10k browsing
+identities cost zero label cardinality.
+
+Memory is bounded: ``max_identities`` folds the long tail of identities
+into one :data:`OVERFLOW_IDENTITY` profile (counted in
+``tracked_identities``, never flagged or ranked — it pools unrelated
+users, so its coverage is meaningless), and ``max_keys_per_identity``
+caps each retrieved-key set (at the cap, repeats of uncapped keys still
+look novel — acceptable, since any identity at the cap has long since
+tripped coverage).
 """
 
 from __future__ import annotations
 
+import heapq
 import threading
-from typing import Dict, List, Optional, Tuple
+from collections import deque
+from dataclasses import dataclass, field
+from typing import Deque, Dict, Hashable, List, Optional, Set, Tuple
 
-__all__ = ["ForensicsMonitor"]
+__all__ = ["OVERFLOW_IDENTITY", "ForensicsMonitor", "IdentityProfile"]
+
+#: Aggregate profile absorbing identities beyond ``max_identities``.
+#: Matches the metrics layer's overflow label; never flagged or ranked.
+OVERFLOW_IDENTITY = "_other"
+
+
+@dataclass
+class IdentityProfile:
+    """Online per-identity retrieval statistics."""
+
+    identity: str
+    retrieved: Set[Hashable] = field(default_factory=set)
+    requests: int = 0
+    #: total tuples this identity has been charged for (with repeats)
+    tuples: int = 0
+    #: cumulative mandated delay this identity has paid, in seconds
+    delay_paid: float = 0.0
+    #: sliding window of "was this retrieval novel?" flags
+    recent_novelty: Deque[bool] = field(default_factory=deque)
+    #: running count of True flags in ``recent_novelty`` (O(1) rate)
+    novel_in_window: int = 0
+
+    def coverage(self, population: int) -> float:
+        """Fraction of the population this identity has retrieved."""
+        return len(self.retrieved) / population
+
+    def novelty_rate(self) -> float:
+        """Fraction of recent retrievals that were first-time tuples."""
+        if not self.recent_novelty:
+            return 0.0
+        return self.novel_in_window / len(self.recent_novelty)
 
 
 class ForensicsMonitor:
-    """Risk-scores identities and audits threshold crossings.
+    """Profiles identities, flags extraction and audits the crossings.
 
     Args:
-        monitor: any object with ``record(identity, keys, delay)``,
-            ``evaluate(identity) -> suspect | None`` (suspect carries
-            ``coverage``/``novelty_rate``/``requests``/``reasons``),
-            ``summaries() -> [dict]``, and a ``population`` property.
+        population: protected-tuple count N — an int, or a callable
+            returning the current count.
         audit: optional :class:`repro.obs.audit.AuditLog` receiving
             ``forensic_flag`` / ``forensic_flag_cleared`` events.
+        coverage_threshold: flag identities that have retrieved at
+            least this fraction of the population.
+        novelty_threshold: flag identities whose recent-window novelty
+            rate is at least this value, once they have issued at least
+            ``min_requests`` requests.
+        window: size of the recent-novelty sliding window.
+        min_requests: grace period before novelty can flag anyone.
+        max_identities: identities profiled individually; beyond this
+            the long tail folds into :data:`OVERFLOW_IDENTITY`.
+        max_keys_per_identity: cap on each profile's retrieved-key set
+            (coverage saturates at cap / population).
         max_flagged_series: label-cardinality cap for the per-identity
-            gauges (flagged identities only; overflow folds into the
-            registry's ``_other`` series).
+            gauges (overflow folds into the registry's ``_other``
+            series).
     """
 
-    def __init__(self, monitor, audit=None, max_flagged_series: int = 64):
-        self.monitor = monitor
+    def __init__(
+        self,
+        population,
+        audit=None,
+        *,
+        coverage_threshold: float = 0.5,
+        novelty_threshold: float = 0.9,
+        window: int = 200,
+        min_requests: int = 100,
+        max_identities: int = 4096,
+        max_keys_per_identity: int = 100_000,
+        max_flagged_series: int = 64,
+    ):
+        if not 0 < coverage_threshold <= 1:
+            raise ValueError(
+                f"coverage_threshold must be in (0, 1], got "
+                f"{coverage_threshold}"
+            )
+        if not 0 < novelty_threshold <= 1:
+            raise ValueError(
+                f"novelty_threshold must be in (0, 1], got "
+                f"{novelty_threshold}"
+            )
+        for name, value in (
+            ("window", window),
+            ("min_requests", min_requests),
+            ("max_identities", max_identities),
+            ("max_keys_per_identity", max_keys_per_identity),
+        ):
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1, got {value}")
+        self._population = population
         self.audit = audit
+        self.coverage_threshold = coverage_threshold
+        self.novelty_threshold = novelty_threshold
+        self.window = window
+        self.min_requests = min_requests
+        self.max_identities = max_identities
+        self.max_keys_per_identity = max_keys_per_identity
         self.max_flagged_series = max_flagged_series
         self._lock = threading.Lock()
+        self.profiles: Dict[str, IdentityProfile] = {}
+        self.overflowed_identities = 0
         #: identity -> reasons currently flagged for
         self._flagged: Dict[str, Tuple[str, ...]] = {}
         self.flags_raised_total = 0
@@ -63,6 +159,16 @@ class ForensicsMonitor:
         self._m_coverage = None
         self._m_novelty = None
         self._m_eta = None
+
+    @property
+    def population(self) -> int:
+        """Current protected-tuple count (at least 1)."""
+        value = (
+            self._population()
+            if callable(self._population)
+            else self._population
+        )
+        return max(int(value), 1)
 
     # -- recording (the guard's ForensicsStage calls this) ------------------
 
@@ -73,50 +179,95 @@ class ForensicsMonitor:
         delay: float = 0.0,
         trace_id: Optional[str] = None,
     ) -> None:
-        """Feed one served query and re-evaluate the identity's flag."""
-        self.monitor.record(identity, keys, delay=delay)
-        suspect = self.monitor.evaluate(identity)
+        """Record one served query and re-evaluate the identity's flag.
+
+        Args:
+            identity: the requesting identity.
+            keys: the tuple keys the query touched.
+            delay: the mandated delay the query was charged (seconds).
+            trace_id: correlation id stamped on any audit event.
+        """
+        population = self.population
         with self._lock:
+            profile = self._record(identity, keys, delay)
+            if profile.identity == OVERFLOW_IDENTITY:
+                return
+            coverage = profile.coverage(population)
+            novelty = profile.novelty_rate()
+            reasons: Tuple[str, ...] = ()
+            if coverage >= self.coverage_threshold:
+                reasons += ("coverage",)
+            if (
+                profile.requests >= self.min_requests
+                and novelty >= self.novelty_threshold
+            ):
+                reasons += ("novelty",)
             previous = self._flagged.get(identity)
-            if suspect is not None:
-                current = tuple(suspect.reasons)
-                self._flagged[identity] = current
-                if previous == current:
-                    return
+            if reasons == (previous or ()):
+                return
+            # Transitions are published under the lock, so audit events
+            # and gauges follow the order the flag state changed in.
+            if reasons:
+                self._flagged[identity] = reasons
                 self.flags_raised_total += previous is None
+                self._on_flag(
+                    profile, population, reasons, previous, trace_id
+                )
             else:
-                if previous is None:
-                    return
                 del self._flagged[identity]
                 self.flags_cleared_total += 1
-        if suspect is not None:
-            self._on_flag(identity, suspect, previous=previous,
-                          trace_id=trace_id)
-        else:
-            self._on_clear(identity, trace_id=trace_id)
+                self._on_clear(identity, trace_id)
 
-    def _on_flag(self, identity, suspect, previous, trace_id):
+    def _record(self, identity, keys, delay) -> IdentityProfile:
+        """Fold one query into its profile (caller holds the lock)."""
+        profile = self.profiles.get(identity)
+        if profile is None:
+            if (
+                len(self.profiles) >= self.max_identities
+                and identity != OVERFLOW_IDENTITY
+            ):
+                self.overflowed_identities += 1
+                return self._record(OVERFLOW_IDENTITY, keys, delay)
+            profile = IdentityProfile(identity=identity)
+            self.profiles[identity] = profile
+        profile.requests += 1
+        profile.delay_paid += delay
+        retrieved = profile.retrieved
+        recent = profile.recent_novelty
+        for key in keys:
+            profile.tuples += 1
+            novel = key not in retrieved
+            if novel and len(retrieved) < self.max_keys_per_identity:
+                retrieved.add(key)
+            if len(recent) == self.window:
+                profile.novel_in_window -= recent.popleft()
+            recent.append(novel)
+            profile.novel_in_window += novel
+        return profile
+
+    def _on_flag(self, profile, population, reasons, previous, trace_id):
+        identity = profile.identity
+        coverage = profile.coverage(population)
+        novelty = profile.novelty_rate()
+        eta = self._eta(profile, population)
         if self._m_flags is not None:
             seen = previous or ()
-            for reason in suspect.reasons:
+            for reason in reasons:
                 if reason not in seen:
                     self._m_flags.inc(reason=reason)
-        if self._m_coverage is not None:
-            self._m_coverage.set(suspect.coverage, identity=identity)
-            self._m_novelty.set(suspect.novelty_rate, identity=identity)
-            self._m_eta.set(
-                self._eta_for(identity), identity=identity
-            )
+            self._m_coverage.set(coverage, identity=identity)
+            self._m_novelty.set(novelty, identity=identity)
+            self._m_eta.set(eta, identity=identity)
         if self.audit is not None:
             self.audit.emit(
                 "forensic_flag",
                 trace_id=trace_id,
                 identity=identity,
-                reasons=list(suspect.reasons),
-                coverage=suspect.coverage,
-                novelty=suspect.novelty_rate,
-                requests=suspect.requests,
-                eta_seconds=self._eta_for(identity),
+                reasons=list(reasons),
+                coverage=coverage,
+                novelty=novelty,
+                requests=profile.requests,
+                eta_seconds=eta,
             )
 
     def _on_clear(self, identity, trace_id):
@@ -133,31 +284,19 @@ class ForensicsMonitor:
 
     # -- reading -------------------------------------------------------------
 
-    def _eta_for(self, identity: str) -> float:
-        for entry in self.monitor.summaries():
-            if entry["identity"] == identity:
-                return self._eta(entry)
-        return 0.0
-
-    def _eta(self, entry: Dict) -> float:
+    @staticmethod
+    def _eta(profile: IdentityProfile, population: int) -> float:
         """§2.2 online: remaining tuples × observed per-tuple price."""
-        if entry["tuples"] <= 0:
+        if profile.tuples <= 0:
             return 0.0
-        per_tuple = entry["delay_paid"] / entry["tuples"]
-        remaining = max(
-            self.monitor.population - entry["distinct_keys"], 0
-        )
-        return remaining * per_tuple
+        per_tuple = profile.delay_paid / profile.tuples
+        return max(population - len(profile.retrieved), 0) * per_tuple
 
-    def _risk(self, entry: Dict) -> float:
-        maturity = min(
-            entry["requests"] / max(self.min_requests, 1), 1.0
+    def _risk(self, profile: IdentityProfile, population: int) -> float:
+        maturity = min(profile.requests / self.min_requests, 1.0)
+        return (
+            profile.coverage(population) + profile.novelty_rate() * maturity
         )
-        return entry["coverage"] + entry["novelty"] * maturity
-
-    @property
-    def min_requests(self) -> int:
-        return getattr(self.monitor, "min_requests", 1)
 
     def flagged(self) -> Dict[str, Tuple[str, ...]]:
         """Currently flagged identities and their reasons."""
@@ -165,40 +304,49 @@ class ForensicsMonitor:
             return dict(self._flagged)
 
     def top(self, k: int = 10) -> List[Dict]:
-        """The k highest-risk identities, risk-ranked, as plain dicts."""
+        """The k highest-risk identities, risk-ranked, as plain dicts.
+
+        The :data:`OVERFLOW_IDENTITY` aggregate is not an identity and
+        is never ranked.
+        """
+        population = self.population
         with self._lock:
-            flagged = dict(self._flagged)
-        entries = []
-        for entry in self.monitor.summaries():
-            identity = entry["identity"]
-            entries.append(
-                {
-                    "identity": identity,
-                    "coverage": entry["coverage"],
-                    "novelty": entry["novelty"],
-                    "requests": entry["requests"],
-                    "tuples": entry["tuples"],
-                    "delay_paid_seconds": entry["delay_paid"],
-                    "eta_seconds": self._eta(entry),
-                    "risk": self._risk(entry),
-                    "flagged": identity in flagged,
-                    "reasons": list(flagged.get(identity, ())),
-                }
+            ranked = heapq.nlargest(
+                k,
+                (
+                    profile
+                    for profile in self.profiles.values()
+                    if profile.identity != OVERFLOW_IDENTITY
+                ),
+                key=lambda profile: self._risk(profile, population),
             )
-        entries.sort(key=lambda item: item["risk"], reverse=True)
-        return entries[:k]
+            return [
+                {
+                    "identity": profile.identity,
+                    "coverage": profile.coverage(population),
+                    "novelty": profile.novelty_rate(),
+                    "requests": profile.requests,
+                    "tuples": profile.tuples,
+                    "delay_paid_seconds": profile.delay_paid,
+                    "eta_seconds": self._eta(profile, population),
+                    "risk": self._risk(profile, population),
+                    "flagged": profile.identity in self._flagged,
+                    "reasons": list(self._flagged.get(profile.identity, ())),
+                }
+                for profile in ranked
+            ]
 
     def summary(self) -> Dict:
         """Aggregate counts for the ``health`` op."""
+        population = self.population
         with self._lock:
-            flagged = len(self._flagged)
-        return {
-            "population": self.monitor.population,
-            "tracked_identities": len(self.monitor.summaries()),
-            "flagged_identities": flagged,
-            "flags_raised_total": self.flags_raised_total,
-            "flags_cleared_total": self.flags_cleared_total,
-        }
+            return {
+                "population": population,
+                "tracked_identities": len(self.profiles),
+                "flagged_identities": len(self._flagged),
+                "flags_raised_total": self.flags_raised_total,
+                "flags_cleared_total": self.flags_cleared_total,
+            }
 
     # -- metrics -------------------------------------------------------------
 
@@ -207,7 +355,7 @@ class ForensicsMonitor:
         registry.gauge(
             "forensics_tracked_identities",
             "Identities with individual coverage profiles",
-        ).set_function(lambda: len(self.monitor.summaries()))
+        ).set_function(lambda: len(self.profiles))
         registry.gauge(
             "forensics_flagged_identities",
             "Identities currently flagged as extraction suspects",

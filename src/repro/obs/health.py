@@ -45,15 +45,15 @@ def build_info() -> Dict[str, str]:
     return {"version": version, "python": platform.python_version()}
 
 
-def replication_summary(groups: Sequence) -> Dict:
-    """Fold per-group replication health into one operator line.
+def replication_summary(rows: Sequence[Dict]) -> Dict:
+    """Fold per-group replication health rows into one operator line.
 
-    Accepts anything exposing ``replication_health()`` (duck-typed so
-    obs keeps its no-inward-imports rule). The roll-up the health op
-    and ``repro top`` lead with: how many groups can serve, the worst
-    follower lag, and cumulative failover/fencing counts.
+    ``rows`` are the groups' ``replication_health()`` dicts, read once
+    by the caller, so the roll-up and the rows it is shown beside come
+    from the same instant. The roll-up the health op and ``repro top``
+    lead with: how many groups can serve, the worst follower lag, and
+    cumulative failover/fencing counts.
     """
-    rows = [group.replication_health() for group in groups]
     return {
         "groups": len(rows),
         "groups_available": sum(1 for row in rows if row["available"]),

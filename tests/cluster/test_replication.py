@@ -22,6 +22,7 @@ from repro.cluster.replication import (
 from repro.core.config import GuardConfig
 from repro.core.errors import ConfigError, ShardUnavailable
 from repro.engine.journal import fingerprint_journal
+from repro.obs.health import replication_summary
 
 CONFIG = dict(policy="popularity", cap=20.0, unit=600.0, decay_rate=1.0)
 TABLE = "t"
@@ -398,6 +399,34 @@ class TestClusterSurface:
             cluster.monitor.probe()
             summary = cluster.cluster_health()["replication"]["summary"]
             assert summary["failovers_total"] == 1
+        finally:
+            cluster.close()
+
+    def test_summary_folds_the_rows_it_is_shown_beside(
+        self, tmp_path, monkeypatch
+    ):
+        # A row read twice can move in between (the monitor thread
+        # ships); each group is read once per health call, so the
+        # summary is exactly the fold of the payload's own rows.
+        cluster = build_cluster(tmp_path)
+        try:
+            for group in cluster.groups:
+                read = group.replication_health
+                calls = []
+
+                def moving(read=read, calls=calls):
+                    calls.append(1)
+                    row = read()
+                    row["replication_lag"] = len(calls)
+                    return row
+
+                monkeypatch.setattr(group, "replication_health", moving)
+            replication = cluster.cluster_health()["replication"]
+            assert replication["summary"] == replication_summary(
+                replication["groups"]
+            )
+            lags = [row["replication_lag"] for row in replication["groups"]]
+            assert lags == [1, 1]
         finally:
             cluster.close()
 

@@ -23,10 +23,6 @@ def build_service():
             policy="fixed",
             fixed_delay=0.05,
             forensics=True,
-            forensics_coverage_threshold=0.5,
-            forensics_novelty_threshold=0.9,
-            forensics_window=50,
-            forensics_min_requests=20,
         ),
         account_policy=AccountPolicy(),
     )

@@ -14,9 +14,10 @@ statement: no shape falls back to the row tier, and UPDATE and DELETE
 pick their targets from the same row source a SELECT reads.
 
 The same goes for what a guard can be configured to be: options only
-an ablation set are gone from ``GuardConfig``, the §4.4 count stores
-live in ``repro.experiments``, and the serving packages never import
-them.
+an ablation or a test set are gone from ``GuardConfig``, the §4.4 count
+stores live in ``repro.experiments``, and the serving packages never
+import them. Extraction forensics is one monitor class, which the
+pipeline alone builds and feeds.
 """
 
 import ast
@@ -101,6 +102,12 @@ DELETED_OPTIONS = (
     "record_updates",
     "parse_cache_size",
     "result_cache_ttl",
+    "forensics_coverage_threshold",
+    "forensics_novelty_threshold",
+    "forensics_window",
+    "forensics_min_requests",
+    "forensics_max_identities",
+    "forensics_max_keys_per_identity",
 )
 
 
@@ -122,6 +129,26 @@ def test_deleted_options_stay_deleted():
         "self",
         "maxsize",
     ]
+
+
+def test_one_extraction_monitor():
+    # Profiles, thresholds, flags, audit and metrics are one class in
+    # obs/forensics.py, built by the pipeline alone and fed by its
+    # forensics stage: no second monitor, and no feed that wraps a
+    # guard's execute.
+    for needle in ("core.detection", "attach_monitor", "CoverageMonitor"):
+        assert files_mentioning(needle) == [], needle
+    assert not (SRC / "core" / "detection.py").exists()
+    assigned = re.compile(r"^\s*(.*\.execute\s*=[^=].*)$", re.MULTILINE)
+    found = {
+        str(path.relative_to(SRC)): assigned.findall(path.read_text())
+        for path in SRC.rglob("*.py")
+        if assigned.search(path.read_text())
+    }
+    # ClusterGuard binds the router's front door as its own in __init__
+    assert found == {
+        "cluster/service.py": ["self.execute = cluster.router.execute"]
+    }
 
 
 def test_core_holds_one_count_store():

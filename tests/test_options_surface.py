@@ -46,12 +46,6 @@ def test_guard_config_options():
         "max_result_rows",
         "result_cache_size",
         "forensics",
-        "forensics_coverage_threshold",
-        "forensics_novelty_threshold",
-        "forensics_window",
-        "forensics_min_requests",
-        "forensics_max_identities",
-        "forensics_max_keys_per_identity",
         "node_id",
         "vectorized_execution",
     ]

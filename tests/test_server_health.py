@@ -67,7 +67,7 @@ class TestHealthOp:
         assert not server.handler_errors
 
     def test_health_without_forensics_vs_with(self):
-        service = build_service(forensics=True, forensics_min_requests=5)
+        service = build_service(forensics=True)
         server = DelayServer(service)
         server.start()
         try:
@@ -174,11 +174,7 @@ class TestForensicsOp:
             server.stop()
 
     def test_robot_ranked_and_flagged(self):
-        service = build_service(
-            forensics=True,
-            forensics_min_requests=10,
-            forensics_window=20,
-        )
+        service = build_service(forensics=True)
         server = DelayServer(service)
         server.start()
         try:
