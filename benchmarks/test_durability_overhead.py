@@ -14,7 +14,8 @@ Run with::
 
 import pytest
 
-from repro.engine import Database, WriteAheadJournal, recover_database
+from repro.engine import Database, WriteAheadJournal
+from repro.service import DataProviderService
 
 WRITES = 200
 RECOVERY_STATEMENTS = 1000
@@ -98,9 +99,11 @@ def test_recovery_time(benchmark, long_journal):
     """Replay cost per journalled statement — the crash-restart budget."""
 
     def run():
-        recovered, report = recover_database(None, long_journal)
+        recovered = DataProviderService.recover(journal_path=long_journal)
+        recovered.close()
+        report = recovered.last_recovery
         assert report.replayed_statements == RECOVERY_STATEMENTS + 1
         return recovered
 
     recovered = benchmark(run)
-    assert recovered.row_count("t") == RECOVERY_STATEMENTS
+    assert recovered.database.row_count("t") == RECOVERY_STATEMENTS

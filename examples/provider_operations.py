@@ -72,15 +72,15 @@ def main() -> None:
         (hot_table, hot_rowid), _count = service.guard.popularity.snapshot()[0]
         hot_before = service.guard.delay_for(hot_table, hot_rowid)
 
-        restored = DataProviderService.load(
-            save_path,
+        restored = DataProviderService.recover(
+            snapshot_path=save_path,
             guard_config=GuardConfig(cap=10.0),
             account_policy=AccountPolicy(daily_query_quota=500),
         )
         hot_after = restored.guard.delay_for(hot_table, hot_rowid)
         print("\n=== restart ===")
-        print(f"hottest tuple delay before save : {hot_before * 1000:.3f} ms")
-        print(f"hottest tuple delay after load  : {hot_after * 1000:.3f} ms")
+        print(f"hottest tuple delay before save  : {hot_before * 1000:.3f} ms")
+        print(f"hottest tuple delay after restore: {hot_after * 1000:.3f} ms")
 
         # 5. An over-eager client hits the daily quota.
         restored.register("scraper-llc")

@@ -306,7 +306,8 @@ class ReplicaGroup:
     Quacks like the shard service the router and cluster glue expect:
     ``guard``/``database``/``journal``/``checkpoint``/
     ``durability_health`` delegate to the *current* primary, so a
-    promotion transparently redirects every caller. When no live
+    promotion transparently redirects every caller; ``close`` closes
+    every member. When no live
     servable member remains, the delegating properties raise
     :class:`~repro.core.errors.ShardUnavailable` with a ``retry_after``
     of one probe interval — the router turns that into the structured
@@ -390,11 +391,21 @@ class ReplicaGroup:
             return None
         return self._primary.service.journal
 
-    def checkpoint(self, *args, **kwargs) -> int:
+    def checkpoint(self) -> int:
         # Ship first: checkpointing truncates the primary journal, and
         # frames must reach every follower before they are cut away.
         self.ship()
-        return self._require_available().service.checkpoint(*args, **kwargs)
+        return self._require_available().service.checkpoint()
+
+    def close(self) -> None:
+        """Close every local member's service and replica journal
+        (idempotent; a promoted member's replica journal is its live
+        one, closed twice harmlessly)."""
+        for member in self.members:
+            if member.service is not None:
+                member.service.close()
+            if member.journal is not None:
+                member.journal.close()
 
     def durability_health(self) -> Dict:
         if not self.available:

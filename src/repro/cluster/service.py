@@ -48,6 +48,29 @@ from .router import ClusterRouter
 from .sharding import ShardMap
 
 
+def _shard_config(config: GuardConfig, index: int) -> GuardConfig:
+    """Shard ``index``'s copy of the cluster config (see
+    :class:`ClusterService`'s ``guard_config``)."""
+    return dataclasses.replace(
+        config,
+        node_id=f"shard-{index}",
+        forensics=False,
+        max_result_rows=None,
+    )
+
+
+def _shard_paths(
+    data_dir: Optional[Path], index: int
+) -> Tuple[Optional[Path], Optional[Path]]:
+    """Shard ``index``'s snapshot and journal files under ``data_dir``."""
+    if data_dir is None:
+        return None, None
+    return (
+        data_dir / f"shard-{index}.snapshot.json",
+        data_dir / f"shard-{index}.journal",
+    )
+
+
 class ClusterGuard:
     """The router dressed in :class:`~repro.core.guard.DelayGuard`'s API.
 
@@ -279,33 +302,15 @@ class ClusterService:
         if self.monitor is not None and probe_interval is not None:
             self.monitor.start()
 
-    def _shard_config(self, index: int) -> GuardConfig:
-        return dataclasses.replace(
-            self.config,
-            node_id=f"shard-{index}",
-            forensics=False,
-            max_result_rows=None,
-        )
-
-    def _shard_paths(
-        self, index: int
-    ) -> Tuple[Optional[Path], Optional[Path]]:
-        if self.data_dir is None:
-            return None, None
-        return (
-            self.data_dir / f"shard-{index}.snapshot.json",
-            self.data_dir / f"shard-{index}.journal",
-        )
-
     def _build_shard(
         self, index: int, journal_sync: bool
     ) -> DataProviderService:
         database = Database()
         database.set_rowid_allocation(index, self.shard_count)
-        snapshot_path, journal_path = self._shard_paths(index)
+        snapshot_path, journal_path = _shard_paths(self.data_dir, index)
         return DataProviderService(
             database=database,
-            guard_config=self._shard_config(index),
+            guard_config=_shard_config(self.config, index),
             clock=self.clock,
             obs=Observability.disabled(),
             snapshot_path=snapshot_path,
@@ -343,7 +348,7 @@ class ClusterService:
             follower = DataProviderService(
                 database=database,
                 guard_config=dataclasses.replace(
-                    self._shard_config(index), node_id=member_id
+                    _shard_config(self.config, index), node_id=member_id
                 ),
                 clock=self.clock,
                 obs=Observability.disabled(),
@@ -533,13 +538,16 @@ class ClusterService:
         }
 
     def close(self) -> None:
-        """Stop the background gossip/monitor loops and detach the
-        router's merged view from the shards (idempotent)."""
+        """Stop the background gossip/monitor loops, detach the
+        router's merged view from the shards, then close every shard —
+        each member's service and replica journal (idempotent)."""
         if self.gossip is not None:
             self.gossip.stop()
         if self.monitor is not None:
             self.monitor.stop()
         self.router.close()
+        for shard in self.shards:
+            shard.close()
 
     # -- sizing --------------------------------------------------------------
 
@@ -618,16 +626,11 @@ class ClusterService:
         authoritative timeline; stale replica journals are reset) —
         recovery restores durability first, then redundancy.
         """
-        placeholder = cls.__new__(cls)
-        placeholder.config = (
-            guard_config if guard_config is not None else GuardConfig()
-        )
-        placeholder.data_dir = Path(data_dir)
+        config = guard_config if guard_config is not None else GuardConfig()
         shared_clock = clock if clock is not None else VirtualClock()
-        placeholder.clock = shared_clock
         shards: List[DataProviderService] = []
         for index in range(shard_count):
-            snapshot_path, journal_path = placeholder._shard_paths(index)
+            snapshot_path, journal_path = _shard_paths(Path(data_dir), index)
 
             def stride(db: Database, index: int = index) -> None:
                 db.set_rowid_allocation(index, shard_count)
@@ -636,7 +639,7 @@ class ClusterService:
                 DataProviderService.recover(
                     snapshot_path=snapshot_path,
                     journal_path=journal_path,
-                    guard_config=placeholder._shard_config(index),
+                    guard_config=_shard_config(config, index),
                     clock=shared_clock,
                     obs=Observability.disabled(),
                     journal_sync=journal_sync,

@@ -13,8 +13,6 @@ from .database import Database, EngineStats
 from .durability import (
     RecoveryReport,
     ReplayedEntry,
-    checkpoint_database,
-    recover_database,
     replay_entry,
     replay_journal,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "WriteAheadJournal",
     "atomic_write_json",
     "candidate_rowids",
-    "checkpoint_database",
     "choose_access_path",
     "create_index",
     "dump_database",
@@ -94,7 +91,6 @@ __all__ = [
     "import_csv",
     "load_database",
     "open_database",
-    "recover_database",
     "replay_entry",
     "replay_journal",
     "save_database",

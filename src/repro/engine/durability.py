@@ -1,22 +1,19 @@
-"""Crash recovery: snapshot + journal-replay, and checkpointing.
+"""Crash recovery building blocks: journal replay.
 
-This module ties :mod:`repro.engine.persistence` (atomic snapshots) and
-:mod:`repro.engine.journal` (the write-ahead journal) into a recovery
-story:
+:func:`replay_journal` re-applies a journal's surviving records *after*
+a snapshot's ``journal_seq``, so a crash between "snapshot replaced"
+and "journal truncated" cannot double-apply: those records' sequence
+numbers are at or below the snapshot's recorded high-water mark and are
+skipped. :func:`replay_entry` re-applies one record; replication's
+apply path reuses it. Each replayed record reports which table and
+rowids it touched (and the timestamp it originally committed at), so
+the delay guard's update-rate trackers can be rebuilt faithfully.
 
-- :func:`checkpoint_database` writes a snapshot that records the
-  journal's high-water ``seq`` and then truncates the journal — all
-  under one exclusive write lock, so the snapshot and the cut are one
-  point in time.
-- :func:`recover_database` loads the latest valid snapshot (if any) and
-  re-applies the journal's surviving records *after* the snapshot's
-  ``seq``. A crash between "snapshot replaced" and "journal truncated"
-  therefore cannot double-apply: those records' sequence numbers are at
-  or below the snapshot's recorded high-water mark and are skipped.
-- :func:`replay_journal` / :func:`replay_entry` are the building blocks
-  the service layer reuses: each replayed record reports which table
-  and rowids it touched (and the timestamp it originally committed at),
-  so the delay guard's update-rate trackers can be rebuilt faithfully.
+Checkpointing and the one restore path live in the service layer
+(:meth:`repro.service.DataProviderService.checkpoint` and
+:meth:`~repro.service.DataProviderService.recover`): a snapshot is the
+whole service state — data, learned popularity and accounts — never
+the database alone.
 
 Torn journal tails are truncated, not fatal — see
 :mod:`repro.engine.journal`.
@@ -24,8 +21,6 @@ Torn journal tails are truncated, not fatal — see
 
 from __future__ import annotations
 
-import json
-import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
@@ -33,12 +28,6 @@ from typing import Dict, List, Optional, Tuple, Union
 from .database import Database
 from .errors import JournalError
 from .journal import JournalScan, scan_journal
-from .persistence import (
-    PersistenceError,
-    atomic_write_json,
-    dump_database,
-    load_database,
-)
 from .schema import Column, TableSchema
 
 
@@ -171,68 +160,3 @@ def replay_journal(
         entries.append(replay_entry(database, record.payload))
     return entries, scan
 
-
-def checkpoint_database(
-    database: Database, snapshot_path: Union[str, Path]
-) -> int:
-    """Snapshot the database atomically, then truncate its journal.
-
-    Runs entirely under the exclusive write side of the engine lock, so
-    the snapshot, its recorded ``journal_seq``, and the truncation are a
-    single point in time — no committed statement can fall between them.
-    Returns the ``journal_seq`` the snapshot covers (0 when the database
-    has no journal attached).
-    """
-    with database.write_txn():
-        journal = database.journal
-        payload = dump_database(database)
-        seq = journal.last_seq if journal is not None else 0
-        payload["journal_seq"] = seq
-        atomic_write_json(snapshot_path, payload, indent=1)
-        if journal is not None:
-            journal.truncate()
-        return seq
-
-
-def recover_database(
-    snapshot_path: Optional[Union[str, Path]] = None,
-    journal_path: Optional[Union[str, Path]] = None,
-) -> Tuple[Database, RecoveryReport]:
-    """Rebuild a database from its snapshot and journal after a crash.
-
-    Either path may be absent or point at a missing file — recovery of a
-    never-checkpointed database is just journal replay from empty, and
-    recovery without a journal is just a snapshot load. The journal is
-    *not* left attached; callers that want to keep journalling should
-    open a :class:`~repro.engine.journal.WriteAheadJournal` on the same
-    path (which truncates the torn tail durably) and attach it.
-    """
-    started = time.perf_counter()
-    report = RecoveryReport()
-    database = None
-    if snapshot_path is not None and Path(snapshot_path).exists():
-        try:
-            payload = json.loads(Path(snapshot_path).read_text())
-        except json.JSONDecodeError as error:
-            raise PersistenceError(
-                f"corrupt snapshot file: {error}"
-            ) from error
-        database = load_database(payload)
-        report.snapshot_loaded = True
-        report.snapshot_seq = int(payload.get("journal_seq", 0))
-    if database is None:
-        database = Database()
-    if journal_path is not None:
-        entries, scan = replay_journal(
-            database, journal_path, after_seq=report.snapshot_seq
-        )
-        report.entries = entries
-        report.replayed_statements = len(entries)
-        report.skipped_records = len(scan.records) - len(entries)
-        report.last_seq = max(scan.last_seq, report.snapshot_seq)
-        if scan.torn:
-            report.torn_bytes_truncated = scan.total_bytes - scan.valid_bytes
-    else:
-        report.last_seq = report.snapshot_seq
-    report.duration_seconds = time.perf_counter() - started
-    return database, report

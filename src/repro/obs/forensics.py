@@ -29,9 +29,11 @@ served SELECTs the guard's forensics stage feeds it:
 An identity is flagged while its coverage is at least
 ``coverage_threshold``, or its novelty at least ``novelty_threshold``
 once it has issued ``min_requests`` requests (young accounts are
-all-novel). Flag transitions emit audit events and update per-identity
-gauges — only *flagged* identities get label series, so 10k browsing
-identities cost zero label cardinality.
+all-novel). Flag transitions emit audit events; an identity's first
+flag gives it per-identity gauge series, read live from its profile at
+every scrape (and 0 while it is not flagged) — only identities that
+were *flagged* get label series, so 10k browsing identities cost zero
+label cardinality.
 
 Memory is bounded: ``max_identities`` folds the long tail of identities
 into one :data:`OVERFLOW_IDENTITY` profile (counted in
@@ -104,8 +106,8 @@ class ForensicsMonitor:
         max_keys_per_identity: cap on each profile's retrieved-key set
             (coverage saturates at cap / population).
         max_flagged_series: label-cardinality cap for the per-identity
-            gauges (overflow folds into the registry's ``_other``
-            series).
+            gauges; flagged identities past it share one ``_other``
+            series, which reads the riskiest of them.
     """
 
     def __init__(
@@ -156,9 +158,10 @@ class ForensicsMonitor:
         self.flags_raised_total = 0
         self.flags_cleared_total = 0
         self._m_flags = None
-        self._m_coverage = None
-        self._m_novelty = None
-        self._m_eta = None
+        self._m_identity_gauges = ()
+        #: identities with their own gauge series (at most
+        #: ``max_flagged_series``)
+        self._series: Set[str] = set()
 
     @property
     def population(self) -> int:
@@ -255,9 +258,8 @@ class ForensicsMonitor:
             for reason in reasons:
                 if reason not in seen:
                     self._m_flags.inc(reason=reason)
-            self._m_coverage.set(coverage, identity=identity)
-            self._m_novelty.set(novelty, identity=identity)
-            self._m_eta.set(eta, identity=identity)
+            if previous is None:
+                self._publish_series(identity)
         if self.audit is not None:
             self.audit.emit(
                 "forensic_flag",
@@ -271,10 +273,6 @@ class ForensicsMonitor:
             )
 
     def _on_clear(self, identity, trace_id):
-        if self._m_coverage is not None:
-            self._m_coverage.set(0.0, identity=identity)
-            self._m_novelty.set(0.0, identity=identity)
-            self._m_eta.set(0.0, identity=identity)
         if self.audit is not None:
             self.audit.emit(
                 "forensic_flag_cleared",
@@ -350,6 +348,44 @@ class ForensicsMonitor:
 
     # -- metrics -------------------------------------------------------------
 
+    def _publish_series(self, identity: str) -> None:
+        """Give a newly flagged identity its live gauge series, or,
+        past ``max_flagged_series``, the shared ``_other`` one."""
+        if identity in self._series:
+            return
+        if len(self._series) < self.max_flagged_series:
+            self._series.add(identity)
+            label = identity
+        else:
+            label = OVERFLOW_IDENTITY
+        for gauge, read in self._m_identity_gauges:
+            gauge.set_function(
+                lambda read=read: self._series_value(label, read),
+                identity=label,
+            )
+
+    def _series_value(self, label: str, read) -> float:
+        """One gauge series, read from the profile it names (0 while
+        that identity is not flagged); ``_other`` reads the riskiest
+        flagged identity without a series of its own."""
+        population = self.population
+        with self._lock:
+            if label == OVERFLOW_IDENTITY:
+                candidates = [
+                    identity
+                    for identity in self._flagged
+                    if identity not in self._series
+                ]
+            else:
+                candidates = [label] if label in self._flagged else []
+            if not candidates:
+                return 0.0
+            profile = max(
+                (self.profiles[identity] for identity in candidates),
+                key=lambda profile: self._risk(profile, population),
+            )
+            return read(profile, population)
+
     def register_metrics(self, registry) -> None:
         """Export forensics state with bounded label cardinality."""
         registry.gauge(
@@ -365,22 +401,24 @@ class ForensicsMonitor:
             "Forensic flags raised, by tripping signal",
             ("reason",),
         )
-        self._m_coverage = registry.gauge(
-            "forensics_identity_coverage",
-            "Population coverage of flagged identities",
-            ("identity",),
-            max_series=self.max_flagged_series,
-        )
-        self._m_novelty = registry.gauge(
-            "forensics_identity_novelty",
-            "Recent-window novelty rate of flagged identities",
-            ("identity",),
-            max_series=self.max_flagged_series,
-        )
-        self._m_eta = registry.gauge(
-            "forensics_identity_extraction_eta_seconds",
-            "§2.2 online extraction ETA of flagged identities "
-            "(remaining population x observed per-tuple delay)",
-            ("identity",),
-            max_series=self.max_flagged_series,
+        self._m_identity_gauges = tuple(
+            (registry.gauge(name, help, ("identity",)), read)
+            for name, help, read in (
+                (
+                    "forensics_identity_coverage",
+                    "Population coverage of flagged identities",
+                    IdentityProfile.coverage,
+                ),
+                (
+                    "forensics_identity_novelty",
+                    "Recent-window novelty rate of flagged identities",
+                    lambda profile, population: profile.novelty_rate(),
+                ),
+                (
+                    "forensics_identity_extraction_eta_seconds",
+                    "§2.2 online extraction ETA of flagged identities "
+                    "(remaining population x observed per-tuple delay)",
+                    self._eta,
+                ),
+            )
         )

@@ -4,13 +4,17 @@
 layer in this library — what the paper's information provider would
 actually run. It owns the engine, the delay guard, and the account
 manager; exposes user-facing ``register``/``query``; and gives the
-operator an admin report plus full state save/load (schema, data, *and*
-learned popularity, so delays survive restarts).
+operator an admin report plus a lifecycle of one path per verb: build
+or :meth:`~DataProviderService.recover`,
+:meth:`~DataProviderService.checkpoint`,
+:meth:`~DataProviderService.close`. Saved state is the schema, the
+data, *and* the learned popularity and accounts, so delays survive
+restarts.
 
 Thread-safe without external serialisation: queries run the guard's
 staged pipeline, data access is arbitrated by the engine's read/write
-lock (concurrent readers, exclusive writers), and ``save``/``load``
-take the write side so a snapshot is a consistent point in time.
+lock (concurrent readers, exclusive writers), and a snapshot takes the
+write side so it is a consistent point in time.
 Callers — including :class:`~repro.server.DelayServer` — need no
 statement-level lock of their own.
 
@@ -50,8 +54,8 @@ from .obs import AuditLog, Observability
 from .sim.metrics import format_seconds
 
 #: Format identifier for full-service save files. v2 adds account state
-#: and the journal high-water mark (``journal_seq``); v1 files are still
-#: loadable.
+#: and the journal high-water mark (``journal_seq``); :meth:`recover`
+#: still reads v1 files.
 SERVICE_FORMAT = "repro-service-v2"
 _LEGACY_FORMATS = ("repro-service-v1",)
 
@@ -161,9 +165,9 @@ class DataProviderService:
             service is wrapped in a :class:`~repro.server.DelayServer`,
             with the server), so one scrape covers every layer. A fresh
             enabled bundle by default.
-        snapshot_path: default file for :meth:`checkpoint` and the
-            recovery entry point. Optional; :meth:`save` still takes an
-            explicit path.
+        snapshot_path: the file :meth:`checkpoint` writes and
+            :meth:`recover` reads. Optional; :meth:`save` exports to an
+            explicit path instead.
         journal_path: when set, a write-ahead journal is opened there
             and attached to the engine — every committed mutation is
             fsync'd before its caller is told it succeeded. On a fresh
@@ -178,7 +182,8 @@ class DataProviderService:
             and server emit structured defense events (served, denied,
             shed, priced, checkpoint, recovery, forensic flags) through
             a non-blocking background writer with size rotation. Only
-            attached when the bundle doesn't already carry one.
+            attached when the bundle doesn't already carry one, and
+            closed by :meth:`close`.
     """
 
     def __init__(
@@ -192,26 +197,21 @@ class DataProviderService:
         journal_path: Optional[Union[str, Path]] = None,
         journal_sync: bool = True,
         audit_path: Optional[Union[str, Path]] = None,
-        account_manager: Optional[AccountManager] = None,
     ):
         self.database = database if database is not None else Database()
         self.clock = clock if clock is not None else VirtualClock()
         self.obs = obs if obs is not None else Observability()
+        #: the audit log this service opened, and so closes.
+        self._own_audit: Optional[AuditLog] = None
         if audit_path is not None and self.obs.audit is None:
-            self.obs.audit = AuditLog(str(audit_path))
+            self._own_audit = self.obs.audit = AuditLog(str(audit_path))
             if self.obs.enabled:
                 self.obs.audit.register_metrics(self.obs.registry)
-        if account_manager is not None:
-            # Cluster shards share one AccountManager so per-identity
-            # budgets are global, not per-shard (otherwise an adversary
-            # gets M times the query budget by spraying shards).
-            self.accounts: Optional[AccountManager] = account_manager
-        else:
-            self.accounts = (
-                AccountManager(policy=account_policy, clock=self.clock)
-                if account_policy is not None
-                else None
-            )
+        self.accounts: Optional[AccountManager] = (
+            AccountManager(policy=account_policy, clock=self.clock)
+            if account_policy is not None
+            else None
+        )
         self.guard = DelayGuard(
             self.database,
             config=guard_config,
@@ -259,20 +259,24 @@ class DataProviderService:
             self._register_durability_metrics()
         return journal
 
-    def checkpoint(self, path: Optional[Union[str, Path]] = None) -> int:
-        """Snapshot full service state, then truncate the journal.
+    def checkpoint(self) -> int:
+        """Snapshot full service state to ``snapshot_path``, then
+        truncate the journal.
 
-        Runs under one exclusive write lock: the snapshot, the
-        ``journal_seq`` it records, and the truncation are a single
-        point in time. A crash anywhere in between is safe — recovery
-        skips journal records the snapshot already covers. Returns the
-        journal sequence number the snapshot covers.
+        The snapshot goes where :meth:`recover` reads it, and nowhere
+        else: truncating the journal behind a snapshot recovery never
+        reads would lose every commit in between. Runs under one
+        exclusive write lock: the snapshot, the ``journal_seq`` it
+        records, and the truncation are a single point in time. A crash
+        anywhere in between is safe — recovery skips journal records
+        the snapshot already covers. Returns the journal sequence
+        number the snapshot covers.
         """
-        target = Path(path) if path is not None else self.snapshot_path
+        target = self.snapshot_path
         if target is None:
             raise ConfigError(
-                "no checkpoint path: pass one or construct the service "
-                "with snapshot_path="
+                "no checkpoint path: construct the service with "
+                "snapshot_path="
             )
         with self.database.write_txn():
             journal = self.database.journal
@@ -434,22 +438,29 @@ class DataProviderService:
         return payload
 
     def close(self) -> None:
-        """Nothing to release on a single node.
+        """Close the journal attached to the database and the audit log
+        opened from ``audit_path`` (idempotent).
 
-        Exists so a caller can close this service and
-        :class:`~repro.cluster.ClusterService` (which stops its gossip
-        and monitor loops) alike. Deliberately leaves the journal
-        attached: closing it is a durability decision the owner makes
-        explicitly.
+        Nothing the caller passed in is closed: an ``obs`` bundle that
+        already carried an audit log keeps it open. Every journal frame
+        is flushed before its commit returns, so closing changes nothing
+        on disk. A write after close raises
+        :class:`~repro.engine.errors.JournalError`.
         """
+        journal = self.database.journal
+        if journal is not None:
+            journal.close()
+        if self._own_audit is not None:
+            self._own_audit.close()
 
     # -- state persistence ----------------------------------------------------------
 
     def save(self, path: Union[str, Path]) -> None:
-        """Persist database, learned guard state, and accounts, atomically.
+        """Export database, learned guard state, and accounts, atomically.
 
         Unlike :meth:`checkpoint` this does not touch the journal — it
-        is a portable export, safe to point anywhere.
+        is a portable export, safe to point anywhere. Restore it with
+        ``recover(snapshot_path=path)``.
         """
         atomic_write_json(path, self._dump_service())
 
@@ -506,32 +517,6 @@ class DataProviderService:
             self.clock.advance(delta)
 
     @classmethod
-    def load(
-        cls,
-        path: Union[str, Path],
-        guard_config: Optional[GuardConfig] = None,
-        account_policy: Optional[AccountPolicy] = None,
-        clock: Optional[Clock] = None,
-    ) -> "DataProviderService":
-        """Restore a service saved with :meth:`save`.
-
-        The guard configuration is supplied by the caller (policy knobs
-        are deployment configuration, not data); its decay rate must
-        match the saved state. Both current (v2) and v1 save files are
-        accepted; v1 predates account persistence, so accounts start
-        empty.
-        """
-        payload = cls._read_service_payload(path)
-        service = cls(
-            database=load_database(payload["database"]),
-            guard_config=guard_config,
-            account_policy=account_policy,
-            clock=clock,
-        )
-        service._load_state_payload(payload)
-        return service
-
-    @classmethod
     def recover(
         cls,
         snapshot_path: Optional[Union[str, Path]] = None,
@@ -542,19 +527,24 @@ class DataProviderService:
         obs: Optional[Observability] = None,
         journal_sync: bool = True,
         audit_path: Optional[Union[str, Path]] = None,
-        account_manager: Optional[AccountManager] = None,
         database_setup: Optional[Callable[[Database], None]] = None,
     ) -> "DataProviderService":
-        """Rebuild a service after a crash: snapshot + journal replay.
+        """Rebuild a service from its snapshot and journal — the one
+        restore path, after a crash and for an export from :meth:`save`.
 
-        Loads the latest snapshot if one exists (a missing file means
-        "never checkpointed" and is fine), replays journal records past
-        the snapshot's ``journal_seq`` — re-applying each statement to
+        Loads the snapshot (v2 or v1; v1 predates account persistence,
+        so accounts start empty). With a ``journal_path`` a missing
+        snapshot means "never checkpointed" and is fine; without one it
+        raises :class:`~repro.engine.persistence.PersistenceError`, as
+        there is nothing to restore from. Then replays journal records
+        past the snapshot's ``journal_seq`` — re-applying each statement to
         the engine *and* re-recording its updates into the guard's
         trackers with the timestamps they originally committed at — then
         re-attaches the journal so new commits keep being logged. Torn
         journal tails are truncated, not fatal. The result is stored in
-        :attr:`last_recovery`.
+        :attr:`last_recovery`. The guard configuration is supplied by
+        the caller (policy knobs are deployment configuration, not
+        data); its decay rate must match the saved state.
 
         ``database_setup``, when given, runs against the engine after the
         snapshot is loaded but *before* journal replay — cluster shards
@@ -563,7 +553,9 @@ class DataProviderService:
         """
         started = time.perf_counter()
         payload = None
-        if snapshot_path is not None and Path(snapshot_path).exists():
+        if snapshot_path is not None and (
+            journal_path is None or Path(snapshot_path).exists()
+        ):
             payload = cls._read_service_payload(snapshot_path)
         service = cls(
             database=(
@@ -577,7 +569,6 @@ class DataProviderService:
             obs=obs,
             snapshot_path=snapshot_path,
             audit_path=audit_path,
-            account_manager=account_manager,
         )
         if database_setup is not None:
             database_setup(service.database)

@@ -23,7 +23,6 @@ The concurrency test has a ``stress`` variant; scale it with
 """
 
 import itertools
-import json
 import os
 import random
 import sys
@@ -255,7 +254,7 @@ class TestLiveViewEqualsRebuild:
         finally:
             cluster.close()
         audit.close()
-        events = [json.loads(line) for line in open(audit.path)]
+        events = list(audit.replay())
         assert [e["event"] for e in events].count("cluster_view_dropped") == 1
 
     def test_counters_reach_health_and_the_registry(self):

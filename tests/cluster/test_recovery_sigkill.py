@@ -50,6 +50,7 @@ def run_driver_and_kill(workdir) -> dict:
         if process.poll() is None:
             process.send_signal(signal.SIGKILL)
         process.wait()
+        process.stderr.close()
     with open(os.path.join(workdir, "expected.json")) as fh:
         return json.load(fh)
 

@@ -6,7 +6,6 @@ refactor is correct exactly when no client can tell the two apart
 (results *and* prices).
 """
 
-import json
 
 import pytest
 
@@ -303,7 +302,7 @@ class TestShardFailure:
             assert cluster.router.shard_failures == failures
             assert cluster.router.stats.denied == failures
         audit.close()
-        events = map(json.loads, open(audit.path).read().splitlines())
+        events = audit.replay()
         assert [
             event["shard"]
             for event in events

@@ -129,10 +129,7 @@ class TestObservability:
             "parse", "execute", "account", "price", "record"
         ]
         audit.close()
-        kinds = [
-            json.loads(line)["event"]
-            for line in open(audit.path).read().splitlines()
-        ]
+        kinds = [event["event"] for event in audit.replay()]
         assert kinds.count("query_served") == 26
         assert kinds.count("cluster_select") == kinds.count("delay_priced") == 3
 
@@ -152,7 +149,7 @@ class TestObservability:
         audit.close()
         denied = [
             event
-            for event in map(json.loads, open(audit.path).read().splitlines())
+            for event in audit.replay()
             if event["event"] == "query_denied"
         ]
         assert [(e["identity"], e["reason"]) for e in denied] == [

@@ -6,11 +6,11 @@ from repro.engine import (
     Database,
     JournalError,
     WriteAheadJournal,
-    checkpoint_database,
-    recover_database,
+    replay_journal,
     scan_journal,
 )
 from repro.engine.journal import MAGIC, _HEADER
+from repro.service import DataProviderService
 
 
 @pytest.fixture
@@ -159,21 +159,55 @@ class TestTornTails:
             assert replayed == [f"stmt-{i}" for i in range(len(replayed))]
 
 
+def replayed(path):
+    """A fresh database rebuilt from the journal at ``path`` alone."""
+    database = Database()
+    replay_journal(database, path)
+    return database
+
+
 class TestDatabaseIntegration:
-    def _build(self, path):
-        database = Database()
-        journal = WriteAheadJournal(path)
-        database.attach_journal(journal)
+    @pytest.fixture(autouse=True)
+    def _close_opened(self):
+        self._opened = []
+        yield
+        for opened in self._opened:
+            opened.close()
+
+    @staticmethod
+    def _seed(database):
         database.execute(
             "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)"
         )
         database.execute("INSERT INTO t VALUES (1, 'one'), (2, 'two')")
+
+    def _build(self, path):
+        database = Database()
+        journal = WriteAheadJournal(path)
+        self._opened.append(journal)
+        database.attach_journal(journal)
+        self._seed(database)
         return database, journal
+
+    def _build_service(self, path, snapshot):
+        service = DataProviderService(
+            snapshot_path=snapshot, journal_path=path
+        )
+        self._opened.append(service)
+        self._seed(service.database)
+        return service
+
+    def _recover(self, path, snapshot):
+        recovered = DataProviderService.recover(
+            snapshot_path=snapshot, journal_path=path
+        )
+        self._opened.append(recovered)
+        return recovered.database, recovered.last_recovery
 
     def test_recovery_replays_committed_statements(self, path):
         database, _ = self._build(path)
         database.execute("UPDATE t SET v = 'ONE' WHERE id = 1")
-        recovered, report = recover_database(None, path)
+        recovered, report = self._recover(path, None)
         assert recovered.query("SELECT * FROM t ORDER BY id") == (
             database.query("SELECT * FROM t ORDER BY id")
         )
@@ -184,7 +218,7 @@ class TestDatabaseIntegration:
         database, _ = self._build(path)
         database.execute("DELETE FROM t WHERE id = 1")
         database.execute("INSERT INTO t VALUES (3, 'three')")
-        recovered, _ = recover_database(None, path)
+        recovered = replayed(path)
         assert recovered.table("t").rowids() == database.table("t").rowids()
 
     def test_rolled_back_transaction_not_journalled(self, path):
@@ -192,7 +226,7 @@ class TestDatabaseIntegration:
         database.execute("BEGIN")
         database.execute("INSERT INTO t VALUES (9, 'discarded')")
         database.execute("ROLLBACK")
-        recovered, _ = recover_database(None, path)
+        recovered = replayed(path)
         assert recovered.query("SELECT id FROM t ORDER BY id") == [(1,), (2,)]
 
     def test_open_transaction_lost_on_crash(self, path):
@@ -200,7 +234,7 @@ class TestDatabaseIntegration:
         database.execute("BEGIN")
         database.execute("INSERT INTO t VALUES (9, 'uncommitted')")
         # Crash before COMMIT: the journal holds only committed work.
-        recovered, _ = recover_database(None, path)
+        recovered = replayed(path)
         assert recovered.query("SELECT id FROM t ORDER BY id") == [(1,), (2,)]
 
     def test_committed_transaction_is_one_batch(self, path):
@@ -211,7 +245,7 @@ class TestDatabaseIntegration:
         database.execute("INSERT INTO t VALUES (4, 'y')")
         database.execute("COMMIT")
         assert journal.fsyncs == fsyncs_before + 1
-        recovered, _ = recover_database(None, path)
+        recovered = replayed(path)
         assert recovered.row_count("t") == 4
 
     def test_zero_row_dml_not_journalled(self, path):
@@ -223,18 +257,19 @@ class TestDatabaseIntegration:
     def test_bulk_insert_journalled(self, path):
         database, _ = self._build(path)
         database.insert_rows("t", [[3, "three"], [4, "four"]])
-        recovered, _ = recover_database(None, path)
+        recovered = replayed(path)
         assert recovered.row_count("t") == 4
         assert recovered.table("t").rowids() == database.table("t").rowids()
 
     def test_checkpoint_truncates_and_recovery_skips(self, path, tmp_path):
-        database, journal = self._build(path)
         snapshot = tmp_path / "snapshot.json"
-        seq = checkpoint_database(database, snapshot)
+        service = self._build_service(path, snapshot)
+        database, journal = service.database, service.journal
+        seq = service.checkpoint()
         assert seq == journal.last_seq
         assert journal.size_bytes == len(MAGIC)
         database.execute("INSERT INTO t VALUES (3, 'post')")
-        recovered, report = recover_database(snapshot, path)
+        recovered, report = self._recover(path, snapshot)
         assert report.snapshot_loaded
         assert report.snapshot_seq == seq
         assert report.replayed_statements == 1
@@ -246,16 +281,14 @@ class TestDatabaseIntegration:
         self, path, tmp_path
     ):
         """The checkpoint crash window: snapshot written, journal intact."""
-        database, journal = self._build(path)
         snapshot = tmp_path / "snapshot.json"
-        from repro.engine import atomic_write_json, dump_database
-
-        payload = dump_database(database)
-        payload["journal_seq"] = journal.last_seq
-        atomic_write_json(snapshot, payload)
-        # "Crash" here — journal never truncated. Recovery must skip
-        # the records the snapshot already contains.
-        recovered, report = recover_database(snapshot, path)
+        service = self._build_service(path, snapshot)
+        database = service.database
+        # An export records journal_seq like a checkpoint but never
+        # truncates: "crash" here. Recovery must skip the records the
+        # snapshot already contains.
+        service.save(snapshot)
+        recovered, report = self._recover(path, snapshot)
         assert report.skipped_records == 2
         assert report.replayed_statements == 0
         assert recovered.query("SELECT * FROM t ORDER BY id") == (

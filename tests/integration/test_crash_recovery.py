@@ -136,6 +136,7 @@ class TestKillRecovery:
             f"restored {prefix_length} statements"
         )
         assert_matches_reference(recovered, prefix_length, statements)
+        recovered.close()
 
     def test_clean_run_recovers_everything(self, tmp_path):
         env = dict(os.environ)
@@ -158,6 +159,7 @@ class TestKillRecovery:
         assert_matches_reference(
             recovered, len(statements), statements
         )
+        recovered.close()
 
 
 class TestDeterministicCorruption:
@@ -168,7 +170,7 @@ class TestDeterministicCorruption:
         crash_driver.apply_prefix(
             service, crash_driver.all_statements(count)
         )
-        service.journal.close()
+        service.close()
         return workdir / "journal.bin"
 
     def test_truncation_sweep_yields_valid_prefixes(self, tmp_path):
@@ -184,6 +186,7 @@ class TestDeterministicCorruption:
                 journal_path=journal_path,
                 guard_config=crash_driver.make_config(),
             )
+            recovered.close()
             observed = crash_driver.fingerprint(recovered)
             assert observed in prints
             lengths.add(prints.index(observed))
@@ -203,6 +206,7 @@ class TestDeterministicCorruption:
                 journal_path=journal_path,
                 guard_config=crash_driver.make_config(),
             )
+            recovered.close()
             # A flipped byte anywhere invalidates its record's checksum;
             # recovery keeps the prefix before it and never crashes.
             assert crash_driver.fingerprint(recovered) in prints
@@ -215,6 +219,7 @@ class TestDeterministicCorruption:
             journal_path=journal_path,
             guard_config=crash_driver.make_config(),
         )
+        recovered.close()
         assert recovered.last_recovery.torn_bytes_truncated > 0
         # Reopening truncated the tail durably: scanning the file now
         # finds no torn bytes.

@@ -394,6 +394,17 @@ class TestBoundedCardinality:
         assert len(labels) <= 4  # 3 real + "_other"
         assert "_other" in labels
 
+    def test_flagged_gauges_read_the_live_profile(self):
+        registry = MetricsRegistry()
+        forensics = build(population=100)
+        forensics.register_metrics(registry)
+        feed(forensics, "robot", range(50))
+        gauge = registry.get("forensics_identity_coverage")
+        assert gauge.value(identity="robot") == pytest.approx(0.5)
+        # No flag transition in between: the series still moves.
+        feed(forensics, "robot", range(50, 80))
+        assert gauge.value(identity="robot") == pytest.approx(0.8)
+
     def test_flag_metrics_count_reasons(self):
         registry = MetricsRegistry()
         forensics = build(population=100)
@@ -483,8 +494,10 @@ def run_seeded_stream(audit_path):
 
 def test_seeded_stream_matches_the_recorded_run(tmp_path):
     """Top, summary, audit events and the ``forensics_*`` series of one
-    seeded serving stream, recorded before the coverage monitor and the
-    scorer were one class, still come out exactly."""
+    seeded serving stream come out exactly as recorded. The
+    per-identity gauges are read at scrape time, so the robot's novelty
+    series is its window rate at the end of the stream, not the rate
+    its last flag transition saw."""
     expected = json.loads(STREAM_EXPECTED.read_text())
     observed = run_seeded_stream(str(tmp_path / "audit.jsonl"))
     for part in ("top", "summary", "events", "kinds", "series"):

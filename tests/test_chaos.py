@@ -445,9 +445,9 @@ class TestFaultInjection:
                 faults.fail(
                     "server.read", error=OSError("injected"), times=1
                 )
-                victim = DelayClient(*server.address)
-                with pytest.raises(ConnectionClosed):
-                    victim.ping()
+                with DelayClient(*server.address) as victim:
+                    with pytest.raises(ConnectionClosed):
+                        victim.ping()
             with DelayClient(*server.address) as survivor:
                 assert survivor.ping()
         assert len(server.handler_errors) == 0
@@ -458,8 +458,9 @@ class TestFaultInjection:
                 faults.fail(
                     "server.accept", error=OSError("injected"), times=1
                 )
-                with pytest.raises(ConnectionClosed):
-                    DelayClient(*server.address).ping()
+                with DelayClient(*server.address) as dropped:
+                    with pytest.raises(ConnectionClosed):
+                        dropped.ping()
             with DelayClient(*server.address) as client:
                 assert client.ping()
 
@@ -512,6 +513,7 @@ class TestFaultInjection:
                     "INSERT INTO t (id, v) VALUES (101, 'y')"
                 )
         assert response["ok"] is True
+        provider.close()
 
     def test_injected_faults_are_counted_in_metrics(self, service):
         with DelayServer(service) as server:
@@ -519,9 +521,9 @@ class TestFaultInjection:
                 faults.fail(
                     "server.read", error=OSError("injected"), times=1
                 )
-                client = DelayClient(*server.address)
-                with pytest.raises(ConnectionClosed):
-                    client.ping()
+                with DelayClient(*server.address) as client:
+                    with pytest.raises(ConnectionClosed):
+                        client.ping()
             with DelayClient(*server.address) as probe:
                 metrics = probe.metrics()["metrics"]
         fired = metrics["faults_injected_total"]["value"]
@@ -678,9 +680,9 @@ class TestClientRetries:
                 faults.fail(
                     "server.read", error=OSError("injected"), times=1
                 )
-                client = DelayClient(*server.address)
-                with pytest.raises(ConnectionClosed):
-                    client.query("SELECT * FROM t WHERE id = 1")
+                with DelayClient(*server.address) as client:
+                    with pytest.raises(ConnectionClosed):
+                        client.query("SELECT * FROM t WHERE id = 1")
 
     def test_bad_request_never_retried(self, service):
         with DelayServer(service) as server:

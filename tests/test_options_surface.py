@@ -1,4 +1,5 @@
-"""The settable options of the three front-door constructors, in plain sight.
+"""The settable options of the front-door constructors and of the
+service lifecycle (build or recover, checkpoint), in plain sight.
 
 Adding or removing a knob means editing one of these lists, so the
 size of the configuration surface changes only on purpose.
@@ -7,13 +8,23 @@ size of the configuration surface changes only on purpose.
 import dataclasses
 import inspect
 
+import repro.engine.durability
 from repro.cluster import ClusterService
 from repro.core import GuardConfig
 from repro.server import DelayServer
+from repro.service import DataProviderService
+
+
+def options(function):
+    return [
+        name
+        for name in inspect.signature(function).parameters
+        if name not in ("self", "cls")
+    ]
 
 
 def init_options(cls):
-    return list(inspect.signature(cls.__init__).parameters)[1:]  # not self
+    return options(cls.__init__)
 
 
 def test_delay_server_options():
@@ -66,3 +77,42 @@ def test_cluster_service_options():
         "probe_interval",
         "_shards",
     ]
+
+
+def test_data_provider_service_options():
+    assert init_options(DataProviderService) == [
+        "database",
+        "guard_config",
+        "account_policy",
+        "clock",
+        "obs",
+        "snapshot_path",
+        "journal_path",
+        "journal_sync",
+        "audit_path",
+    ]
+
+
+def test_recover_options():
+    assert options(DataProviderService.recover) == [
+        "snapshot_path",
+        "journal_path",
+        "guard_config",
+        "account_policy",
+        "clock",
+        "obs",
+        "journal_sync",
+        "audit_path",
+        "database_setup",
+    ]
+
+
+def test_checkpoint_takes_no_options():
+    assert options(DataProviderService.checkpoint) == []
+
+
+def test_recover_is_the_only_restore_path():
+    assert not hasattr(DataProviderService, "load")
+    for name in ("recover_database", "checkpoint_database"):
+        assert not hasattr(repro.engine, name)
+        assert not hasattr(repro.engine.durability, name)

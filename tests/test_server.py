@@ -143,11 +143,11 @@ class TestRobustness:
     def test_connection_closed_is_distinct_from_denial(self, service):
         server = DelayServer(service, drain_timeout=0.2)
         server.start()
-        client = DelayClient(*server.address)
-        assert client.ping()
-        server.stop()
-        with pytest.raises(ConnectionClosed):
-            client.ping()
+        with DelayClient(*server.address) as client:
+            assert client.ping()
+            server.stop()
+            with pytest.raises(ConnectionClosed):
+                client.ping()
         # ConnectionClosed still is a ServerError, so old handlers work.
         assert issubclass(ConnectionClosed, ServerError)
 
@@ -162,11 +162,11 @@ class TestRobustness:
 
     def test_idle_connection_dropped_after_read_timeout(self, service):
         with DelayServer(service, read_timeout=0.2) as server:
-            client = DelayClient(*server.address)
-            assert client.ping()
-            time.sleep(0.5)
-            with pytest.raises(ConnectionClosed):
-                client.ping()
+            with DelayClient(*server.address) as client:
+                assert client.ping()
+                time.sleep(0.5)
+                with pytest.raises(ConnectionClosed):
+                    client.ping()
 
     def test_handler_error_is_isolated_and_recorded(
         self, service, monkeypatch

@@ -153,6 +153,8 @@ class TestHealthOp:
         assert (
             audit_service.obs.audit.emitted_by_kind["query_shed"] == 1
         )
+        audit_server.stop()
+        audit_service.close()
 
 
 class TestForensicsOp:

@@ -112,8 +112,8 @@ class TestPersistence:
         path = tmp_path / "svc.json"
         service.save(path)
 
-        restored = DataProviderService.load(
-            path, guard_config=GuardConfig(cap=8.0)
+        restored = DataProviderService.recover(
+            snapshot_path=path, guard_config=GuardConfig(cap=8.0)
         )
         assert restored.guard.delay_for("t", 3) == pytest.approx(warm)
         assert restored.guard.delay_for("t", 17) == pytest.approx(cold)
@@ -124,25 +124,27 @@ class TestPersistence:
         path = tmp_path / "svc.json"
         service.save(path)
         with pytest.raises(ConfigError, match="decay rate"):
-            DataProviderService.load(
-                path, guard_config=GuardConfig(decay_rate=1.0)
+            DataProviderService.recover(
+                snapshot_path=path, guard_config=GuardConfig(decay_rate=1.0)
             )
 
     def test_load_missing_file(self, tmp_path):
+        # Without a journal there is nothing else to restore from: a
+        # mistyped export path must not quietly yield an empty service.
         with pytest.raises(PersistenceError):
-            DataProviderService.load(tmp_path / "nope.json")
+            DataProviderService.recover(snapshot_path=tmp_path / "nope.json")
 
     def test_load_corrupt_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("not json at all")
         with pytest.raises(PersistenceError, match="corrupt"):
-            DataProviderService.load(path)
+            DataProviderService.recover(snapshot_path=path)
 
     def test_load_wrong_format(self, tmp_path):
         path = tmp_path / "wrong.json"
         path.write_text('{"format": "other"}')
         with pytest.raises(PersistenceError, match="format"):
-            DataProviderService.load(path)
+            DataProviderService.recover(snapshot_path=path)
 
     def test_decayed_state_round_trips(self, tmp_path):
         service = make_service(rows=10, decay_rate=1.01)
@@ -151,8 +153,8 @@ class TestPersistence:
         before = service.guard.delay_for("t", 1)
         path = tmp_path / "svc.json"
         service.save(path)
-        restored = DataProviderService.load(
-            path, guard_config=GuardConfig(decay_rate=1.01)
+        restored = DataProviderService.recover(
+            snapshot_path=path, guard_config=GuardConfig(decay_rate=1.01)
         )
         assert restored.guard.delay_for("t", 1) == pytest.approx(before)
         # And the restored tracker keeps decaying consistently.

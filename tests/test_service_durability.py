@@ -87,6 +87,8 @@ class TestRecoverFromJournalOnly:
         assert_equivalent(recovered, service)
         assert not recovered.last_recovery.snapshot_loaded
         assert recovered.last_recovery.replayed_statements > 0
+        service.close()
+        recovered.close()
 
     def test_clock_restored_past_last_journal_ts(self, tmp_path):
         service = build_service(tmp_path)
@@ -101,6 +103,8 @@ class TestRecoverFromJournalOnly:
             if entry.ts is not None
         )
         assert recovered.clock.now() >= last_ts
+        service.close()
+        recovered.close()
 
     def test_direct_engine_writes_do_not_feed_trackers(self, tmp_path):
         """Only guard-tracked statements rebuild update-rate state."""
@@ -115,6 +119,8 @@ class TestRecoverFromJournalOnly:
         )
         assert ("items", 3) not in recovered.guard.last_update_times
         assert recovered.guard.update_rates.rate(("items", 3)) == 0.0
+        service.close()
+        recovered.close()
 
 
 class TestCheckpoint:
@@ -125,6 +131,7 @@ class TestCheckpoint:
         service.checkpoint()
         assert service.journal.size_bytes == len(MAGIC)
         assert service.checkpoints_completed == 1
+        service.close()
 
     def test_recovery_after_checkpoint_matches(self, tmp_path):
         service = build_service(tmp_path)
@@ -146,6 +153,8 @@ class TestCheckpoint:
         assert recovered.guard.delay_for("items", 1) == pytest.approx(
             service.guard.delay_for("items", 1)
         )
+        service.close()
+        recovered.close()
 
     def test_accounts_survive_checkpoint(self, tmp_path):
         service = build_service(tmp_path)
@@ -167,6 +176,8 @@ class TestCheckpoint:
             == live.account("alice").queries_issued
         )
         assert rec._quota_windows == live._quota_windows
+        service.close()
+        recovered.close()
 
     def test_no_path_configured_raises(self, tmp_path):
         service = DataProviderService(
@@ -177,15 +188,14 @@ class TestCheckpoint:
 
         with pytest.raises(ConfigError, match="checkpoint path"):
             service.checkpoint()
+        service.close()
 
     def test_checkpoint_crash_window_idempotent(self, tmp_path):
         """Snapshot replaced but journal not yet truncated: no double-apply."""
         service = build_service(tmp_path)
         run_workload(service)
-        payload = service._dump_service()
-        from repro.engine.persistence import atomic_write_json
-
-        atomic_write_json(tmp_path / "snapshot.json", payload)
+        # An export is a checkpoint that stops before the truncate.
+        service.save(tmp_path / "snapshot.json")
         # "Crash" before truncate: every journal record is <= journal_seq.
         recovered = DataProviderService.recover(
             snapshot_path=tmp_path / "snapshot.json",
@@ -196,6 +206,8 @@ class TestCheckpoint:
         assert recovered.last_recovery.replayed_statements == 0
         assert recovered.last_recovery.skipped_records > 0
         assert_equivalent(recovered, service)
+        service.close()
+        recovered.close()
 
 
 class TestTornJournal:
@@ -222,6 +234,8 @@ class TestTornJournal:
         assert again.database.query(
             "SELECT v FROM items WHERE id = 9"
         ) == [("new",)]
+        for opened in (service, recovered, again):
+            opened.close()
 
 
 class TestSaveLoadFormats:
@@ -240,8 +254,10 @@ class TestSaveLoadFormats:
         run_workload(service)
         path = tmp_path / "export.json"
         service.save(path)
-        loaded = DataProviderService.load(
-            path, guard_config=make_config(), account_policy=make_policy()
+        loaded = DataProviderService.recover(
+            snapshot_path=path,
+            guard_config=make_config(),
+            account_policy=make_policy(),
         )
         assert_equivalent(loaded, service)
         assert loaded.accounts.fees_collected == (
@@ -263,7 +279,9 @@ class TestSaveLoadFormats:
         }
         path = tmp_path / "legacy.json"
         path.write_text(json.dumps(v1))
-        loaded = DataProviderService.load(path, guard_config=make_config())
+        loaded = DataProviderService.recover(
+            snapshot_path=path, guard_config=make_config()
+        )
         assert sorted(
             loaded.database.query("SELECT id, v FROM items")
         ) == sorted(service.database.query("SELECT id, v FROM items"))
@@ -274,7 +292,7 @@ class TestSaveLoadFormats:
         path = tmp_path / "weird.json"
         path.write_text(json.dumps({"format": "repro-service-v99"}))
         with pytest.raises(PersistenceError, match="unsupported"):
-            DataProviderService.load(path)
+            DataProviderService.recover(snapshot_path=path)
 
 
 class TestDurabilityMetrics:
@@ -286,6 +304,7 @@ class TestDurabilityMetrics:
         assert "durability_journal_records_total" in text
         assert "durability_journal_fsyncs_total" in text
         assert "durability_checkpoints_total 1" in text
+        service.close()
 
     def test_recovery_metrics_exposed(self, tmp_path):
         service = build_service(tmp_path)
@@ -297,6 +316,8 @@ class TestDurabilityMetrics:
         text = recovered.obs.registry.render_prometheus()
         assert "durability_recovery_replayed_statements" in text
         assert "durability_recovery_seconds" in text
+        service.close()
+        recovered.close()
 
     def test_double_journal_attach_rejected(self, tmp_path):
         service = build_service(tmp_path)
@@ -304,6 +325,7 @@ class TestDurabilityMetrics:
 
         with pytest.raises(ConfigError, match="already attached"):
             service.enable_journal(tmp_path / "other.bin")
+        service.close()
 
 
 class TestMutationEpochDurability:
@@ -318,6 +340,7 @@ class TestMutationEpochDurability:
         service = build_service(tmp_path)
         run_workload(service)
         assert service.database.mutation_epoch == service.journal.last_seq
+        service.close()
 
     def test_checkpoint_records_epoch(self, tmp_path):
         service = build_service(tmp_path)
@@ -327,6 +350,7 @@ class TestMutationEpochDurability:
             (tmp_path / "snapshot.json").read_text()
         )
         assert payload["mutation_epoch"] == service.database.mutation_epoch
+        service.close()
 
     def test_recovered_epoch_not_behind_crash_point(self, tmp_path):
         service = build_service(tmp_path)
@@ -345,6 +369,8 @@ class TestMutationEpochDurability:
             recovered.database.mutation_epoch
             == recovered.last_recovery.last_seq
         )
+        service.close()
+        recovered.close()
 
     def test_snapshot_only_recovery_restores_epoch(self, tmp_path):
         service = build_service(tmp_path)
@@ -357,3 +383,4 @@ class TestMutationEpochDurability:
             account_policy=make_policy(),
         )
         assert recovered.database.mutation_epoch >= epoch
+        service.close()
