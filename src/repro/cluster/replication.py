@@ -439,7 +439,13 @@ class ReplicaGroup:
         primary; the fencing tests ship as a deposed one."""
         with self._lock:
             if shipper is self._primary and self._tail is not None:
-                self._pending.extend(self._tail.poll())
+                # Only synced frames: one whose fsync fails is cut back.
+                journal = shipper.service.journal
+                self._pending.extend(
+                    self._tail.poll(
+                        None if journal is None else journal.size_bytes
+                    )
+                )
             if not (shipper.servable and shipper.alive):
                 return 0
             delivered = 0

@@ -271,12 +271,20 @@ class Database:
         with self.write_txn():
             if self._transaction is None:
                 raise TransactionError("no transaction to commit")
-            count = self._transaction.commit()
-            self._transaction = None
             if self._journal is not None and self._txn_journal:
                 # One append batch (one fsync) for the whole transaction;
-                # only committed statements ever reach the journal.
-                self._journal.append_many(self._txn_journal)
+                # only committed statements ever reach the journal. The
+                # effects are kept only once it is durable: a failed
+                # append rolls the transaction back and ends it.
+                try:
+                    self._journal.append_many(self._txn_journal)
+                except Exception:
+                    self._transaction.rollback()
+                    self._transaction = None
+                    self._txn_journal = []
+                    raise
+            count = self._transaction.commit()
+            self._transaction = None
             self._txn_journal = []
             if count > 0:
                 # One epoch bump for the whole transaction: its effects
@@ -365,6 +373,10 @@ class Database:
         started = time.perf_counter()
         try:
             result = self.executor.execute(statement)
+            # Journal before keeping the effects: a statement whose
+            # append fails is undone, so the engine never holds a write
+            # that neither the journal nor the mutation epoch saw.
+            self._journal_statement(result, source, tracked)
         except Exception:
             if scope is not None:
                 scope.rollback()
@@ -374,7 +386,6 @@ class Database:
                 scope.merge_into(self._transaction)
             else:
                 scope.commit()
-        self._journal_statement(result, source, tracked)
         if self._transaction is None and (
             result.statement_kind == "ddl" or result.rowcount > 0
         ):
@@ -518,6 +529,14 @@ class Database:
             scope.attach(table)
             try:
                 rowids = [table.insert(row) for row in materialized]
+                if self._journal is not None and materialized:
+                    self._journal_entry(
+                        {
+                            "k": "rows",
+                            "table": table_name,
+                            "rows": materialized,
+                        }
+                    )
             except Exception:
                 scope.rollback()
                 raise
@@ -525,10 +544,6 @@ class Database:
                 scope.merge_into(self._transaction)
             else:
                 scope.commit()
-            if self._journal is not None and materialized:
-                self._journal_entry(
-                    {"k": "rows", "table": table_name, "rows": materialized}
-                )
             if self._transaction is None and materialized:
                 self._advance_mutation_epoch()
             return rowids

@@ -180,6 +180,48 @@ class ContextReader:
     def touched(rows: List[Context]) -> List[Touched]:
         return [pair for touched, _ in rows for pair in touched]
 
+    def groups(self, keys: Sequence[Expression], rows) -> "MemberGroups":
+        return groups_by_evaluation(self.evaluator, keys, rows)
+
+
+def groups_by_evaluation(evaluator, keys: Sequence[Expression], rows):
+    """GROUP BY, the reference way: rows keyed by the ``sort_key`` of
+    each key's value (so ``1`` and ``1.0`` share a group and NULLs form
+    one), groups in order of their first row, members in row order.
+    Keys are evaluated row by row, in row order."""
+    by = [evaluator(key) for key in keys]
+    groups: Dict[Tuple, list] = {}
+    for row in rows:
+        key = tuple(sort_key(evaluate(row)) for evaluate in by)
+        members = groups.get(key)
+        if members is None:
+            groups[key] = [row]
+        else:
+            members.append(row)
+    return MemberGroups(list(groups.values()), evaluator)
+
+
+class MemberGroups:
+    """A statement's groups: ``members[i]`` lists group ``i``'s working
+    rows, and :meth:`aggregate` computes a select item per group."""
+
+    def __init__(self, members: List[list], evaluator):
+        self.members = members
+        self._evaluator = evaluator
+
+    def aggregate(self, item: SelectItem):
+        """A function from a group's index to ``item``'s aggregate over
+        its members, evaluated when called."""
+        members = self.members
+        if item.aggregate == "COUNT" and item.expression is None:
+            return lambda index: len(members[index])
+        evaluate = self._evaluator(item.expression)
+        return lambda index: Executor._aggregate_of_values(
+            item.aggregate,
+            item.distinct,
+            [evaluate(row) for row in members[index]],
+        )
+
 
 class Executor:
     """Executes parsed statements against a :class:`Catalog`."""
@@ -647,29 +689,29 @@ class Executor:
 
     def _grouped(self, statement: SelectStatement, reader, rows, columns):
         """``(values, members)`` per group that passes HAVING, in order of
-        each group's first row."""
-        by = [reader.evaluator(key) for key in statement.group_by]
-        groups: Dict[Tuple, list] = {}
-        for row in rows:
-            key = tuple(sort_key(evaluate(row)) for evaluate in by)
-            members = groups.get(key)
-            if members is None:
-                groups[key] = [row]
-            else:
-                members.append(row)
+        each group's first row.
 
+        The reader forms the groups and reads each aggregate's inputs
+        (:meth:`ContextReader.groups` is the reference). Aggregates run
+        group by group, item by item, so the first error raised is the
+        one a row-at-a-time evaluation raises.
+        """
+        grouping = reader.groups(statement.group_by, rows)
         items = statement.items
-        parts = list(zip(self._aggregators(items, reader), items))
+        parts = [
+            (grouping.aggregate(item) if item.aggregate else None, item)
+            for item in items
+        ]
         having = statement.having
         needs_context = having is not None or not all(
             item.aggregate for item in items
         )
         lowered = [column.lower() for column in columns]
         shaped = []
-        for members in groups.values():
+        for index, members in enumerate(grouping.members):
             context = reader.context(members[0]) if needs_context else None
             values = tuple(
-                aggregate(members)
+                aggregate(index)
                 if aggregate is not None
                 else item.expression.evaluate(context)
                 for aggregate, item in parts

@@ -180,6 +180,8 @@ class WriteAheadJournal:
         self.bytes_written = 0
         self.fsyncs = 0
         self.torn_bytes_truncated = 0
+        #: set when a failed append could not be cut back out
+        self._broken = False
         scan = scan_journal(self.path)
         self._next_seq = scan.last_seq + 1
         self._size = scan.valid_bytes if self.path.exists() else len(MAGIC)
@@ -247,10 +249,11 @@ class WriteAheadJournal:
                 sequences.append(self._next_seq)
                 self._next_seq += 1
             blob = b"".join(frames)
-            self._file.write(blob)
-            self._file.flush()
-            if self.sync:
-                self._fsync()
+            try:
+                self._write(blob)
+            except BaseException:
+                self._next_seq = sequences[0]
+                raise
             self._size += len(blob)
             self.records_written += len(frames)
             self.bytes_written += len(blob)
@@ -274,10 +277,7 @@ class WriteAheadJournal:
             frame = (
                 _HEADER.pack(len(body), zlib.crc32(body) & 0xFFFFFFFF) + body
             )
-            self._file.write(frame)
-            self._file.flush()
-            if self.sync:
-                self._fsync()
+            self._write(frame)
             self._size += len(frame)
             self.records_written += 1
             self.bytes_written += len(frame)
@@ -309,7 +309,41 @@ class WriteAheadJournal:
                 self._file.flush()
                 self._file.close()
 
+    def _write(self, blob: bytes) -> None:
+        """Write, flush and (if ``sync``) fsync one batch of frames.
+
+        On an error the file is cut back to its size before the batch,
+        so no reader or recovery ever sees a frame its writer was told
+        failed. If the cut fails too, the journal refuses every later
+        append: what the file ends with is no longer known.
+        """
+        try:
+            self._file.write(blob)
+            self._file.flush()
+            if self.sync:
+                self._fsync()
+        except BaseException:
+            try:
+                try:
+                    self._file.close()  # drops the fd even if flushing fails
+                except OSError:
+                    pass
+                self._file = open(self.path, "r+b")
+                self._file.truncate(self._size)
+                self._file.seek(self._size)
+                self._fsync()
+            except BaseException:
+                self._broken = True
+                if not self._file.closed:
+                    self._file.close()
+            raise
+
     def _check_open(self) -> None:
+        if self._broken:
+            raise JournalError(
+                f"journal {self.path} could not undo a failed append; "
+                "it takes no more appends"
+            )
         if self._file.closed:
             raise JournalError(f"journal {self.path} is closed")
 
@@ -362,11 +396,19 @@ class JournalFollower:
         self.records_delivered = 0
         self.truncations_seen = 0
 
-    def poll(self) -> List[JournalRecord]:
-        """Decode and return frames appended since the last poll."""
+    def poll(self, limit: Optional[int] = None) -> List[JournalRecord]:
+        """Decode and return frames appended since the last poll.
+
+        ``limit`` caps the bytes read, the writer's
+        :attr:`WriteAheadJournal.size_bytes`: a frame past it is
+        written but not yet synced, and is cut back out if its fsync
+        fails.
+        """
         if not self.path.exists():
             return []
         size = self.path.stat().st_size
+        if limit is not None:
+            size = min(size, limit)
         if size < max(self._offset, len(MAGIC)):
             # Checkpoint truncation (or a fresh file): rewind.
             if self._offset > len(MAGIC):
@@ -382,7 +424,7 @@ class JournalFollower:
                     f"{self.path} is not a write-ahead journal (bad magic)"
                 )
             handle.seek(self._offset)
-            data = handle.read()
+            data = handle.read(size - self._offset)
         records: List[JournalRecord] = []
         cursor = 0
         while cursor + _HEADER.size <= len(data):

@@ -28,19 +28,35 @@ access path, and hash joins only where the row tier would hash-join.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from functools import partial, reduce
+from operator import itemgetter
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
-from ..executor import Executor, ResultSet, Touched
-from ..expr import ColumnRef, Comparison, Expression
-from ..parser.ast import SelectStatement
-from ..types import SQLValue
+from ..executor import (
+    Executor,
+    MemberGroups,
+    ResultSet,
+    Touched,
+    groups_by_evaluation,
+)
+from ..expr import ColumnRef, Comparison, Expression, Logical, conjuncts
+from ..parser.ast import SelectItem, SelectStatement
+from ..types import DataType, SQLValue
 from .columns import ColumnBatch
-from .compiler import SelView, SingleTableResolver, compile_filter
+from .compiler import (
+    SelView,
+    SingleTableResolver,
+    compile_filter,
+    is_safe_bool,
+)
 
 #: A working row: one position per FROM source, -1 = outer-join null.
 PosTuple = Tuple[int, ...]
+
+#: Column types whose every non-NULL value SUM and AVG accept.
+_NUMERIC = (DataType.INTEGER, DataType.FLOAT)
 
 
 class MultiView:
@@ -198,6 +214,56 @@ class PositionReader:
                     context[name] = value
         return context
 
+    def groups(
+        self, keys: Sequence[Expression], tuples: List[PosTuple]
+    ) -> MemberGroups:
+        """GROUP BY on position arrays.
+
+        Each key that names a column is factorised into integer codes
+        for this statement only (nothing is kept on a batch). A column
+        holds one Python type (the heap validates every row), so equal
+        values there are exactly equal ``sort_key``s and a value can be
+        its own dict key. A statement with any other key groups the
+        reference way.
+        """
+        entries = [self._entry(key) for key in keys]
+        if not tuples or None in entries:
+            return groups_by_evaluation(self.evaluator, keys, tuples)
+        positions = {
+            source: [t[source] for t in tuples] for source, _ in entries
+        }
+        codes = None
+        for source, column in entries:
+            more = _codes(
+                self._batches[source].columns[column], positions[source]
+            )
+            if codes is not None:
+                # Mixed radix, renumbered at once: stays below n**2.
+                more = _np.unique(
+                    codes * (int(more.max()) + 1) + more, return_inverse=True
+                )[1]
+            codes = more
+        # Number the groups by first appearance, then list each group's
+        # members in row order (a stable sort by group number).
+        _, first, inverse = _np.unique(
+            codes, return_index=True, return_inverse=True
+        )
+        rank = _np.empty(len(first), dtype=_np.intp)
+        rank[_np.argsort(first)] = _np.arange(len(first))
+        group_of = rank[inverse]
+        order = _np.argsort(group_of, kind="stable").tolist()
+        ends = _np.cumsum(_np.bincount(group_of)).tolist()
+        starts = [0] + ends[:-1]
+        return PositionGroups(
+            self, _gather(tuples, order), list(zip(starts, ends))
+        )
+
+    def _entry(self, expression: Expression) -> Optional[Tuple[int, int]]:
+        """``(source, column)`` of a column reference, else None."""
+        if isinstance(expression, ColumnRef):
+            return self._key_map.get(expression.name.lower())
+        return None
+
     def rowids(self, tuples: List[PosTuple]) -> List[int]:
         rowids = self._batches[0].rowids
         return [rowids[t[0]] for t in tuples]
@@ -213,6 +279,137 @@ class PositionReader:
             for (key, rowids), position in zip(sides, t)
             if position >= 0
         ]
+
+
+class PositionGroups(MemberGroups):
+    """Groups over position tuples, kept also as one list of every
+    member in group order (``bounds[i]`` slices out group ``i``)."""
+
+    def __init__(self, reader: PositionReader, grouped, bounds):
+        super().__init__(
+            [grouped[start:end] for start, end in bounds], reader.evaluator
+        )
+        self._reader = reader
+        self._grouped = grouped  # every member, in group order
+        self._bounds = bounds
+
+    def aggregate(self, item: SelectItem):
+        """COUNT, SUM and AVG of a numeric column read one gather of it
+        in group order, sliced per group; SUM and AVG add each slice
+        with Python's left-to-right ``sum``, as the reference does.
+        Every other aggregate is the reference's."""
+        entry = (
+            None
+            if item.expression is None or item.distinct
+            else self._reader._entry(item.expression)
+        )
+        func = item.aggregate
+        if entry is None or func not in ("COUNT", "SUM", "AVG"):
+            return super().aggregate(item)
+        source, column = entry
+        batch = self._reader._batches[source]
+        if func != "COUNT" and batch.dtypes[column] not in _NUMERIC:
+            return super().aggregate(item)  # raises per group, in order
+        gathered = _gather(
+            batch.columns[column], [t[source] for t in self._grouped]
+        )
+        has_nulls = gathered.count(None) > 0
+        bounds = self._bounds
+
+        def run(index: int) -> SQLValue:
+            start, end = bounds[index]
+            observed = gathered[start:end]
+            if has_nulls:
+                observed = [value for value in observed if value is not None]
+            if func == "COUNT":
+                return len(observed)
+            if not observed:
+                return None
+            total = sum(observed)
+            return total if func == "SUM" else total / len(observed)
+
+        return run
+
+
+def _gather(values: Sequence, positions: List[int]) -> list:
+    """``values`` at ``positions``, in order; position -1 reads NULL."""
+    if not positions:
+        return []
+    if min(positions) < 0:
+        return [values[p] if p >= 0 else None for p in positions]
+    if len(positions) == 1:
+        return [values[positions[0]]]
+    return list(itemgetter(*positions)(values))
+
+
+def _codes(values: List[SQLValue], positions: List[int]):
+    """Integer codes, equal exactly where the values at ``positions``
+    are equal (-1 reads NULL). A column no longer than the selection is
+    factorised whole, once, and its codes gathered by position."""
+    if len(values) <= len(positions):
+        index: Dict[SQLValue, int] = {}
+        codes = [index.setdefault(value, len(index)) for value in values]
+        codes.append(index.setdefault(None, len(index)))  # position -1
+        return _np.asarray(codes, dtype=_np.intp)[
+            _np.asarray(positions, dtype=_np.intp)
+        ]
+    gathered = _gather(values, positions)
+    index = {value: code for code, value in enumerate(dict.fromkeys(gathered))}
+    return _np.fromiter(
+        map(index.__getitem__, gathered), dtype=_np.intp, count=len(gathered)
+    )
+
+
+def _push_down(where, labels, batches, key_map, plans):
+    """Split a joined SELECT's WHERE into position filters applied
+    before the join and the rest, applied after it.
+
+    Returns ``(kept, rest)``: ``kept`` maps a source to its positions,
+    in scan order, that pass every conjunct naming only that source;
+    ``rest`` is the conjunction of the other conjuncts (None if none).
+
+    Only the driving source and inner-joined sources are filtered; the
+    null-extended side of a LEFT JOIN never is, since a filtered right
+    row could turn a match into a null extension. And nothing moves
+    unless the whole WHERE, and every ON that is not a hash join, can
+    never raise: ``Logical.evaluate`` evaluates both sides of AND, so
+    on the row tier an unsafe conjunct (or ON) runs on the very rows a
+    pushed conjunct would remove, and its error must not be hidden.
+    """
+    if where is None:
+        return {}, None
+    if not is_safe_bool(where, MultiResolver(key_map, batches)) or any(
+        equi is None and not is_safe_bool(join.condition, visible)
+        for join, visible, equi in plans
+    ):
+        return {}, where
+    filtered = {0} | {
+        index
+        for index, (join, _visible, _equi) in enumerate(plans, start=1)
+        if not join.outer
+    }
+    pushed: Dict[int, List[Expression]] = {}
+    rest: List[Expression] = []
+    for conjunct in conjuncts(where):
+        named = {key_map[name.lower()][0] for name in conjunct.columns()}
+        if len(named) == 1 and named <= filtered:
+            pushed.setdefault(named.pop(), []).append(conjunct)
+        else:
+            rest.append(conjunct)
+    kept = {}
+    for source, parts in pushed.items():
+        # A pushed conjunct names label.col or an unshared bare col (a
+        # shared bare name does not resolve, so the WHERE would not be
+        # safe): the source's single-table resolver reads both.
+        resolver = SingleTableResolver(batches[source], labels[source])
+        mask = compile_filter(_all_of(parts), resolver)(SelView(batches[source]))
+        kept[source] = mask.true_positions()
+    return kept, _all_of(rest)
+
+
+def _all_of(parts: List[Expression]) -> Optional[Expression]:
+    """The left-deep AND of ``parts`` (None for none)."""
+    return reduce(partial(Logical, "AND"), parts) if parts else None
 
 
 class VectorizedExecutor(Executor):
@@ -247,10 +444,12 @@ class VectorizedExecutor(Executor):
                     key_map[name] = (source_index, column_index)
 
         if statement.joins:
-            tuples = self._joined_tuples(statement, batches, key_map)
-            if statement.where is not None:
+            tuples, where = self._joined_tuples(
+                statement, [label for _, label in sources], batches, key_map
+            )
+            if where is not None:
                 batch_filter = compile_filter(
-                    statement.where, MultiResolver(key_map, batches)
+                    where, MultiResolver(key_map, batches)
                 )
                 mask = batch_filter(MultiView(batches, tuples))
                 tuples = [tuples[i] for i in mask.true_positions()]
@@ -314,10 +513,12 @@ class VectorizedExecutor(Executor):
     def _joined_tuples(
         self,
         statement: SelectStatement,
+        labels: List[str],
         batches: List[ColumnBatch],
         key_map: Dict[str, Tuple[int, int]],
-    ) -> List[PosTuple]:
-        """Positional joins, replicating the row tier's exactly.
+    ) -> Tuple[List[PosTuple], Optional[Expression]]:
+        """Positional joins, replicating the row tier's exactly, and the
+        part of the WHERE still to apply to their output.
 
         The row tier's ``_apply_join`` picks its hash path from the
         merged context keys at runtime; those key sets equal our static
@@ -328,11 +529,14 @@ class VectorizedExecutor(Executor):
         against the sources joined so far, it runs per left tuple over
         all right positions, so memory stays O(right) and pairs (and the
         first error a condition raises) come in the row tier's order.
+
+        Conjuncts of the WHERE that name one source are applied to that
+        source's positions before it joins (:func:`_push_down`), which
+        keeps positions in scan order, and so bucket order and the
+        order tuples are driven in.
         """
-        # The row tier's joins drive off table.rowids() (full scan order).
-        tuples: List[PosTuple] = [(p,) for p in range(len(batches[0]))]
+        plans = []
         for join_index, join in enumerate(statement.joins, start=1):
-            batch = batches[join_index]
             visible = {
                 name: entry
                 for name, entry in key_map.items()
@@ -344,12 +548,21 @@ class VectorizedExecutor(Executor):
             equi = self._static_equi_keys(
                 join.condition, visible.keys() - right_keys, right_keys
             )
+            plans.append((join, MultiResolver(visible, batches), equi))
+        kept, where = _push_down(
+            statement.where, labels, batches, key_map, plans
+        )
+
+        # The row tier's joins drive off table.rowids() (full scan order).
+        tuples: List[PosTuple] = [
+            (p,) for p in kept.get(0, range(len(batches[0])))
+        ]
+        for join_index, (join, visible, equi) in enumerate(plans, start=1):
+            batch = batches[join_index]
+            right = kept.get(join_index, range(len(batch)))
             joined: List[PosTuple] = []
             if equi is None:
-                on = compile_filter(
-                    join.condition, MultiResolver(visible, batches)
-                )
-                right = range(len(batch))
+                on = compile_filter(join.condition, visible)
                 for t in tuples:
                     pairs = [t + (p,) for p in right]
                     hits = on(MultiView(batches, pairs)).true_positions()
@@ -360,28 +573,27 @@ class VectorizedExecutor(Executor):
                 left_name, right_name = equi
                 left_source, left_column = key_map[left_name]
                 left_values = batches[left_source].columns[left_column]
+                right_values = batch.columns[key_map[right_name][1]]
                 buckets: Dict[SQLValue, List[int]] = {}
-                for position, value in enumerate(
-                    batch.columns[key_map[right_name][1]]
-                ):
+                for position in right:
+                    value = right_values[position]
                     if value is not None:
                         buckets.setdefault(value, []).append(position)
+                # No bucket is keyed None, so a NULL key matches nothing.
+                probe = buckets.get
                 for t in tuples:
                     left_position = t[left_source]
-                    value = (
-                        left_values[left_position]
-                        if left_position >= 0
-                        else None
-                    )
                     matches = (
-                        buckets.get(value, []) if value is not None else []
+                        probe(left_values[left_position], ())
+                        if left_position >= 0
+                        else ()
                     )
                     for right_position in matches:
                         joined.append(t + (right_position,))
                     if not matches and join.outer:
                         joined.append(t + (-1,))
             tuples = joined
-        return tuples
+        return tuples, where
 
     @staticmethod
     def _static_equi_keys(

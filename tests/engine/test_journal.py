@@ -9,8 +9,9 @@ from repro.engine import (
     replay_journal,
     scan_journal,
 )
-from repro.engine.journal import MAGIC, _HEADER
+from repro.engine.journal import MAGIC, _HEADER, JournalFollower
 from repro.service import DataProviderService
+from repro.testing.faults import injected_faults, injector
 
 
 @pytest.fixture
@@ -71,6 +72,48 @@ class TestFraming:
         journal.close()
         with pytest.raises(JournalError):
             journal.append({"k": "sql", "sql": "a"})
+
+
+class TestFailedAppend:
+    """An append whose write, flush or fsync fails leaves no trace."""
+
+    def test_failed_fsync_cuts_the_batch_back_out(self, path):
+        with WriteAheadJournal(path) as journal:
+            journal.append({"k": "sql", "sql": "a"})
+            size = journal.size_bytes
+            with injected_faults():
+                injector.fail("journal.fsync", OSError("disk gone"))
+                with pytest.raises(OSError, match="disk gone"):
+                    journal.append_many(
+                        [{"k": "sql", "sql": "b"}, {"k": "sql", "sql": "c"}]
+                    )
+            assert path.stat().st_size == size == journal.size_bytes
+            assert journal.last_seq == 1
+            assert journal.append({"k": "sql", "sql": "d"}) == 2
+        scan = scan_journal(path)
+        assert not scan.torn
+        assert [r.payload["sql"] for r in scan.records] == ["a", "d"]
+
+    def test_a_failed_cut_refuses_later_appends(self, path):
+        journal = WriteAheadJournal(path)
+        journal.append({"k": "sql", "sql": "a"})
+        with injected_faults():
+            # The append's fsync fails, then the cut's own fsync.
+            injector.fail("journal.fsync", OSError("disk gone"), times=2)
+            with pytest.raises(OSError):
+                journal.append({"k": "sql", "sql": "b"})
+        with pytest.raises(JournalError, match="no more appends"):
+            journal.append({"k": "sql", "sql": "c"})
+        journal.close()
+
+    def test_follower_reads_no_further_than_the_limit(self, path):
+        with WriteAheadJournal(path) as journal:
+            journal.append({"k": "sql", "sql": "a"})
+            synced = journal.size_bytes
+            journal.append({"k": "sql", "sql": "b"})
+            follower = JournalFollower(path)
+            assert [r.seq for r in follower.poll(synced)] == [1]
+            assert [r.seq for r in follower.poll(journal.size_bytes)] == [2]
 
 
 class TestReopen:

@@ -591,3 +591,330 @@ def test_guard_priced_delay_identical_across_executors():
         assert vectorized.delay == classic.delay, sql
         assert vectorized.result.execution_path == "vectorized", sql
         assert classic.result.execution_path == "classic", sql
+
+
+# -- joins and GROUP BY on positions ------------------------------------------
+#
+# The columnar tier filters each join source by the WHERE conjuncts that
+# name only it before the join, and groups on position arrays. Both must
+# leave rows, rowids, touched, errors and priced delay exactly as the
+# row tier has them.
+
+
+def populate_joins(db: Database) -> Database:
+    """Two joinable tables with NULL, duplicate and mixed 1/1.0 keys,
+    and floats whose sum depends on the order they are added in."""
+    db.execute(
+        "CREATE TABLE l (id INTEGER PRIMARY KEY, k INTEGER, kf FLOAT, "
+        "g TEXT, x FLOAT, n INTEGER, b BOOLEAN)"
+    )
+    db.execute(
+        "INSERT INTO l VALUES "
+        "(1, 1, 1.0, 'red', 0.1, 5, TRUE), "
+        "(2, 2, 2.5, 'blue', 1e16, NULL, FALSE), "
+        "(3, NULL, NULL, 'red', 0.2, 7, NULL), "
+        "(4, 1, 1.0, NULL, 1.0, 5, TRUE), "
+        "(5, 3, 3.0, 'blue', -1e16, 2, FALSE), "
+        "(6, 2, 2.5, 'red', 0.3, NULL, TRUE), "
+        "(7, 4, NULL, 'green', 2.75, 9, NULL), "
+        "(8, 1, 1.0, 'blue', 1.0, 5, FALSE), "
+        "(9, NULL, 4.0, NULL, NULL, 1, TRUE), "
+        "(10, 3, 3.0, 'green', 0.7, 2, TRUE)"
+    )
+    db.execute(
+        "CREATE TABLE r (rid INTEGER PRIMARY KEY, k INTEGER, kf FLOAT, "
+        "region TEXT, w FLOAT)"
+    )
+    db.execute(
+        "INSERT INTO r VALUES "
+        "(20, 1, 1.0, 'north', 4.0), "
+        "(21, 2, 2.0, 'south', 6.5), "
+        "(22, 1, 1.0, 'south', 1.5), "
+        "(23, NULL, NULL, 'north', 3.0), "
+        "(24, 3, 3.5, NULL, 9.0), "
+        "(25, 1, 1.5, 'east', NULL), "
+        "(26, 5, 5.0, 'east', 2.0)"
+    )
+    db.execute("CREATE TABLE c (region TEXT PRIMARY KEY, pop INTEGER)")
+    db.execute(
+        "INSERT INTO c VALUES ('north', 10), ('south', 3), ('east', 7)"
+    )
+    return db
+
+
+@pytest.fixture(scope="module")
+def jdb():
+    return populate_joins(Database())
+
+
+JOIN_GROUP_CORPUS = [
+    # push-down: the driving side, the joined side, both, plus a
+    # conjunct naming both that stays after the join
+    "SELECT l.id, r.rid FROM l JOIN r ON l.k = r.k WHERE l.x > 0.25",
+    "SELECT l.id, r.rid FROM l JOIN r ON l.k = r.k WHERE r.w < 5",
+    "SELECT * FROM l JOIN r ON l.k = r.k WHERE l.x > 0.15 AND r.w < 5",
+    "SELECT l.id, r.rid FROM l JOIN r ON l.k = r.k "
+    "WHERE l.x >= 0.1 AND r.w > 1 AND l.id < r.rid - 15",
+    "SELECT l.id, r.rid FROM l JOIN r ON l.k = r.k "
+    "WHERE l.g = 'red' AND (r.region = 'north' OR r.w IS NULL)",
+    "SELECT l.id FROM l JOIN r ON l.k = r.k WHERE l.x > 1e17",
+    "SELECT l.id FROM l JOIN r ON l.k = r.k WHERE NOT (l.b = TRUE) "
+    "AND r.region IN ('south', 'east')",
+    # LEFT JOIN: a conjunct on the null-extended side is never pushed
+    "SELECT l.id, r.rid FROM l LEFT JOIN r ON l.k = r.k WHERE r.w < 5",
+    "SELECT l.id, r.rid FROM l LEFT JOIN r ON l.k = r.k WHERE r.w IS NULL",
+    "SELECT l.id, r.rid FROM l LEFT JOIN r ON l.k = r.k "
+    "WHERE l.x > 0.15 AND r.region = 'north'",
+    "SELECT l.id, r.rid, c.pop FROM l LEFT JOIN r ON l.k = r.k "
+    "JOIN c ON r.region = c.region WHERE c.pop > 5 AND l.n = 5",
+    # unsafe conjunct beside safe ones: nothing moves, and the row
+    # tier's error is raised even where the safe ones remove every row
+    "SELECT l.id FROM l JOIN r ON l.k = r.k WHERE l.x > 1e17 AND l.n / 0 = 1",
+    "SELECT l.id FROM l JOIN r ON l.k = r.k WHERE r.w > 100 AND l.g + 1 = 2",
+    "SELECT l.id FROM l JOIN r ON l.k = r.k WHERE l.x > 0.5 AND r.w * 2 > 5",
+    # nested-loop ON: pushed under a safe ON, nothing under an unsafe one
+    "SELECT l.id, r.rid FROM l JOIN r ON l.k < r.k WHERE l.x > 0.5 AND r.w > 2",
+    "SELECT l.id, r.rid FROM l LEFT JOIN r ON l.kf > r.kf WHERE l.n > 2",
+    "SELECT l.id FROM l JOIN r ON l.g + r.k = 1 WHERE l.x > 1e17",
+    # NULL and mixed 1 / 1.0 keys; duplicate right keys keep bucket order
+    "SELECT l.id, r.rid FROM l JOIN r ON l.k = r.kf",
+    "SELECT l.id, r.rid FROM l JOIN r ON l.kf = r.k WHERE r.w > 1",
+    "SELECT l.id, r.rid FROM l LEFT JOIN r ON l.k = r.kf WHERE l.x < 2",
+    "SELECT l.id, r.rid, c.pop FROM l JOIN r ON l.k = r.k "
+    "JOIN c ON r.region = c.region WHERE c.pop > 5 AND l.x > 0.15",
+    # GROUP BY on INTEGER, FLOAT, TEXT, BOOLEAN and NULL-bearing keys
+    "SELECT k, COUNT(*), SUM(x), AVG(x) FROM l GROUP BY k",
+    "SELECT kf, COUNT(*), SUM(n), AVG(n) FROM l GROUP BY kf",
+    "SELECT g, COUNT(*), COUNT(n), AVG(x) FROM l GROUP BY g",
+    "SELECT b, COUNT(*), MIN(g), MAX(x) FROM l GROUP BY b",
+    "SELECT g, k, COUNT(*), SUM(n) FROM l GROUP BY g, k",
+    "SELECT kf, g, b, COUNT(*) FROM l GROUP BY kf, g, b",
+    "SELECT g, COUNT(*) FROM l WHERE x > 1e17 GROUP BY g",
+    # HAVING, plain grouped items, DISTINCT aggregates
+    "SELECT g, COUNT(*) AS c FROM l GROUP BY g HAVING c > 2",
+    "SELECT g, SUM(x) AS s FROM l GROUP BY g HAVING s > 0.5",
+    "SELECT g, id, n, COUNT(*) FROM l GROUP BY g",
+    "SELECT k, COUNT(DISTINCT g), SUM(DISTINCT n), AVG(DISTINCT x) "
+    "FROM l GROUP BY k",
+    # grouped ORDER BY + LIMIT/OFFSET trims touched with the groups
+    "SELECT g, COUNT(*) AS c FROM l GROUP BY g ORDER BY c DESC LIMIT 2",
+    "SELECT k, SUM(x) AS s FROM l GROUP BY k ORDER BY s LIMIT 2 OFFSET 1",
+    "SELECT k, COUNT(*) FROM l GROUP BY k ORDER BY k DESC LIMIT 1 OFFSET 2",
+    # keys and aggregates that are not plain columns
+    "SELECT k + 1, COUNT(*) FROM l GROUP BY k + 1",
+    "SELECT g, SUM(x * 2), AVG(n + 0.5) FROM l GROUP BY g",
+    "SELECT k, SUM(g) FROM l GROUP BY k",
+    "SELECT g, MIN(x) AS lo, MAX(n) FROM l GROUP BY g HAVING lo > 0",
+    "SELECT g, COUNT(*) FROM l GROUP BY nope",
+    "SELECT g, SUM(nope) FROM l GROUP BY g",
+    # grouped joins: the spine's shape, a NULL-extended group key, and
+    # a key on the driving side
+    "SELECT r.region, COUNT(*), AVG(l.x) FROM l JOIN r ON l.k = r.k "
+    "WHERE l.x > 0.15 GROUP BY r.region",
+    "SELECT r.region, COUNT(*), SUM(r.w), COUNT(r.w) FROM l "
+    "LEFT JOIN r ON l.k = r.k GROUP BY r.region",
+    "SELECT l.g, r.region, COUNT(*), AVG(r.w) FROM l JOIN r ON l.k = r.k "
+    "GROUP BY l.g, r.region ORDER BY l.g LIMIT 3",
+    "SELECT l.k, COUNT(*), SUM(l.x) FROM l JOIN r ON l.kf = r.kf "
+    "WHERE r.w < 7 GROUP BY l.k",
+    "SELECT c.pop, COUNT(*) AS n FROM l JOIN r ON l.k = r.k "
+    "JOIN c ON r.region = c.region GROUP BY c.pop HAVING n > 1",
+]
+
+
+@pytest.mark.parametrize("sql", JOIN_GROUP_CORPUS)
+def test_join_group_statement(jdb, sql):
+    run_both(jdb, sql)
+
+
+@pytest.mark.parametrize(
+    "sql",
+    [
+        "SELECT v, COUNT(*) FROM big GROUP BY v",
+        "SELECT active, COUNT(*), AVG(score) FROM users GROUP BY active",
+        "SELECT age, SUM(score), AVG(score) FROM users GROUP BY age",
+        "SELECT users.name, COUNT(*), SUM(orders.amount) FROM users "
+        "JOIN orders ON users.id = orders.uid GROUP BY users.name",
+    ],
+)
+def test_group_on_wide_and_null_columns(db, sql):
+    run_both(db, sql)
+
+
+@pytest.mark.parametrize(
+    "sql, pushed",
+    [
+        ("SELECT l.id FROM l JOIN r ON l.k = r.k WHERE l.x > 0.25", {0}),
+        ("SELECT l.id FROM l JOIN r ON l.k = r.k WHERE r.w < 5", {1}),
+        (
+            "SELECT l.id FROM l JOIN r ON l.k = r.k "
+            "WHERE l.x > 0.15 AND r.w < 5",
+            {0, 1},
+        ),
+        ("SELECT l.id FROM l LEFT JOIN r ON l.k = r.k WHERE r.w < 5", set()),
+        (
+            "SELECT l.id FROM l LEFT JOIN r ON l.k = r.k "
+            "WHERE l.x > 0.15 AND r.w < 5",
+            {0},
+        ),
+        (
+            "SELECT l.id FROM l JOIN r ON l.k = r.k "
+            "WHERE l.x > 1e17 AND l.n / 0 = 1",
+            set(),
+        ),
+        ("SELECT l.id FROM l JOIN r ON l.g + r.k = 1 WHERE l.x > 1", set()),
+        ("SELECT l.id FROM l JOIN r ON l.k < r.k WHERE l.x > 1", {0}),
+    ],
+)
+def test_which_sources_are_filtered_before_the_join(
+    jdb, monkeypatch, sql, pushed
+):
+    from repro.engine.vectorized import executor as module
+
+    seen = []
+    push_down = module._push_down
+
+    def spy(*args):
+        kept, rest = push_down(*args)
+        seen.append(set(kept))
+        return kept, rest
+
+    monkeypatch.setattr(module, "_push_down", spy)
+    run_both(jdb, sql)
+    assert seen == [pushed]
+
+
+def test_float_sum_and_avg_add_left_to_right(jdb):
+    # 0.1 + 1e16 + ... rounds differently in any other order (numpy's
+    # pairwise sum included): the answer must be Python's sequential sum.
+    result = run_both(jdb, "SELECT g, SUM(x), AVG(x) FROM l GROUP BY g")
+    by_group = {row[0]: row[1:] for row in result.rows}
+    blue = [1e16, -1e16, 1.0]  # rows 2, 5, 8 in scan order
+    assert repr(by_group["blue"]) == repr((sum(blue), sum(blue) / 3))
+
+
+def _random_join_statement(rng):
+    """A joined or grouped SELECT over l and r, built from parts the
+    columnar tier treats differently: pushable conjuncts on either
+    side, LEFT JOINs, unsafe conjuncts, column and expression keys."""
+    join = rng.choice(["JOIN", "LEFT JOIN"])
+    on = rng.choice(
+        ["l.k = r.k", "l.k = r.kf", "l.kf = r.kf", "l.k < r.k", "r.k = l.n"]
+    )
+    conjuncts = []
+    for _ in range(rng.randint(0, 3)):
+        conjuncts.append(
+            rng.choice(
+                [
+                    f"l.x > {rng.choice([0.15, 0.5, 1.0, 1e17])}",
+                    f"l.n {rng.choice(['=', '<', '>='])} {rng.randint(0, 9)}",
+                    f"l.g {rng.choice(['=', '!='])} 'red'",
+                    "l.g IS NULL",
+                    f"r.w {rng.choice(['<', '>'])} {rng.choice([1.5, 4, 7.0])}",
+                    "r.region IN ('north', 'east')",
+                    "r.w IS NULL",
+                    "l.id < r.rid - 15",
+                    "(l.b = TRUE OR r.w > 3)",
+                    "l.n / 0 = 1",
+                    "r.w * 2 > 5",
+                ]
+            )
+        )
+    where = " WHERE " + " AND ".join(conjuncts) if conjuncts else ""
+    from_clause = f"FROM l {join} r ON {on}{where}"
+    roll = rng.random()
+    if roll < 0.35:
+        return f"SELECT l.id, r.rid, r.w {from_clause}"
+    keys = rng.sample(
+        ["l.g", "r.region", "l.k", "r.kf", "l.b", "l.n + 1"], rng.randint(1, 2)
+    )
+    aggregates = rng.sample(
+        [
+            "COUNT(*)",
+            "COUNT(r.w)",
+            "SUM(l.x)",
+            "AVG(l.x)",
+            "AVG(r.w)",
+            "SUM(l.n)",
+            "MIN(r.region)",
+            "COUNT(DISTINCT l.g)",
+            "SUM(l.g)",
+        ],
+        rng.randint(1, 3),
+    )
+    sql = (
+        f"SELECT {', '.join(keys)}, {', '.join(aggregates)} AS last "
+        f"{from_clause} GROUP BY {', '.join(keys)}"
+    )
+    if rng.random() < 0.3:
+        sql += " HAVING last IS NOT NULL"
+    if rng.random() < 0.4:
+        sql += f" ORDER BY last {rng.choice(['ASC', 'DESC'])}"
+        sql += f" LIMIT {rng.randint(0, 4)} OFFSET {rng.randint(0, 2)}"
+    return sql
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fuzz_join_group_equivalence(seed):
+    rng = random.Random(3000 + seed)
+    database = populate_joins(Database())
+    # More rows, drawn per seed, on top of the fixed ones.
+    regions = ["'north'", "'south'", "'east'", "NULL"]
+    left = ", ".join(
+        "({}, {}, {}, {}, {}, {}, {})".format(
+            pk,
+            rng.choice(["NULL", "1", "2", "3", "5"]),
+            rng.choice(["NULL", "1.0", "1.5", "3.0"]),
+            rng.choice(["'red'", "'blue'", "NULL"]),
+            rng.choice(["NULL", "0.1", "0.2", "1e16", "-1e16", "2.75"]),
+            rng.choice(["NULL", "1", "5", "9"]),
+            rng.choice(["TRUE", "FALSE", "NULL"]),
+        )
+        for pk in range(100, 160)
+    )
+    database.execute(f"INSERT INTO l VALUES {left}")
+    right = ", ".join(
+        "({}, {}, {}, {}, {})".format(
+            pk,
+            rng.choice(["NULL", "1", "2", "5"]),
+            rng.choice(["NULL", "1.0", "2.0", "3.0"]),
+            rng.choice(regions),
+            rng.choice(["NULL", "1.5", "4.0", "7.5"]),
+        )
+        for pk in range(200, 230)
+    )
+    database.execute(f"INSERT INTO r VALUES {right}")
+    for _ in range(30):
+        run_both(database, _random_join_statement(rng))
+
+
+def test_join_group_delay_identical_across_executors():
+    """The corpus through two guards, one per tier: every priced delay
+    (touched tuples and popularity history alike) agrees to the bit."""
+    guards = []
+    for vectorized in (False, True):
+        database = populate_joins(Database())
+        if not vectorized:
+            database.configure_execution(vectorized=False)
+        guards.append(
+            DelayGuard(
+                database,
+                config=GuardConfig(policy="popularity", cap=None, unit=1.0),
+                clock=VirtualClock(),
+            )
+        )
+    for sql in JOIN_GROUP_CORPUS * 2:
+        outcomes = []
+        for guard in guards:
+            try:
+                guarded = guard.execute(sql, sleep=False)
+                outcomes.append(
+                    (
+                        repr(guarded.result.rows),
+                        guarded.result.touched,
+                        guarded.delay,
+                    )
+                )
+            except EngineError as error:
+                outcomes.append(repr(error))
+        assert outcomes[0] == outcomes[1], sql

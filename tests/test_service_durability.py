@@ -12,9 +12,10 @@ import pytest
 
 from repro.core import AccountPolicy
 from repro.core.config import GuardConfig
-from repro.engine.journal import MAGIC
+from repro.engine.journal import MAGIC, scan_journal
 from repro.engine.persistence import PersistenceError
 from repro.service import DataProviderService
+from repro.testing.faults import injected_faults, injector
 
 
 def make_config():
@@ -384,3 +385,66 @@ class TestMutationEpochDurability:
         )
         assert recovered.database.mutation_epoch >= epoch
         service.close()
+
+
+class TestFailedJournalAppend:
+    """A write whose journal append fails is undone: the engine, the
+    result cache and recovery all keep the state before it."""
+
+    def build(self, tmp_path):
+        service = DataProviderService(
+            guard_config=GuardConfig(cap=10.0, result_cache_size=8),
+            account_policy=None,
+            journal_path=tmp_path / "journal.bin",
+        )
+        service.database.execute(
+            "CREATE TABLE t (id INTEGER PRIMARY KEY, v TEXT)"
+        )
+        service.database.execute("INSERT INTO t VALUES (1, 'a')")
+        return service
+
+    def count(self, service):
+        return service.query(None, "SELECT COUNT(*) FROM t")
+
+    def assert_one_row_everywhere(self, service, tmp_path):
+        assert service.database.row_count("t") == 1
+        answer = self.count(service)
+        assert answer.cached and answer.rows == [(1,)]
+        service.close()
+        recovered = DataProviderService.recover(
+            journal_path=tmp_path / "journal.bin",
+            guard_config=GuardConfig(cap=10.0),
+            account_policy=None,
+        )
+        assert recovered.database.row_count("t") == 1
+        # The journal still takes appends, numbered after the survivor.
+        recovered.database.execute("INSERT INTO t VALUES (3, 'c')")
+        recovered.close()
+        scan = scan_journal(tmp_path / "journal.bin")
+        assert [record.seq for record in scan.records] == [1, 2, 3]
+
+    def test_autocommit_write_is_undone(self, tmp_path):
+        service = self.build(tmp_path)
+        assert not self.count(service).cached  # now cached at this epoch
+        epoch = service.database.mutation_epoch
+        with injected_faults():
+            injector.fail("journal.fsync", OSError("disk gone"))
+            with pytest.raises(OSError, match="disk gone"):
+                service.query(None, "INSERT INTO t VALUES (2, 'b')")
+        assert service.database.mutation_epoch == epoch
+        self.assert_one_row_everywhere(service, tmp_path)
+
+    def test_failed_commit_rolls_the_transaction_back(self, tmp_path):
+        service = self.build(tmp_path)
+        assert not self.count(service).cached
+        database = service.database
+        database.execute("BEGIN")
+        database.execute("INSERT INTO t VALUES (2, 'b')")
+        database.execute("UPDATE t SET v = 'z' WHERE id = 1")
+        with injected_faults():
+            injector.fail("journal.fsync", OSError("disk gone"))
+            with pytest.raises(OSError, match="disk gone"):
+                database.execute("COMMIT")
+        assert not database.in_transaction
+        assert database.query("SELECT v FROM t") == [("a",)]
+        self.assert_one_row_everywhere(service, tmp_path)
