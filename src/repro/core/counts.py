@@ -15,7 +15,11 @@ on top by inflating increments (see :mod:`repro.core.popularity`). A
 statement touches many tuples, so beside ``add``/``get`` there are two
 batch primitives, ``add_many(keys, amounts)`` (one ordered scatter-add)
 and ``get_many(keys)`` (one gather), both bit-identical to the per-key
-loop.
+loop. A large SELECT's keys arrive as a
+:class:`~repro.engine.footprint.Footprint` (rowid arrays): those are
+looked up through per-table ``rowid -> slot`` arrays derived from the
+dict (:class:`~repro.engine.footprint.SlotIndex`), which may miss but
+never give a wrong slot, so no ``(table, rowid)`` tuple is hashed.
 
 The store is thread-safe: an internal re-entrant lock makes each call
 atomic, and ``items()`` iterates a snapshot taken under the lock so
@@ -39,9 +43,11 @@ from __future__ import annotations
 
 import itertools
 import threading
-from typing import Dict, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from ..engine.footprint import Footprint, SlotIndex
 
 Key = int  # tuple identifier (engine rowid, or any hashable id)
 
@@ -74,6 +80,8 @@ class InMemoryCountStore:
         self._lock = threading.RLock()
         self._version = 0
         self._slots: Dict[Key, int] = {}
+        #: footprint lookups through rowid arrays derived from _slots.
+        self._slot_index: Optional[SlotIndex] = None
         self._allocate(self._INITIAL_CAPACITY)
 
     def _allocate(self, capacity: int) -> None:
@@ -102,6 +110,13 @@ class InMemoryCountStore:
     def _lookup(self, keys: Sequence[Key]) -> List[int]:
         """Slot of every key, ``-1`` for an unseen one; lock held."""
         return list(map(self._slots.get, keys, itertools.repeat(-1)))
+
+    def _footprint_slots(self, footprint: Footprint) -> np.ndarray:
+        """:meth:`_lookup` of a footprint, as an intp array; lock held."""
+        index = self._slot_index
+        if index is None or index.source is not self._slots:
+            index = self._slot_index = SlotIndex(self._slots)
+        return index.lookup(footprint)
 
     # -- versions ---------------------------------------------------------------
 
@@ -163,19 +178,31 @@ class InMemoryCountStore:
         if not count:
             return
         with self._lock:
-            found = self._lookup(keys)
-            if -1 in found:
-                known = self._slots
-                self._new_slots(
-                    [key for key in dict.fromkeys(keys) if key not in known]
-                )
+            if isinstance(keys, Footprint):
+                slots = self._footprint_slots(keys)
+                unseen = np.flatnonzero(slots < 0)
+                if len(unseen):
+                    # Unseen keys take slots in first-seen order, as
+                    # dict.fromkeys(keys) below gives them.
+                    self._new_slots(list(dict.fromkeys(keys.pairs_at(unseen))))
+                    slots = self._footprint_slots(keys)
+                ordered = np.sort(slots)
+                distinct = not (ordered[1:] == ordered[:-1]).any()
+            else:
                 found = self._lookup(keys)
-            slots = np.array(found, dtype=np.intp)
+                if -1 in found:
+                    known = self._slots
+                    self._new_slots(
+                        [key for key in dict.fromkeys(keys) if key not in known]
+                    )
+                    found = self._lookup(keys)
+                slots = np.array(found, dtype=np.intp)
+                distinct = len(set(found)) == count
             # Position i is mutation number version + 1 + i. (A running
             # sum of ones, not arange: arange always drops the GIL.)
             stamps = np.add.accumulate(np.ones(count, dtype=np.int64))
             stamps += self._version
-            if len(set(found)) == count:
+            if distinct:
                 self._weights[slots] += amounts
                 self._stamps[slots] = stamps
             else:
@@ -197,6 +224,8 @@ class InMemoryCountStore:
     def get_many(self, keys: Sequence[Key]) -> np.ndarray:
         """``get`` of every key, in order, from one consistent snapshot."""
         with self._lock:
+            if isinstance(keys, Footprint):
+                return self._weights[self._footprint_slots(keys)]
             return self._weights[np.array(self._lookup(keys), dtype=np.intp)]
 
     def items(self) -> Iterator[Tuple[Key, float]]:

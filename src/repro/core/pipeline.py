@@ -72,8 +72,9 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
+from ..engine.footprint import Footprint
 from ..engine.parser.ast import SelectStatement
 from ..engine.parser.parser import parse_cache_info, shaped_statement
 from ..obs import ForensicsMonitor, QueryTrace, delay_buckets
@@ -123,8 +124,9 @@ class QueryContext:
     cache_hit: bool = False
     #: the engine result (set by *execute*).
     result: Optional["ResultSet"] = None
-    #: base tuples charged for a SELECT (set by *account*).
-    keys: List[Tuple[str, int]] = field(default_factory=list)
+    #: base tuples charged for a SELECT (set by *account*): a list, or
+    #: the result's :class:`~repro.engine.footprint.Footprint`.
+    keys: Sequence[Tuple[str, int]] = field(default_factory=list)
     per_tuple: List[float] = field(default_factory=list)
     delay: float = 0.0
     #: the delay *record* charged to ``identity`` for a served SELECT.
@@ -355,8 +357,11 @@ class AccountStage(Stage):
             raise AccessDenied("result_limit")
         # `touched` covers every contributing base tuple, across joined
         # tables; fall back to the driving table's rowids for result
-        # sets produced without it.
-        if result.touched:
+        # sets produced without it. A footprint is immutable and is
+        # priced and recorded as arrays, so it is kept as it is.
+        if isinstance(result.touched, Footprint):
+            ctx.keys = result.touched
+        elif result.touched:
             ctx.keys = list(result.touched)
         else:
             ctx.keys = [

@@ -56,6 +56,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..engine.footprint import FOOTPRINT_FROM, Footprint
 from .counts import InMemoryCountStore, Key
 from .errors import ConfigError
 
@@ -66,7 +67,9 @@ _ORIGIN_SEQ = itertools.count()
 #: dozen numpy calls of a batch cost ~40 us whatever its length, the
 #: loop ~1.3 us per key, so arrays win from about 40 keys up; a point
 #: read's one tuple and a short range's twenty must not pay for them.
-SMALL_BATCH = 48
+#: The engine hands a SELECT's ``touched`` over as a
+#: :class:`~repro.engine.footprint.Footprint` from the same number.
+SMALL_BATCH = FOOTPRINT_FROM
 
 _MODES = ("raw", "decayed")
 
@@ -581,9 +584,11 @@ class PopularityTracker(DecayedCounts):
         ``_increment *= decay_rate`` does; ``γ**i`` would not), and the
         totals are running sums for the same reason. A batch during
         which the increment would cross ``rescale_threshold`` takes the
-        loop, which rescales mid-batch exactly where it always did.
+        loop, which rescales mid-batch exactly where it always did. A
+        :class:`~repro.engine.footprint.Footprint` reaches the store as
+        it is, and the store looks its rowids up as arrays.
         """
-        if not isinstance(keys, (list, tuple)):
+        if not isinstance(keys, (list, tuple, Footprint)):
             keys = list(keys)
         count = len(keys)
         with self._lock:

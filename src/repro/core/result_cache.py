@@ -40,9 +40,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Hashable, Optional, Tuple
+from typing import Dict, Hashable, Optional, Tuple, Union
 
 from ..engine.executor import ResultSet
+from ..engine.footprint import Footprint
 from .errors import ConfigError
 
 __all__ = ["CachedResult", "ResultCache"]
@@ -61,20 +62,30 @@ class CachedResult:
     columns: Tuple[str, ...]
     rows: Tuple[Tuple, ...]
     rowids: Tuple[int, ...]
-    touched: Tuple[Tuple[str, int], ...]
+    touched: Union[Tuple[Tuple[str, int], ...], Footprint]
     table: Optional[str]
     rowcount: int
 
     @classmethod
     def freeze(cls, result: ResultSet) -> "CachedResult":
-        """Deep-copy a live result set into immutable storage form."""
+        """Deep-copy a live result set into immutable storage form.
+
+        A :class:`~repro.engine.footprint.Footprint` is already
+        immutable: its read-only arrays are shared, and only a list a
+        consumer may have materialised from it is left behind.
+        """
+        touched = result.touched
         return cls(
             columns=tuple(result.columns),
             rows=tuple(tuple(row) for row in result.rows),
             rowids=tuple(result.rowids),
             # tuple() of a tuple is that same object, so only a pair the
             # caller could still mutate (a list) is rebuilt.
-            touched=tuple(map(tuple, result.touched)),
+            touched=(
+                touched.share()
+                if isinstance(touched, Footprint)
+                else tuple(map(tuple, touched))
+            ),
             table=result.table,
             rowcount=result.rowcount,
         )
@@ -84,13 +95,20 @@ class CachedResult:
 
         Builds new list containers on every call: the caller may append
         to or reorder its result freely without reaching the cache, and
-        the rows themselves are immutable tuples.
+        the rows themselves are immutable tuples. A footprint comes
+        back as a new one over the same read-only arrays, so a list the
+        caller materialises from it stays with the caller.
         """
+        touched = self.touched
         return ResultSet(
             columns=list(self.columns),
             rows=list(self.rows),
             rowids=list(self.rowids),
-            touched=list(self.touched),
+            touched=(
+                touched.share()
+                if isinstance(touched, Footprint)
+                else list(touched)
+            ),
             table=self.table,
             rowcount=self.rowcount,
             statement_kind="select",

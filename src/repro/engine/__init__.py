@@ -26,6 +26,7 @@ from .errors import (
     TypeMismatchError,
 )
 from .executor import Executor, ResultSet
+from .footprint import FOOTPRINT_FROM, Footprint
 from .index import HashIndex, Index, OrderedIndex, create_index
 from .journal import (
     JournalRecord,
@@ -63,6 +64,8 @@ __all__ = [
     "EngineStats",
     "ExecutionError",
     "Executor",
+    "FOOTPRINT_FROM",
+    "Footprint",
     "HashIndex",
     "HeapTable",
     "Index",

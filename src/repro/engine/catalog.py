@@ -152,3 +152,42 @@ class Catalog:
             if kind is None or index.kind == kind:
                 return index
         return None
+
+
+class CatalogScope:
+    """The catalog's name maps as they stood before one DDL statement.
+
+    The DDL counterpart of a DML statement's
+    :class:`~repro.engine.transactions.UndoLog` scope, with the same
+    ``rollback``/``commit`` verbs. :meth:`rollback` puts the maps back:
+    a dropped table returns with its rows and its indexes re-attached,
+    a created table or index goes. Until :meth:`commit`, the scope
+    holds what a DROP removed, so a statement whose journal append
+    fails leaves the catalog as it found it.
+    """
+
+    def __init__(self, catalog: Catalog):
+        self._catalog = catalog
+        self._saved = (
+            dict(catalog._tables),
+            dict(catalog._indexes),
+            {key: list(found) for key, found in catalog._indexes_by_table.items()},
+        )
+
+    def rollback(self) -> None:
+        """Restore the maps saved when the scope opened."""
+        catalog = self._catalog
+        tables, indexes, by_table = self._saved
+        for name, index in catalog._indexes.items():
+            if indexes.get(name) is not index:
+                index.detach()
+        for name, index in indexes.items():
+            if catalog._indexes.get(name) is not index:
+                index.attach()
+        catalog._tables = tables
+        catalog._indexes = indexes
+        catalog._indexes_by_table = by_table
+
+    def commit(self) -> None:
+        """Keep the statement's effects; let the saved maps go."""
+        self._saved = None

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 from ..testing.faults import fire
-from .catalog import Catalog
+from .catalog import Catalog, CatalogScope
 from .errors import JournalError
 from .executor import Executor, ResultSet
 from .vectorized.executor import VectorizedExecutor
@@ -420,8 +420,15 @@ class Database:
             entry["g"] = True
         self._journal_entry(entry)
 
-    def _statement_scope(self, statement) -> Optional[UndoLog]:
-        """An undo scope covering the statement's target table, if DML."""
+    def _statement_scope(self, statement):
+        """An undo scope covering the statement's target table, if DML,
+        or the catalog, if DDL (DESIGN §8: journal first, undo on
+        failure)."""
+        if isinstance(
+            statement,
+            (CreateTableStatement, CreateIndexStatement, DropTableStatement),
+        ):
+            return CatalogScope(self.catalog)
         if not isinstance(
             statement, (InsertStatement, UpdateStatement, DeleteStatement)
         ):

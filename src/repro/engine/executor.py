@@ -94,7 +94,11 @@ class ResultSet:
             SELECT, after LIMIT/OFFSET; every matching rowid for
             aggregates; affected rowids for DML).
         touched: every contributing (table, rowid) pair, across joins.
-            For single-table statements this mirrors ``rowids``.
+            For single-table statements this mirrors ``rowids``. The
+            columnar tier hands :data:`~repro.engine.footprint.
+            FOOTPRINT_FROM` pairs or more over as a read-only
+            :class:`~repro.engine.footprint.Footprint`, which reads as
+            this same list.
         table: name of the driving base table, if any.
         rowcount: rows affected, for DML statements.
         statement_kind: "select" | "insert" | "update" | "delete" | "ddl".
@@ -107,7 +111,7 @@ class ResultSet:
     columns: List[str] = field(default_factory=list)
     rows: List[Tuple[SQLValue, ...]] = field(default_factory=list)
     rowids: List[int] = field(default_factory=list)
-    touched: List[Touched] = field(default_factory=list)
+    touched: Sequence[Touched] = field(default_factory=list)
     table: Optional[str] = None
     rowcount: int = 0
     statement_kind: str = "select"

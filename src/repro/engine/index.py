@@ -42,6 +42,11 @@ class Index:
         """Stop tracking the table (used when dropping the index)."""
         self.table.unsubscribe(self._on_mutation)
 
+    def attach(self) -> None:
+        """Track the table again after :meth:`detach` (an undone DROP;
+        the table cannot have changed while it was out of the catalog)."""
+        self.table.subscribe(self._on_mutation)
+
     def _on_mutation(
         self, event: str, rowid: int, row: Row, old: Optional[Row] = None
     ) -> None:

@@ -12,7 +12,9 @@ positional hash joins and every other ON condition a positional nested
 loop. Projection, grouping, aggregation, ordering, slicing and the
 ``rowids``/``touched`` lists are the inherited
 :meth:`~repro.engine.executor.Executor._shape`, run over these tuples
-through :class:`PositionReader`. UPDATE and DELETE pick their targets
+through :class:`PositionReader`, whose ``touched`` of
+:data:`~repro.engine.footprint.FOOTPRINT_FROM` pairs or more is a
+:class:`~repro.engine.footprint.Footprint`: the same pairs as arrays. UPDATE and DELETE pick their targets
 from the same single-table row source (:meth:`VectorizedExecutor.
 _target_rowids`).
 
@@ -42,6 +44,7 @@ from ..executor import (
     groups_by_evaluation,
 )
 from ..expr import ColumnRef, Comparison, Expression, Logical, conjuncts
+from ..footprint import FOOTPRINT_FROM, Footprint
 from ..parser.ast import SelectItem, SelectStatement
 from ..types import DataType, SQLValue
 from .columns import ColumnBatch
@@ -268,17 +271,51 @@ class PositionReader:
         rowids = self._batches[0].rowids
         return [rowids[t[0]] for t in tuples]
 
-    def touched(self, tuples: List[PosTuple]) -> List[Touched]:
-        if len(self._batches) == 1:
-            key, rowids = self._batches[0].table_key, self._batches[0].rowids
-            return [(key, rowids[t[0]]) for t in tuples]
-        sides = [(batch.table_key, batch.rowids) for batch in self._batches]
-        return [
-            (key, rowids[position])
-            for t in tuples
-            for (key, rowids), position in zip(sides, t)
-            if position >= 0
-        ]
+    def touched(self, tuples: List[PosTuple]) -> Sequence[Touched]:
+        """Every non-null position's ``(table, rowid)``, tuple by tuple
+        in source order: a :class:`~repro.engine.footprint.Footprint`
+        from :data:`~repro.engine.footprint.FOOTPRINT_FROM` pairs up,
+        a list below it."""
+        batches = self._batches
+        if len(batches) == 1:
+            key, rowids = batches[0].table_key, batches[0].rowids
+            if len(tuples) < FOOTPRINT_FROM:
+                return [(key, rowids[t[0]]) for t in tuples]
+            return Footprint((key,), _rowid_column(rowids, tuples, 0))
+        if len(tuples) < FOOTPRINT_FROM:
+            sides = [(batch.table_key, batch.rowids) for batch in batches]
+            pairs = [
+                (key, rowids[position])
+                for t in tuples
+                for (key, rowids), position in zip(sides, t)
+                if position >= 0
+            ]
+            if len(pairs) < FOOTPRINT_FROM:
+                return pairs
+        return self._footprint(tuples)
+
+    def _footprint(self, tuples: List[PosTuple]) -> Footprint:
+        """:meth:`touched` of a join as arrays: one ``(tuple, source)``
+        grid of rowids, read row-major under the non-null mask."""
+        keys = [batch.table_key for batch in self._batches]
+        tables = tuple(dict.fromkeys(keys))
+        shape = (len(tuples), len(keys))
+        rowids = _np.zeros(shape, dtype=_np.int64)
+        present = _np.empty(shape, dtype=bool)
+        for source, batch in enumerate(self._batches):
+            positions = _np.fromiter(
+                map(itemgetter(source), tuples), dtype=_np.intp, count=shape[0]
+            )
+            present[:, source] = positions >= 0
+            if batch.rowids:  # position -1 reads the last rowid: masked
+                rowids[:, source] = _rowid_column(batch.rowids, tuples, source)
+        codes = None
+        if len(tables) > 1:
+            codes = _np.broadcast_to(
+                _np.array([tables.index(key) for key in keys], dtype=_np.int8),
+                shape,
+            )[present]
+        return Footprint(tables, rowids[present], codes)
 
 
 class PositionGroups(MemberGroups):
@@ -329,6 +366,15 @@ class PositionGroups(MemberGroups):
             return total if func == "SUM" else total / len(observed)
 
         return run
+
+
+def _rowid_column(rowids: List[int], tuples: List[PosTuple], source: int):
+    """``rowids`` at each tuple's ``source`` position, as int64."""
+    return _np.fromiter(
+        map(rowids.__getitem__, map(itemgetter(source), tuples)),
+        dtype=_np.int64,
+        count=len(tuples),
+    )
 
 
 def _gather(values: Sequence, positions: List[int]) -> list:

@@ -6,6 +6,7 @@ import json
 import socket
 import threading
 import time
+import weakref
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -153,8 +154,7 @@ class DelayServer:
         self._queue = AdmissionQueue(max_queue)
         self._sleeper = self._new_sleeper()
         self._busy_workers = 0
-        self._listener = self._bind(host, port)
-        self._address: Tuple[str, int] = self._listener.getsockname()
+        self._listen(host, port)
         self._io: Optional[IOLoop] = None
         self._workers: List[threading.Thread] = []
         self._started = False
@@ -178,13 +178,17 @@ class DelayServer:
         if self.obs.enabled:
             self._register_metrics()
 
-    @staticmethod
-    def _bind(host: str, port: int) -> socket.socket:
+    def _listen(self, host: str, port: int) -> None:
+        """Bind the listening socket. A server collected without
+        :meth:`stop` (one built and never started, say) closes it then:
+        the finaliser holds the socket, not the server."""
         listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         listener.bind((host, port))
         listener.listen(128)
-        return listener
+        self._listener = listener
+        self._address: Tuple[str, int] = listener.getsockname()
+        weakref.finalize(self, listener.close)
 
     def _new_sleeper(self) -> DelayScheduler:
         return DelayScheduler(
@@ -302,8 +306,7 @@ class DelayServer:
         if self._started:
             raise ConfigError("server already started")
         if self._stopped:
-            self._listener = self._bind(*self._address)
-            self._address = self._listener.getsockname()
+            self._listen(*self._address)
             self._queue = AdmissionQueue(self.max_queue)
             self._sleeper = self._new_sleeper()
             self._stopped = False

@@ -26,8 +26,12 @@ from hypothesis.stateful import (
     rule,
 )
 
+import numpy as np
+
+from repro.core.counts import InMemoryCountStore
 from repro.core.delay_policy import PopularityDelayPolicy
 from repro.core.popularity import SMALL_BATCH, PopularityTracker
+from repro.engine import Footprint
 
 ITEMS = [("items", rowid) for rowid in range(120)]
 CATEGORIES = [("categories", rowid) for rowid in range(8)]
@@ -40,6 +44,17 @@ JUMP = PopularityTracker.RECOVERY_VERSION_JUMP
 
 def thaw(key):
     return list(key) if isinstance(key, tuple) else key
+
+
+def footprint_of(pairs):
+    """``pairs`` (``(str, int)`` keys) as the engine's footprint."""
+    tables = tuple(dict.fromkeys(table for table, _ in pairs)) or ("items",)
+    codes = np.array([tables.index(table) for table, _ in pairs], np.int8)
+    return Footprint(
+        tables,
+        np.array([rowid for _, rowid in pairs], dtype=np.int64),
+        codes if len(tables) > 1 else None,
+    )
 
 
 class Model:
@@ -332,6 +347,17 @@ class DenseStoreMachine(RuleBasedStateMachine):
         for key in keys:
             self.model.record(key)
 
+    @rule(
+        style=st.sampled_from(["join", "hot", "scan", "uniform"]),
+        length=LENGTHS,
+        seed=st.integers(0, 2**16),
+    )
+    def record_footprint(self, style, length, seed):
+        keys = batch(style, length, seed)
+        self.subject.record_many(footprint_of(keys))
+        for key in keys:
+            self.model.record(key)
+
     @rule(factor=st.sampled_from([1.0, 1.5, 7.0, 1e3]))
     def apply_decay(self, factor):
         self.subject.apply_decay(factor)
@@ -403,10 +429,11 @@ class DenseStoreMachine(RuleBasedStateMachine):
                 subject.popularity(key, mode) for key in UNIVERSE
             ]
             assert subject.max_popularity(mode) == max(expected)
+        footprint = footprint_of(UNIVERSE)
         for policy in self.policies:
-            assert policy.delays_for(UNIVERSE) == [
-                policy.delay_for(key) for key in UNIVERSE
-            ]
+            expected = [policy.delay_for(key) for key in UNIVERSE]
+            assert policy.delays_for(UNIVERSE) == expected
+            assert policy.delays_for(footprint) == expected
 
 
 def machine_for(gamma):
@@ -423,3 +450,136 @@ def machine_for(gamma):
 TestNoDecay = machine_for(1.0)
 TestSlowDecay = machine_for(1.0001)
 TestFastDecay = machine_for(1.5)
+
+
+# -- the footprint lookup against its list-only twin --------------------------
+
+#: keys a footprint can carry: plain (str, int) pairs, a rowid far past
+#: any table's size, and rowids the exotic keys below collide with.
+PLAIN = (
+    [("t", rowid) for rowid in range(70)]
+    + [("u", rowid) for rowid in range(20)]
+    + [("t", 10**12)]
+)
+#: keys only lists carry: ('t', True) and ('t', np.int64(3)) hash and
+#: compare like ('t', 1) and ('t', 3), and keys that are no pair at all.
+EXOTIC = [("t", True), ("t", np.int64(3)), ("t", 2.0), 7, "x", ("t",)]
+ANY = PLAIN + EXOTIC
+JUMPED = 1 << 32
+
+
+class FootprintStoreMachine(RuleBasedStateMachine):
+    """One store fed footprints, a twin fed the same keys as lists:
+    every slot, weight, stamp and version must agree bit for bit, and
+    the rowid index must stay O(tracked keys)."""
+
+    def __init__(self):
+        super().__init__()
+        self.subject, self.twin = InMemoryCountStore(), InMemoryCountStore()
+        self.donor = InMemoryCountStore()
+        self.saved = None
+
+    def both(self, call):
+        call(self.subject)
+        call(self.twin)
+
+    @rule(key=st.sampled_from(ANY), amount=st.sampled_from([1.0, 0.3, 2.5]))
+    def add(self, key, amount):
+        self.both(lambda store: store.add(key, amount))
+
+    @rule(keys=st.lists(st.sampled_from(ANY), max_size=120))
+    def add_many_list(self, keys):
+        amounts = np.linspace(0.1, 3.0, len(keys))
+        self.both(lambda store: store.add_many(keys, amounts))
+
+    @rule(keys=st.lists(st.sampled_from(PLAIN), min_size=1, max_size=160))
+    def add_many_footprint(self, keys):
+        amounts = np.linspace(0.7, 1.9, len(keys))
+        self.subject.add_many(footprint_of(keys), amounts)
+        self.twin.add_many(keys, amounts)
+
+    @rule(keys=st.lists(st.sampled_from(PLAIN), min_size=1, max_size=160))
+    def get_many(self, keys):
+        got = self.subject.get_many(footprint_of(keys))
+        assert got.tobytes() == self.twin.get_many(keys).tobytes()
+        assert got.tobytes() == self.subject.get_many(keys).tobytes()
+
+    @rule()
+    def clear(self):
+        self.both(InMemoryCountStore.clear)
+
+    @rule(keys=st.lists(st.sampled_from(PLAIN + [("v", 5)]), max_size=40))
+    def merge(self, keys):
+        for key in keys:
+            self.donor.add(key, 1.5)
+        delta = json.loads(json.dumps(self.donor.delta_since(0)))
+        assert self.subject.merge(delta) == self.twin.merge(delta)
+
+    @rule()
+    def checkpoint(self):
+        self.saved = self.subject.delta_since(0)
+
+    @rule()
+    def load_state(self):
+        """What DecayedCounts.load_state does to its store."""
+        if self.saved is None:
+            return
+        saved = json.loads(json.dumps(self.saved, default=int))
+
+        def restore(store):
+            store.clear()
+            store.merge(saved)
+            store.advance_version(saved["version"] + JUMPED)
+
+        self.both(restore)
+
+    @invariant()
+    def agree_bit_for_bit(self):
+        subject, twin = self.subject, self.twin
+        assert repr(list(subject._slots.items())) == repr(
+            list(twin._slots.items())
+        )
+        assert subject.version == twin.version
+        for since in (0, subject.version // 2, subject.version):
+            assert repr(subject.delta_since(since)) == repr(
+                twin.delta_since(since)
+            )
+        used = len(subject._slots)
+        assert subject._weights[:used].tobytes() == twin._weights[:used].tobytes()
+        assert subject._stamps[:used].tobytes() == twin._stamps[:used].tobytes()
+
+    @invariant()
+    def index_stays_o_of_tracked_keys(self):
+        index = self.subject._slot_index
+        if index is None:
+            return
+        for array in index._arrays.values():
+            assert len(array) <= 4 * len(index.source) + 1024
+
+
+def test_a_footprint_finds_the_slot_of_a_key_of_another_type():
+    # The dict matches ('t', 1) to ('t', True), ('t', 3) to
+    # ('t', np.int64(3)) and ('t', 2) to ('t', 2.0); a footprint must
+    # too, after its table's array is built and with the key inside it.
+    for exotic in EXOTIC[:3]:
+        subject, twin = InMemoryCountStore(), InMemoryCountStore()
+        plain = [("t", rowid) for rowid in range(10, 70)]
+        for store in (subject, twin):
+            store.add(exotic, 2.0)
+        subject.add_many(footprint_of(plain), np.ones(len(plain)))
+        twin.add_many(plain, np.ones(len(plain)))
+        probe = [("t", rowid) for rowid in range(60)]
+        assert subject.get_many(footprint_of(probe)).tobytes() == (
+            twin.get_many(probe).tobytes()
+        )
+        subject.add_many(footprint_of(probe), np.full(len(probe), 0.5))
+        twin.add_many(probe, np.full(len(probe), 0.5))
+        assert repr(subject.delta_since(0)) == repr(twin.delta_since(0))
+
+
+TestFootprintStore = FootprintStoreMachine.TestCase
+TestFootprintStore.settings = settings(
+    max_examples=max(1, settings.default.max_examples // 4),
+    stateful_step_count=40,
+    deadline=None,
+)

@@ -1,9 +1,11 @@
 """Tests for the TCP server and client."""
 
+import gc
 import json
 import socket
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -734,3 +736,20 @@ class TestLifecycle:
         server = DelayServer(service)
         server.start()
         server.stop()
+
+    def test_unstarted_server_closes_its_listener_when_collected(self):
+        # __init__ binds the listener; a server dropped before start()
+        # (no stop() to close it) must close it as it is collected,
+        # not leave the socket to warn "unclosed" from its __del__.
+        provider = make_service()
+        DelayServer(provider)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            provider.close()
+            del provider
+            gc.collect()
+        assert not [
+            warning
+            for warning in caught
+            if issubclass(warning.category, ResourceWarning)
+        ]

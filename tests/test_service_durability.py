@@ -448,3 +448,41 @@ class TestFailedJournalAppend:
         assert not database.in_transaction
         assert database.query("SELECT v FROM t") == [("a",)]
         self.assert_one_row_everywhere(service, tmp_path)
+
+    def test_drop_table_is_undone(self, tmp_path):
+        service = self.build(tmp_path)
+        database = service.database
+        database.execute("CREATE INDEX t_v ON t (v)")
+        assert not self.count(service).cached
+        epoch = database.mutation_epoch
+        with injected_faults():
+            injector.fail("journal.fsync", OSError("disk gone"))
+            with pytest.raises(OSError, match="disk gone"):
+                service.query(None, "DROP TABLE t")
+        assert database.catalog.has_table("t")
+        assert database.mutation_epoch == epoch
+        # The table came back with its index still tracking it.
+        database.execute("INSERT INTO t VALUES (2, 'b')")
+        index = database.catalog.index_on("t", "v")
+        assert index is not None and index.lookup("b") == [2]
+        database.execute("DELETE FROM t WHERE id = 2")
+        service.close()
+        recovered = DataProviderService.recover(
+            journal_path=tmp_path / "journal.bin",
+            guard_config=GuardConfig(cap=10.0),
+            account_policy=None,
+        )
+        assert recovered.database.row_count("t") == 1
+        recovered.close()
+
+    def test_create_table_is_undone(self, tmp_path):
+        service = self.build(tmp_path)
+        assert not self.count(service).cached
+        epoch = service.database.mutation_epoch
+        with injected_faults():
+            injector.fail("journal.fsync", OSError("disk gone"))
+            with pytest.raises(OSError, match="disk gone"):
+                service.query(None, "CREATE TABLE u (id INTEGER PRIMARY KEY)")
+        assert not service.database.catalog.has_table("u")
+        assert service.database.mutation_epoch == epoch
+        self.assert_one_row_everywhere(service, tmp_path)
