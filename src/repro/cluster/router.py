@@ -523,7 +523,28 @@ class ClusterRouter(PipelineHost):
     def pricing_policy(self, ctx: RouteContext) -> DelayPolicy:
         return ctx.policy
 
-    def _by_owner(self, keys: List[Key]) -> Dict[int, List[Key]]:
+    def _by_owner(self, keys: Sequence[Key]) -> Dict[int, Sequence[Key]]:
+        """Each owner's keys, in their order, owners in order of first
+        appearance. A footprint is split on its rowid array, and an
+        owner's share of ``FOOTPRINT_FROM`` keys or more stays one."""
+        import numpy as np
+
+        from ..engine.footprint import FOOTPRINT_FROM, Footprint
+
+        if isinstance(keys, Footprint):
+            owners = (keys.rowids - 1) % self.shard_map.shard_count
+            _, first = np.unique(owners, return_index=True)
+            shares: Dict[int, Sequence[Key]] = {}
+            for owner in owners[np.sort(first)].tolist():
+                at = np.flatnonzero(owners == owner)
+                if len(at) < FOOTPRINT_FROM:
+                    shares[owner] = keys.pairs_at(at)
+                else:
+                    codes = None if keys.codes is None else keys.codes[at]
+                    shares[owner] = Footprint(
+                        keys.tables, keys.rowids[at], codes
+                    )
+            return shares
         by_owner: Dict[int, List[Key]] = {}
         for key in keys:
             owner = self.shard_map.owner_of_rowid(key[1])

@@ -187,6 +187,13 @@ class ContextReader:
     def groups(self, keys: Sequence[Expression], rows) -> "MemberGroups":
         return groups_by_evaluation(self.evaluator, keys, rows)
 
+    def aggregate(self, item: SelectItem):
+        return member_aggregate(self.evaluator, item)
+
+    @staticmethod
+    def concat(parts: Sequence[list]) -> list:
+        return [row for members in parts for row in members]
+
 
 def groups_by_evaluation(evaluator, keys: Sequence[Expression], rows):
     """GROUP BY, the reference way: rows keyed by the ``sort_key`` of
@@ -217,14 +224,19 @@ class MemberGroups:
         """A function from a group's index to ``item``'s aggregate over
         its members, evaluated when called."""
         members = self.members
-        if item.aggregate == "COUNT" and item.expression is None:
-            return lambda index: len(members[index])
-        evaluate = self._evaluator(item.expression)
-        return lambda index: Executor._aggregate_of_values(
-            item.aggregate,
-            item.distinct,
-            [evaluate(row) for row in members[index]],
-        )
+        aggregate = member_aggregate(self._evaluator, item)
+        return lambda index: aggregate(members[index])
+
+
+def member_aggregate(evaluator, item: SelectItem):
+    """``item``'s aggregate as a function of a group's member rows, the
+    reference way: each row read through ``evaluator``, in row order."""
+    if item.aggregate == "COUNT" and item.expression is None:
+        return len
+    evaluate = evaluator(item.expression)
+    return lambda members: Executor._aggregate_of_values(
+        item.aggregate, item.distinct, [evaluate(row) for row in members]
+    )
 
 
 class Executor:
@@ -550,8 +562,11 @@ class Executor:
         ``evaluator(expr)`` returns a per-row evaluator, ``star(row)`` the
         values of every FROM column, ``context(row)`` the row's full
         name->value dict (HAVING and grouped plain items see it),
-        ``rowids(rows)`` the driving table's rowid per row, and
-        ``touched(rows)`` every contributing ``(table, rowid)`` pair.
+        ``rowids(rows)`` the driving table's rowid per row,
+        ``touched(rows)`` every contributing ``(table, rowid)`` pair,
+        ``groups(keys, rows)`` the GROUP BY, ``aggregate(item)`` a
+        function from member rows to a global aggregate, and
+        ``concat(parts)`` the served groups' members as one run of rows.
 
         Each output row keeps the working rows it was built from, so
         LIMIT/OFFSET trims ``rowids`` and ``touched`` with ``rows``: a
@@ -621,7 +636,7 @@ class Executor:
             shaped = shaped[offset : None if limit is None else offset + limit]
 
         if aggregated:
-            served = [row for _, members in shaped for row in members]
+            served = reader.concat([members for _, members in shaped])
             leaders = (
                 [members[0] for _, members in shaped] if grouped else served
             )
@@ -675,21 +690,13 @@ class Executor:
 
     # -- aggregates -------------------------------------------------------------
 
-    def _aggregators(self, items: Sequence[SelectItem], reader):
-        """Per select item, a function from member rows to its aggregate
-        value, or None for a plain item."""
-
-        def aggregator(item: SelectItem):
-            if item.aggregate == "COUNT" and item.expression is None:
-                return len
-            evaluate = reader.evaluator(item.expression)
-            return lambda members: self._aggregate_of_values(
-                item.aggregate,
-                item.distinct,
-                [evaluate(row) for row in members],
-            )
-
-        return [aggregator(item) if item.aggregate else None for item in items]
+    @staticmethod
+    def _aggregators(items: Sequence[SelectItem], reader):
+        """Per select item, the reader's function from member rows to its
+        aggregate value, or None for a plain item."""
+        return [
+            reader.aggregate(item) if item.aggregate else None for item in items
+        ]
 
     def _grouped(self, statement: SelectStatement, reader, rows, columns):
         """``(values, members)`` per group that passes HAVING, in order of

@@ -127,6 +127,9 @@ class OrderedIndex(Index):
         self._entries: List[Tuple[SQLValue, int]] = []  # parallel (value, rowid)
         self._by_rowid: Dict[int, SQLValue] = {}
         self._nulls: Set[int] = set()
+        #: NaN entries in ``_keys``: they compare false with every key,
+        #: so while one is held the list is not bisect-ordered.
+        self._nans = 0
         super().__init__(name, table, column)
 
     def _add(self, key: SQLValue, rowid: int) -> None:
@@ -139,6 +142,7 @@ class OrderedIndex(Index):
         self._keys.insert(position, composite)
         self._entries.insert(position, (key, rowid))
         self._by_rowid[rowid] = key
+        self._nans += key != key
 
     def _remove(self, key: SQLValue, rowid: int) -> None:
         if key is None:
@@ -150,6 +154,7 @@ class OrderedIndex(Index):
         if position < len(self._keys) and self._keys[position] == composite:
             del self._keys[position]
             del self._entries[position]
+            self._nans -= key != key
         self._by_rowid.pop(rowid, None)
 
     def _remove_rowid(self, rowid: int) -> None:
@@ -157,9 +162,17 @@ class OrderedIndex(Index):
             self._remove(self._by_rowid[rowid], rowid)
 
     def lookup(self, key: SQLValue) -> List[int]:
+        """Rowids of the entries whose ``sort_key`` equals ``key``'s, in
+        index order: one slice between two bisects, or, while a NaN
+        breaks the bisect order, the entries walked from the first."""
         if key is None:
             return []
         target = sort_key(key)
+        if not self._nans and key == key:
+            keys = self._keys
+            low = bisect.bisect_left(keys, (target, 0))
+            high = bisect.bisect_right(keys, (target, float("inf")))
+            return [rowid for _, rowid in self._entries[low:high]]
         low = bisect.bisect_left(self._keys, (target, 0))
         result = []
         for position in range(low, len(self._keys)):

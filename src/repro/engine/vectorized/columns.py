@@ -20,7 +20,9 @@ Safety argument (why no reader sees a half-patched or stale view):
 * Nothing outlives the statement: a ``ResultSet`` holds fresh lists of
   row tuples, rowids and ``touched`` pairs, never a batch list or array
   (compiled filters and ``Tri`` masks that alias one die with the
-  statement).
+  statement). A ``touched`` footprint gathered from the rowid array
+  (:meth:`ColumnBatch.numpy_rowids`) is a fancy-indexed copy, never a
+  view of it.
 * ``apply`` stamps ``version`` last. A patch that raises, meets an
   event it does not know, or exceeds the copy budget below makes the
   table *drop* the batch; ``HeapTable.column_batch`` then rebuilds
@@ -45,7 +47,11 @@ lists (amortised O(1)) and, like DELETE (``del list[i]``,
 50k-row column. :data:`MAX_UNREAD_COPIES` bounds those O(n) copies
 between two reads, so a bulk DELETE or a bulk load into a table that
 has a batch drops it after a constant number instead of going
-quadratic.
+quadratic. The int64 rowid array counts as one more numpy array: it is
+built only by a statement that needs it (an aggregated SELECT's
+footprint, or an index probe of :data:`~repro.engine.footprint.
+FOOTPRINT_FROM` candidates or more), and once built an INSERT appends
+to it and a DELETE copies it like any numpy column.
 
 Numpy arrays are only ever used where they are provably exact, when
 built and when patched alike:
@@ -71,7 +77,7 @@ deep copy).
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as _np
 
@@ -120,6 +126,7 @@ class ColumnBatch:
         "_ascending",
         "_position",
         "_np_cache",
+        "_np_rowids",
     )
 
     def __init__(
@@ -149,6 +156,9 @@ class ColumnBatch:
         #: column index -> (values array, null mask) or (None, None)
         #: when the column cannot be represented exactly.
         self._np_cache: Dict[int, Tuple[object, object]] = {}
+        #: read-only int64 rowids: None until built, False when a rowid
+        #: does not fit int64.
+        self._np_rowids = None
 
     @classmethod
     def from_table(cls, table) -> "ColumnBatch":
@@ -189,6 +199,39 @@ class ColumnBatch:
             self._position = positions
         return positions.get(rowid)
 
+    def positions_of(self, rowids: Sequence[int]):
+        """:meth:`position_of` of each rowid, in order, as an intp array;
+        absent rowids are skipped. One ``searchsorted`` when the rowids
+        ascend and fit int64, the scalar lookup otherwise."""
+        array = self.numpy_rowids() if self._ascending else None
+        if array is not None:
+            try:
+                wanted = _np.array(rowids, dtype=_np.int64)
+            except OverflowError:  # the scalar lookup below skips it
+                wanted = None
+            if wanted is not None:
+                at = _np.searchsorted(array, wanted)
+                found = at < len(array)
+                found[found] = array[at[found]] == wanted[found]
+                return at[found]
+        positions = [p for p in map(self.position_of, rowids) if p is not None]
+        return _np.array(positions, dtype=_np.intp)
+
+    def numpy_rowids(self):
+        """The rowids as a read-only int64 array, or None when one does
+        not fit int64. Built on first use; INSERT and DELETE then patch
+        it (see the module docstring's cost rule)."""
+        array = self._np_rowids
+        if array is None:
+            try:
+                array = _np.array(self.rowids, dtype=_np.int64)
+            except OverflowError:
+                array = False
+            else:
+                array.flags.writeable = False
+            self._np_rowids = array
+        return None if array is False else array
+
     # -- maintenance under writes ---------------------------------------------
 
     def apply(
@@ -212,7 +255,7 @@ class ColumnBatch:
                 return False
             self._overwrite(position, row, old)
         elif event == "insert":
-            grows_arrays = any(
+            grows_arrays = isinstance(self._np_rowids, _np.ndarray) or any(
                 values is not None for values, _ in self._np_cache.values()
             )
             if grows_arrays and not self._copy_allowed():
@@ -242,6 +285,10 @@ class ColumnBatch:
         rowids.append(rowid)
         for column, value in zip(self.columns, row):
             column.append(value)
+        if isinstance(self._np_rowids, _np.ndarray):
+            self._np_rowids = _read_only_or_unfit(
+                _np.append, self._np_rowids, rowid
+            )
         for index, (values, nulls) in list(self._np_cache.items()):
             if values is None:
                 continue  # one more value cannot make a column exact
@@ -286,6 +333,12 @@ class ColumnBatch:
             del column[position]
         if not self._ascending:
             self._position = None  # every later position shifted
+        if self._np_rowids is False:
+            self._np_rowids = None  # the unfit rowid may have left
+        elif self._np_rowids is not None:
+            self._np_rowids = _read_only_or_unfit(
+                _np.delete, self._np_rowids, position
+            )
         for index, (values, nulls) in list(self._np_cache.items()):
             if values is None:
                 self._forget_if_overflowing(index, row[index])
@@ -352,3 +405,14 @@ class ColumnBatch:
             f"ColumnBatch({self.table_key!r}, rows={len(self.rowids)}, "
             f"version={self.version})"
         )
+
+
+def _read_only_or_unfit(patch, array, argument):
+    """``patch(array, argument)`` as a new read-only array, or False
+    when the result cannot be int64."""
+    try:
+        patched = patch(array, _np.int64(argument))
+    except OverflowError:
+        return False
+    patched.flags.writeable = False
+    return patched

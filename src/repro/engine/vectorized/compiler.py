@@ -80,7 +80,10 @@ class SelView:
         column = self.batch.columns[index]
         if self.positions is None:
             return column
-        return [column[position] for position in self.positions]
+        positions = self.positions
+        if isinstance(positions, _np.ndarray):
+            positions = positions.tolist()
+        return [column[position] for position in positions]
 
     def np_col(self, index: int):
         """``(values, nulls)`` numpy arrays over the selection, or

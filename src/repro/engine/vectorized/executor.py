@@ -14,9 +14,16 @@ loop. Projection, grouping, aggregation, ordering, slicing and the
 :meth:`~repro.engine.executor.Executor._shape`, run over these tuples
 through :class:`PositionReader`, whose ``touched`` of
 :data:`~repro.engine.footprint.FOOTPRINT_FROM` pairs or more is a
-:class:`~repro.engine.footprint.Footprint`: the same pairs as arrays. UPDATE and DELETE pick their targets
-from the same single-table row source (:meth:`VectorizedExecutor.
-_target_rowids`).
+:class:`~repro.engine.footprint.Footprint`: the same pairs as arrays.
+UPDATE and DELETE pick their targets from the same single-table row
+source (:meth:`VectorizedExecutor._target_rowids`).
+
+An *aggregated* SELECT (GROUP BY, or any aggregate item) never needs
+its working rows one by one, so its row source yields a
+:class:`PositionFrame` instead of tuples: one position array per
+source. Filtering, integer equi-joins (:func:`_sorted_join`), grouping,
+COUNT/SUM/AVG and the footprint read those arrays; every other step
+reads the frame as the tuples it stands for.
 
 Every statement runs here; nothing falls back to the row tier, which
 stays only as the reference the equivalence tests compare against. The
@@ -32,7 +39,7 @@ from __future__ import annotations
 
 from functools import partial, reduce
 from operator import itemgetter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as _np
 
@@ -42,6 +49,7 @@ from ..executor import (
     ResultSet,
     Touched,
     groups_by_evaluation,
+    member_aggregate,
 )
 from ..expr import ColumnRef, Comparison, Expression, Logical, conjuncts
 from ..footprint import FOOTPRINT_FROM, Footprint
@@ -73,7 +81,7 @@ class MultiView:
 
     __slots__ = ("batches", "tuples", "_np_idx")
 
-    def __init__(self, batches: List[ColumnBatch], tuples: List[PosTuple]):
+    def __init__(self, batches: List[ColumnBatch], tuples: "Rows"):
         self.batches = batches
         self.tuples = tuples
         self._np_idx: Dict[int, Tuple[object, object]] = {}
@@ -85,6 +93,8 @@ class MultiView:
     def values(self, index) -> List[SQLValue]:
         source, column = index
         values = self.batches[source].columns[column]
+        if isinstance(self.tuples, PositionFrame):
+            return _gather(values, self.tuples.columns[source].tolist())
         return [
             values[t[source]] if t[source] >= 0 else None
             for t in self.tuples
@@ -101,15 +111,60 @@ class MultiView:
     def _positions(self, source: int):
         cached = self._np_idx.get(source)
         if cached is None:
-            raw = _np.fromiter(
-                (t[source] for t in self.tuples),
-                dtype=_np.intp,
-                count=len(self.tuples),
-            )
+            if isinstance(self.tuples, PositionFrame):
+                raw = self.tuples.columns[source]
+            else:
+                raw = _source_positions(self.tuples, source)
             missing = raw < 0
             cached = (_np.where(missing, 0, raw), missing)
             self._np_idx[source] = cached
         return cached
+
+
+class PositionFrame:
+    """An aggregated statement's working rows as arrays: one intp
+    position array per FROM source, parallel, ``-1`` marking an
+    outer-join null extension.
+
+    Indexing with an int and iterating give the position tuples the
+    frame stands for (Python ints), so every reference fallback reads
+    it as it reads a tuple list; a slice is a frame of views.
+    """
+
+    __slots__ = ("columns",)
+
+    def __init__(self, columns: Sequence[_np.ndarray]):
+        self.columns = tuple(columns)
+
+    @classmethod
+    def of_tuples(cls, tuples: List[PosTuple], width: int) -> "PositionFrame":
+        return cls([_source_positions(tuples, s) for s in range(width)])
+
+    @classmethod
+    def concat(cls, frames: Sequence["PositionFrame"]) -> "PositionFrame":
+        if len(frames) == 1:
+            return frames[0]
+        columns = zip(*(frame.columns for frame in frames))
+        return cls([_np.concatenate(parts) for parts in columns])
+
+    def take(self, indices) -> "PositionFrame":
+        """The rows at ``indices`` (an index array or a boolean mask)."""
+        return PositionFrame([column[indices] for column in self.columns])
+
+    def __len__(self) -> int:
+        return len(self.columns[0])
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return PositionFrame([column[index] for column in self.columns])
+        return tuple([int(column[index]) for column in self.columns])
+
+    def __iter__(self):
+        return zip(*[column.tolist() for column in self.columns])
+
+
+#: What a row source yields: position tuples, or a frame.
+Rows = Union[List[PosTuple], PositionFrame]
 
 
 class MultiResolver:
@@ -218,28 +273,23 @@ class PositionReader:
         return context
 
     def groups(
-        self, keys: Sequence[Expression], tuples: List[PosTuple]
+        self, keys: Sequence[Expression], frame: PositionFrame
     ) -> MemberGroups:
-        """GROUP BY on position arrays.
+        """GROUP BY on the frame's arrays.
 
         Each key that names a column is factorised into integer codes
-        for this statement only (nothing is kept on a batch). A column
-        holds one Python type (the heap validates every row), so equal
-        values there are exactly equal ``sort_key``s and a value can be
-        its own dict key. A statement with any other key groups the
-        reference way.
+        for this statement only. A column holds one Python type (the
+        heap validates every row), so equal values there are exactly
+        equal ``sort_key``s and a value can be its own dict key. A
+        statement with any other key groups the reference way.
         """
         entries = [self._entry(key) for key in keys]
-        if not tuples or None in entries:
-            return groups_by_evaluation(self.evaluator, keys, tuples)
-        positions = {
-            source: [t[source] for t in tuples] for source, _ in entries
-        }
+        if not len(frame) or None in entries:
+            return groups_by_evaluation(self.evaluator, keys, frame)
         codes = None
         for source, column in entries:
-            more = _codes(
-                self._batches[source].columns[column], positions[source]
-            )
+            batch = self._batches[source]
+            more = _codes(batch, column, frame.columns[source])
             if codes is not None:
                 # Mixed radix, renumbered at once: stays below n**2.
                 more = _np.unique(
@@ -254,12 +304,84 @@ class PositionReader:
         rank = _np.empty(len(first), dtype=_np.intp)
         rank[_np.argsort(first)] = _np.arange(len(first))
         group_of = rank[inverse]
-        order = _np.argsort(group_of, kind="stable").tolist()
+        order = _np.argsort(group_of, kind="stable")
         ends = _np.cumsum(_np.bincount(group_of)).tolist()
         starts = [0] + ends[:-1]
-        return PositionGroups(
-            self, _gather(tuples, order), list(zip(starts, ends))
+        bounds = list(zip(starts, ends))
+        return PositionGroups(self, frame.take(order), bounds)
+
+    def aggregate(self, item: SelectItem):
+        """A global aggregate: a frame is one group through
+        :meth:`column_aggregate`; anything else the reference's."""
+        reference = member_aggregate(self.evaluator, item)
+
+        def run(members: Rows) -> SQLValue:
+            if isinstance(members, PositionFrame):
+                bounds = [(0, len(members))]
+                whole = self.column_aggregate(item, members, bounds)
+                if whole is not None:
+                    return whole(0)
+            return reference(members)
+
+        return run
+
+    def column_aggregate(
+        self, item: SelectItem, frame: PositionFrame, bounds
+    ) -> Optional[Callable[[int], SQLValue]]:
+        """COUNT, SUM or AVG of a column over ``frame[start:end]`` for
+        each ``bounds[i]``, as a function of ``i``; None for any other
+        aggregate (the caller's reference path).
+
+        One gather of the column reads every member; SUM and AVG add
+        each group's non-NULL values with Python's left-to-right
+        ``sum``, as the reference does.
+        """
+        entry = (
+            None
+            if item.expression is None or item.distinct
+            else self._entry(item.expression)
         )
+        func = item.aggregate
+        if entry is None or func not in ("COUNT", "SUM", "AVG"):
+            return None
+        source, column = entry
+        batch = self._batches[source]
+        if func != "COUNT" and batch.dtypes[column] not in _NUMERIC:
+            return None  # the reference raises per group, in order
+        positions = frame.columns[source]
+        values, nulls = batch.numpy_column(column)
+        if values is None or not len(values):
+            gathered = _gather(batch.columns[column], positions.tolist())
+            present = _np.fromiter(
+                (value is not None for value in gathered),
+                dtype=bool,
+                count=len(gathered),
+            )
+            kept = [value for value in gathered if value is not None]
+        else:
+            missing = positions < 0
+            at = _np.where(missing, 0, positions)
+            present = ~(nulls[at] | missing)
+            kept = None if func == "COUNT" else values[at[present]].tolist()
+        before = [0] + _np.cumsum(present).tolist()  # non-NULLs before i
+
+        def run(index: int) -> SQLValue:
+            start, end = bounds[index]
+            low, high = before[start], before[end]
+            if func == "COUNT":
+                return high - low
+            if high == low:
+                return None
+            total = sum(kept[low:high])
+            return total if func == "SUM" else total / (high - low)
+
+        return run
+
+    @staticmethod
+    def concat(parts: Sequence[Rows]) -> Rows:
+        if parts and all(isinstance(part, PositionFrame) for part in parts):
+            return PositionFrame.concat(parts)
+        return [row for members in parts for row in members]
 
     def _entry(self, expression: Expression) -> Optional[Tuple[int, int]]:
         """``(source, column)`` of a column reference, else None."""
@@ -267,48 +389,58 @@ class PositionReader:
             return self._key_map.get(expression.name.lower())
         return None
 
-    def rowids(self, tuples: List[PosTuple]) -> List[int]:
+    def rowids(self, rows: Rows) -> List[int]:
+        if isinstance(rows, PositionFrame):
+            return _rowids_at(self._batches[0], rows.columns[0]).tolist()
         rowids = self._batches[0].rowids
-        return [rowids[t[0]] for t in tuples]
+        return [rowids[t[0]] for t in rows]
 
-    def touched(self, tuples: List[PosTuple]) -> Sequence[Touched]:
+    def touched(self, rows: Rows) -> Sequence[Touched]:
         """Every non-null position's ``(table, rowid)``, tuple by tuple
         in source order: a :class:`~repro.engine.footprint.Footprint`
         from :data:`~repro.engine.footprint.FOOTPRINT_FROM` pairs up,
-        a list below it."""
+        a list below it. A frame's footprint gathers each batch's rowid
+        array (:meth:`ColumnBatch.numpy_rowids`)."""
+        if isinstance(rows, PositionFrame):
+            columns = rows.columns
+            pairs = sum(int(_np.count_nonzero(c >= 0)) for c in columns)
+            if pairs >= FOOTPRINT_FROM:
+                return self._footprint(columns, _rowids_at)
+            rows = list(rows)
         batches = self._batches
-        if len(batches) == 1:
-            key, rowids = batches[0].table_key, batches[0].rowids
-            if len(tuples) < FOOTPRINT_FROM:
-                return [(key, rowids[t[0]]) for t in tuples]
-            return Footprint((key,), _rowid_column(rowids, tuples, 0))
-        if len(tuples) < FOOTPRINT_FROM:
+        if len(rows) < FOOTPRINT_FROM:
+            if len(batches) == 1:
+                key, rowids = batches[0].table_key, batches[0].rowids
+                return [(key, rowids[t[0]]) for t in rows]
             sides = [(batch.table_key, batch.rowids) for batch in batches]
             pairs = [
                 (key, rowids[position])
-                for t in tuples
+                for t in rows
                 for (key, rowids), position in zip(sides, t)
                 if position >= 0
             ]
             if len(pairs) < FOOTPRINT_FROM:
                 return pairs
-        return self._footprint(tuples)
+        columns = [_source_positions(rows, s) for s in range(len(batches))]
+        return self._footprint(columns, _listed_rowids)
 
-    def _footprint(self, tuples: List[PosTuple]) -> Footprint:
-        """:meth:`touched` of a join as arrays: one ``(tuple, source)``
-        grid of rowids, read row-major under the non-null mask."""
-        keys = [batch.table_key for batch in self._batches]
+    def _footprint(self, columns: Sequence[_np.ndarray], rowids_at):
+        """:meth:`touched` as arrays: one ``(tuple, source)`` grid of
+        rowids (``rowids_at(batch, positions)`` per source), read
+        row-major under the non-null mask."""
+        batches = self._batches
+        if len(batches) == 1:
+            batch = batches[0]
+            return Footprint((batch.table_key,), rowids_at(batch, columns[0]))
+        keys = [batch.table_key for batch in batches]
         tables = tuple(dict.fromkeys(keys))
-        shape = (len(tuples), len(keys))
+        shape = (len(columns[0]), len(keys))
         rowids = _np.zeros(shape, dtype=_np.int64)
         present = _np.empty(shape, dtype=bool)
-        for source, batch in enumerate(self._batches):
-            positions = _np.fromiter(
-                map(itemgetter(source), tuples), dtype=_np.intp, count=shape[0]
-            )
+        for source, (batch, positions) in enumerate(zip(batches, columns)):
             present[:, source] = positions >= 0
             if batch.rowids:  # position -1 reads the last rowid: masked
-                rowids[:, source] = _rowid_column(batch.rowids, tuples, source)
+                rowids[:, source] = rowids_at(batch, positions)
         codes = None
         if len(tables) > 1:
             codes = _np.broadcast_to(
@@ -319,62 +451,47 @@ class PositionReader:
 
 
 class PositionGroups(MemberGroups):
-    """Groups over position tuples, kept also as one list of every
-    member in group order (``bounds[i]`` slices out group ``i``)."""
+    """Groups over a frame: ``members[i]`` is the slice ``bounds[i]`` of
+    one frame holding every member in group order."""
 
-    def __init__(self, reader: PositionReader, grouped, bounds):
+    def __init__(self, reader: PositionReader, grouped: PositionFrame, bounds):
         super().__init__(
             [grouped[start:end] for start, end in bounds], reader.evaluator
         )
         self._reader = reader
-        self._grouped = grouped  # every member, in group order
+        self._grouped = grouped
         self._bounds = bounds
 
     def aggregate(self, item: SelectItem):
-        """COUNT, SUM and AVG of a numeric column read one gather of it
-        in group order, sliced per group; SUM and AVG add each slice
-        with Python's left-to-right ``sum``, as the reference does.
-        Every other aggregate is the reference's."""
-        entry = (
-            None
-            if item.expression is None or item.distinct
-            else self._reader._entry(item.expression)
-        )
-        func = item.aggregate
-        if entry is None or func not in ("COUNT", "SUM", "AVG"):
-            return super().aggregate(item)
-        source, column = entry
-        batch = self._reader._batches[source]
-        if func != "COUNT" and batch.dtypes[column] not in _NUMERIC:
-            return super().aggregate(item)  # raises per group, in order
-        gathered = _gather(
-            batch.columns[column], [t[source] for t in self._grouped]
-        )
-        has_nulls = gathered.count(None) > 0
-        bounds = self._bounds
-
-        def run(index: int) -> SQLValue:
-            start, end = bounds[index]
-            observed = gathered[start:end]
-            if has_nulls:
-                observed = [value for value in observed if value is not None]
-            if func == "COUNT":
-                return len(observed)
-            if not observed:
-                return None
-            total = sum(observed)
-            return total if func == "SUM" else total / len(observed)
-
-        return run
+        """:meth:`PositionReader.column_aggregate` over the groups, or
+        the reference's aggregate."""
+        run = self._reader.column_aggregate(item, self._grouped, self._bounds)
+        return super().aggregate(item) if run is None else run
 
 
-def _rowid_column(rowids: List[int], tuples: List[PosTuple], source: int):
-    """``rowids`` at each tuple's ``source`` position, as int64."""
+def _source_positions(tuples: List[PosTuple], source: int) -> _np.ndarray:
+    """Each tuple's ``source`` position, as an intp array."""
     return _np.fromiter(
-        map(rowids.__getitem__, map(itemgetter(source), tuples)),
-        dtype=_np.int64,
-        count=len(tuples),
+        map(itemgetter(source), tuples), dtype=_np.intp, count=len(tuples)
     )
+
+
+def _listed_rowids(batch: ColumnBatch, positions: _np.ndarray) -> _np.ndarray:
+    """``batch.rowids`` at ``positions``, read from the list."""
+    return _np.fromiter(
+        map(batch.rowids.__getitem__, positions.tolist()),
+        dtype=_np.int64,
+        count=len(positions),
+    )
+
+
+def _rowids_at(batch: ColumnBatch, positions: _np.ndarray) -> _np.ndarray:
+    """``batch``'s rowids at ``positions``: a gather of its rowid array,
+    so a fresh copy, never a view of it."""
+    array = batch.numpy_rowids()
+    if array is None:  # a rowid outside int64
+        return _listed_rowids(batch, positions)
+    return array[positions]
 
 
 def _gather(values: Sequence, positions: List[int]) -> list:
@@ -388,18 +505,30 @@ def _gather(values: Sequence, positions: List[int]) -> list:
     return list(itemgetter(*positions)(values))
 
 
-def _codes(values: List[SQLValue], positions: List[int]):
-    """Integer codes, equal exactly where the values at ``positions``
-    are equal (-1 reads NULL). A column no longer than the selection is
-    factorised whole, once, and its codes gathered by position."""
+def _codes(batch: ColumnBatch, column: int, positions: _np.ndarray):
+    """Integer codes, equal exactly where the column's values at
+    ``positions`` are equal (-1 reads NULL).
+
+    An INTEGER or BOOLEAN column with a numpy form is factorised in
+    numpy (its values are exactly its int64 or bool elements). Otherwise
+    a column no longer than the selection is factorised whole, once,
+    and its codes gathered by position; a longer one is factorised at
+    the gathered values.
+    """
+    values = batch.columns[column]
+    if batch.dtypes[column] in (DataType.INTEGER, DataType.BOOLEAN):
+        array, nulls = batch.numpy_column(column)
+        if array is not None and len(array):
+            missing = positions < 0
+            at = _np.where(missing, 0, positions)
+            distinct, codes = _np.unique(array[at], return_inverse=True)
+            return _np.where(nulls[at] | missing, len(distinct), codes)
     if len(values) <= len(positions):
         index: Dict[SQLValue, int] = {}
         codes = [index.setdefault(value, len(index)) for value in values]
         codes.append(index.setdefault(None, len(index)))  # position -1
-        return _np.asarray(codes, dtype=_np.intp)[
-            _np.asarray(positions, dtype=_np.intp)
-        ]
-    gathered = _gather(values, positions)
+        return _np.asarray(codes, dtype=_np.intp)[positions]
+    gathered = _gather(values, positions.tolist())
     index = {value: code for code, value in enumerate(dict.fromkeys(gathered))}
     return _np.fromiter(
         map(index.__getitem__, gathered), dtype=_np.intp, count=len(gathered)
@@ -410,8 +539,9 @@ def _push_down(where, labels, batches, key_map, plans):
     """Split a joined SELECT's WHERE into position filters applied
     before the join and the rest, applied after it.
 
-    Returns ``(kept, rest)``: ``kept`` maps a source to its positions,
-    in scan order, that pass every conjunct naming only that source;
+    Returns ``(kept, rest)``: ``kept`` maps a source to its positions
+    (an intp array), in scan order, that pass every conjunct naming
+    only that source;
     ``rest`` is the conjunction of the other conjuncts (None if none).
 
     Only the driving source and inner-joined sources are filtered; the
@@ -449,7 +579,7 @@ def _push_down(where, labels, batches, key_map, plans):
         # safe): the source's single-table resolver reads both.
         resolver = SingleTableResolver(batches[source], labels[source])
         mask = compile_filter(_all_of(parts), resolver)(SelView(batches[source]))
-        kept[source] = mask.true_positions()
+        kept[source] = _np.flatnonzero(mask.t)
     return kept, _all_of(rest)
 
 
@@ -458,20 +588,138 @@ def _all_of(parts: List[Expression]) -> Optional[Expression]:
     return reduce(partial(Logical, "AND"), parts) if parts else None
 
 
+def _join_tuples(
+    tuples: List[PosTuple],
+    batches: List[ColumnBatch],
+    key_map: Dict[str, Tuple[int, int]],
+    plan,
+    right: Sequence[int],
+) -> List[PosTuple]:
+    """One join of :meth:`VectorizedExecutor._joined_tuples` over
+    position tuples: ``plan`` is ``(join, visible, equi)`` and
+    ``right`` the joined source's positions, in scan order."""
+    join, visible, equi = plan
+    joined: List[PosTuple] = []
+    if equi is None:
+        on = compile_filter(join.condition, visible)
+        for t in tuples:
+            pairs = [t + (p,) for p in right]
+            hits = on(MultiView(batches, pairs)).true_positions()
+            joined.extend([pairs[i] for i in hits])
+            if not hits and join.outer:
+                joined.append(t + (-1,))
+        return joined
+    left_name, right_name = equi
+    left_source, left_column = key_map[left_name]
+    left_values = batches[left_source].columns[left_column]
+    right_source, right_column = key_map[right_name]
+    right_values = batches[right_source].columns[right_column]
+    buckets: Dict[SQLValue, List[int]] = {}
+    for position in right:
+        value = right_values[position]
+        if value is not None:
+            buckets.setdefault(value, []).append(position)
+    # No bucket is keyed None, so a NULL key matches nothing.
+    probe = buckets.get
+    for t in tuples:
+        left_position = t[left_source]
+        matches = (
+            probe(left_values[left_position], ())
+            if left_position >= 0
+            else ()
+        )
+        for right_position in matches:
+            joined.append(t + (right_position,))
+        if not matches and join.outer:
+            joined.append(t + (-1,))
+    return joined
+
+
+def _join_frame(
+    frame: PositionFrame,
+    batches: List[ColumnBatch],
+    key_map: Dict[str, Tuple[int, int]],
+    plan,
+    right: _np.ndarray,
+) -> PositionFrame:
+    """One join over a frame: :func:`_sorted_join` when both keys are
+    exact int64 columns, :func:`_join_tuples` (and back to a frame) for
+    every other ON, FLOAT, TEXT or mixed keys included, where the row
+    tier's dict equates ``1``, ``1.0`` and ``True``."""
+    join, _visible, equi = plan
+    if equi is not None:
+        left_source, left_column = key_map[equi[0]]
+        right_source, right_column = key_map[equi[1]]
+        left = _int64_keys(batches[left_source], left_column)
+        right_keys = _int64_keys(batches[right_source], right_column)
+        if left is not None and right_keys is not None:
+            return _sorted_join(
+                frame, frame.columns[left_source], left, right, right_keys,
+                join.outer,
+            )
+    tuples = _join_tuples(list(frame), batches, key_map, plan, right.tolist())
+    return PositionFrame.of_tuples(tuples, len(frame.columns) + 1)
+
+
+def _int64_keys(batch: ColumnBatch, column: int):
+    """``(values, nulls)`` of an INTEGER column with an exact int64
+    form, else None."""
+    if batch.dtypes[column] is not DataType.INTEGER:
+        return None
+    values, nulls = batch.numpy_column(column)
+    return None if values is None else (values, nulls)
+
+
+def _sorted_join(frame, probes, left, right, right_keys, outer):
+    """The row tier's hash join on int64 keys, as arrays.
+
+    The right positions are stably argsorted by key, so each key's
+    matches stay in scan order (the row tier's bucket order); each left
+    row finds its run with two ``searchsorted``s and is repeated once
+    per match, or once with ``-1`` when an outer join finds none. A
+    NULL key, or a left position of ``-1``, matches nothing.
+    """
+    values, nulls = right_keys
+    right = right[~nulls[right]]
+    keys = values[right]
+    order = _np.argsort(keys, kind="stable")
+    keys, right = keys[order], right[order]
+    missing = probes < 0
+    left_values, left_nulls = left
+    if len(left_values):
+        at = _np.where(missing, 0, probes)
+        wanted, unmatched = left_values[at], left_nulls[at] | missing
+    else:  # every probe is -1
+        wanted, unmatched = _np.zeros(len(probes), _np.int64), missing
+    low = _np.searchsorted(keys, wanted, "left")
+    counts = _np.searchsorted(keys, wanted, "right") - low
+    counts[unmatched] = 0
+    width = _np.maximum(counts, 1) if outer else counts
+    columns = [_np.repeat(column, width) for column in frame.columns]
+    starts = _np.cumsum(width) - width
+    offset = _np.arange(len(columns[0])) - _np.repeat(starts, width)
+    matched = _np.repeat(counts > 0, width)
+    joined = _np.full(len(columns[0]), -1, dtype=_np.intp)
+    joined[matched] = right[(_np.repeat(low, width) + offset)[matched]]
+    return PositionFrame(columns + [joined])
+
+
 class VectorizedExecutor(Executor):
     """Columnar execution of every SELECT and of every UPDATE/DELETE's
     target pick."""
 
     def _execute_bound_select(self, statement: SelectStatement) -> ResultSet:
-        sources, reader, tuples = self._vector_select(statement)
-        result = self._shape(statement, sources, reader, tuples)
+        sources, reader, rows = self._vector_select(statement)
+        result = self._shape(statement, sources, reader, rows)
         result.execution_path = "vectorized"
         return result
 
     # -- row sourcing ---------------------------------------------------------
 
     def _vector_select(self, statement: SelectStatement):
-        """A SELECT's sources, its reader, and its filtered position tuples."""
+        """A SELECT's sources, its reader, and its filtered rows: a
+        :class:`PositionFrame` for an aggregated statement, position
+        tuples for any other."""
         # Source resolution raises the same CatalogError /
         # ExecutionError the row tier would (shared methods).
         sources = self._select_sources(statement)
@@ -489,22 +737,32 @@ class VectorizedExecutor(Executor):
                 if name not in shared:
                     key_map[name] = (source_index, column_index)
 
+        frame = bool(statement.group_by) or any(
+            item.aggregate for item in statement.items
+        )
         if statement.joins:
-            tuples, where = self._joined_tuples(
-                statement, [label for _, label in sources], batches, key_map
+            rows, where = self._joined_tuples(
+                statement,
+                [label for _, label in sources],
+                batches,
+                key_map,
+                frame,
             )
             if where is not None:
                 batch_filter = compile_filter(
                     where, MultiResolver(key_map, batches)
                 )
-                mask = batch_filter(MultiView(batches, tuples))
-                tuples = [tuples[i] for i in mask.true_positions()]
+                mask = batch_filter(MultiView(batches, rows))
+                if frame:
+                    rows = rows.take(mask.t)
+                else:
+                    rows = [rows[i] for i in mask.true_positions()]
         else:
-            tuples = self._single_table_tuples(
-                statement, sources[0], batches[0]
+            rows = self._single_table_tuples(
+                statement, sources[0], batches[0], frame
             )
         reader = PositionReader(sources, batches, key_map, shared)
-        return sources, reader, tuples
+        return sources, reader, rows
 
     def _target_rowids(self, statement: SelectStatement, source) -> List[int]:
         """An UPDATE/DELETE's targets: the rowids at the positions the
@@ -521,11 +779,15 @@ class VectorizedExecutor(Executor):
         statement: SelectStatement,
         source,
         batch: ColumnBatch,
-    ) -> List[PosTuple]:
-        """Filtered positions for a single-table statement.
+        frame: bool = False,
+    ) -> Rows:
+        """Filtered positions for a single-table statement, as 1-tuples
+        or, when ``frame``, a one-source :class:`PositionFrame`.
 
         Uses the same planner access path as the row tier, so
-        candidate order (and therefore output order) is identical.
+        candidate order (and therefore output order) is identical. An
+        index probe of :data:`FOOTPRINT_FROM` candidates or more maps
+        them to positions with one :meth:`ColumnBatch.positions_of`.
         """
         from ..planner import candidate_rowids, choose_access_path
 
@@ -533,24 +795,40 @@ class VectorizedExecutor(Executor):
         path = choose_access_path(self.catalog, table, statement.where)
         if path.kind == "full_scan":
             # rowids() and the batch share scan order exactly.
-            positions: Optional[List[int]] = None
+            positions = None
         else:
-            positions = []
-            for rowid in candidate_rowids(self.catalog, table, path):
-                position = batch.position_of(rowid)
-                if position is not None:  # the row tier skips them too
-                    positions.append(position)
+            candidates = candidate_rowids(self.catalog, table, path)
+            if len(candidates) >= FOOTPRINT_FROM:
+                positions = batch.positions_of(candidates)
+            else:
+                positions = []
+                for rowid in candidates:
+                    position = batch.position_of(rowid)
+                    if position is not None:  # the row tier skips them too
+                        positions.append(position)
 
-        if statement.where is None:
+        mask = None
+        if statement.where is not None:
+            batch_filter = compile_filter(
+                statement.where, SingleTableResolver(batch, label)
+            )
+            mask = batch_filter(SelView(batch, positions))
+        if frame or isinstance(positions, _np.ndarray):
+            if positions is None:
+                selected = _np.arange(len(batch))
+            else:
+                selected = _np.asarray(positions, dtype=_np.intp)
+            if mask is not None:
+                selected = selected[mask.t]
+            if frame:
+                return PositionFrame((selected,))
+            return [(p,) for p in selected.tolist()]
+
+        if mask is None:
             selected = (
                 list(range(len(batch))) if positions is None else positions
             )
             return [(p,) for p in selected]
-
-        batch_filter = compile_filter(
-            statement.where, SingleTableResolver(batch, label)
-        )
-        mask = batch_filter(SelView(batch, positions))
         hits = mask.true_positions()
         if positions is not None:
             hits = [positions[i] for i in hits]
@@ -562,19 +840,24 @@ class VectorizedExecutor(Executor):
         labels: List[str],
         batches: List[ColumnBatch],
         key_map: Dict[str, Tuple[int, int]],
-    ) -> Tuple[List[PosTuple], Optional[Expression]]:
+        frame: bool = False,
+    ) -> Tuple[Rows, Optional[Expression]]:
         """Positional joins, replicating the row tier's exactly, and the
-        part of the WHERE still to apply to their output.
+        part of the WHERE still to apply to their output: position
+        tuples or, when ``frame``, a :class:`PositionFrame`.
 
         The row tier's ``_apply_join`` picks its hash path from the
         merged context keys at runtime; those key sets equal our static
         ``key_map`` prefixes, so the same statements hash-join here.
         Bucket lookups use a plain dict exactly like the row tier (so
-        e.g. ``1`` and ``1.0`` share a bucket there and here). Every
-        other ON condition is a nested loop: compiled once per join
-        against the sources joined so far, it runs per left tuple over
-        all right positions, so memory stays O(right) and pairs (and the
-        first error a condition raises) come in the row tier's order.
+        e.g. ``1`` and ``1.0`` share a bucket there and here); a frame
+        joins two exact int64 keys by sorting instead
+        (:func:`_sorted_join`), which pairs the same rows in the same
+        order. Every other ON condition is a nested loop: compiled once
+        per join against the sources joined so far, it runs per left
+        tuple over all right positions, so memory stays O(right) and
+        pairs (and the first error a condition raises) come in the row
+        tier's order.
 
         Conjuncts of the WHERE that name one source are applied to that
         source's positions before it joins (:func:`_push_down`), which
@@ -598,47 +881,23 @@ class VectorizedExecutor(Executor):
         kept, where = _push_down(
             statement.where, labels, batches, key_map, plans
         )
-
         # The row tier's joins drive off table.rowids() (full scan order).
-        tuples: List[PosTuple] = [
-            (p,) for p in kept.get(0, range(len(batches[0])))
+        positions = [
+            kept[index] if index in kept else _np.arange(len(batch))
+            for index, batch in enumerate(batches)
         ]
-        for join_index, (join, visible, equi) in enumerate(plans, start=1):
-            batch = batches[join_index]
-            right = kept.get(join_index, range(len(batch)))
-            joined: List[PosTuple] = []
-            if equi is None:
-                on = compile_filter(join.condition, visible)
-                for t in tuples:
-                    pairs = [t + (p,) for p in right]
-                    hits = on(MultiView(batches, pairs)).true_positions()
-                    joined.extend([pairs[i] for i in hits])
-                    if not hits and join.outer:
-                        joined.append(t + (-1,))
-            else:
-                left_name, right_name = equi
-                left_source, left_column = key_map[left_name]
-                left_values = batches[left_source].columns[left_column]
-                right_values = batch.columns[key_map[right_name][1]]
-                buckets: Dict[SQLValue, List[int]] = {}
-                for position in right:
-                    value = right_values[position]
-                    if value is not None:
-                        buckets.setdefault(value, []).append(position)
-                # No bucket is keyed None, so a NULL key matches nothing.
-                probe = buckets.get
-                for t in tuples:
-                    left_position = t[left_source]
-                    matches = (
-                        probe(left_values[left_position], ())
-                        if left_position >= 0
-                        else ()
-                    )
-                    for right_position in matches:
-                        joined.append(t + (right_position,))
-                    if not matches and join.outer:
-                        joined.append(t + (-1,))
-            tuples = joined
+        if frame:
+            rows = PositionFrame(positions[:1])
+            for join_index, plan in enumerate(plans, start=1):
+                rows = _join_frame(
+                    rows, batches, key_map, plan, positions[join_index]
+                )
+            return rows, where
+        tuples: List[PosTuple] = [(p,) for p in positions[0].tolist()]
+        for join_index, plan in enumerate(plans, start=1):
+            tuples = _join_tuples(
+                tuples, batches, key_map, plan, positions[join_index].tolist()
+            )
         return tuples, where
 
     @staticmethod

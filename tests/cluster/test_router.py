@@ -308,3 +308,71 @@ class TestShardFailure:
             for event in events
             if event["event"] == "cluster_shard_failure"
         ] == [owner, owner]
+
+
+class TestOwnerSplit:
+    """``_by_owner`` splits a footprint on its rowid array into exactly
+    the per-owner lists the key-by-key path builds."""
+
+    def footprint(self, rowids, codes=None):
+        import numpy as np
+
+        from repro.engine import Footprint
+
+        return Footprint(
+            ("users", "teams"),
+            np.array(rowids, dtype=np.int64),
+            None if codes is None else np.array(codes, dtype=np.int8),
+        )
+
+    def test_shares_equal_the_list_path_in_order(self):
+        import random
+
+        from repro.engine import FOOTPRINT_FROM, Footprint
+
+        cluster = ClusterService(
+            shard_count=4, guard_config=GuardConfig(**CONFIG), gossip=False
+        )
+        try:
+            router = cluster.router
+            rng = random.Random(3)
+            for size in (5, 60, 300):
+                rowids = [rng.randrange(1, 500) for _ in range(size)]
+                codes = [rng.randrange(2) for _ in range(size)]
+                for footprint in (
+                    self.footprint(rowids),
+                    self.footprint(rowids, codes),
+                ):
+                    split = router._by_owner(footprint)
+                    expected = router._by_owner(list(footprint))
+                    assert list(split) == list(expected)  # first appearance
+                    for owner, share in split.items():
+                        assert list(share) == expected[owner]
+                        large = len(share) >= FOOTPRINT_FROM
+                        assert isinstance(share, Footprint) == large
+        finally:
+            cluster.close()
+
+    def test_a_down_owners_share_is_recorded_at_a_live_peer(self):
+        cluster = ClusterService(
+            shard_count=4, guard_config=GuardConfig(**CONFIG), gossip=False
+        )
+        twin = ClusterService(
+            shard_count=4, guard_config=GuardConfig(**CONFIG), gossip=False
+        )
+        try:
+            rowids = list(range(1, 400, 3))
+            for service, keys in (
+                (cluster, self.footprint(rowids)),
+                (twin, list(self.footprint(rowids))),
+            ):
+                service.shards[2].available = False
+                ctx = type("Ctx", (), {"keys": keys})()
+                service.router.record_reads(ctx)
+            for one, other in zip(cluster.shards, twin.shards):
+                assert list(one.guard.popularity.store.items()) == list(
+                    other.guard.popularity.store.items()
+                )
+        finally:
+            cluster.close()
+            twin.close()

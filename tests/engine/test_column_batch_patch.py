@@ -311,3 +311,105 @@ def test_cold_numpy_build_forms():
     db.execute(f"INSERT INTO p VALUES (10, {INT64_MAX + 1}, 0.0, 'x', TRUE)")
     rebuilt = ColumnBatch.from_table(db.catalog.table("p"))
     assert rebuilt.numpy_column(1) == (None, None)
+
+
+class TestRowidArray:
+    """The int64 rowid array (``numpy_rowids``) rides the same patches
+    as the numpy columns, never leaves the batch, and is built only by
+    a statement that asks for it."""
+
+    AGGREGATE = "SELECT COUNT(*), SUM(n) FROM p WHERE x >= 0"
+
+    def assert_array_matches(self, table):
+        batch = table.column_batch()
+        array = batch.numpy_rowids()
+        assert array.dtype == np.int64 and not array.flags.writeable
+        assert np.array_equal(array, np.asarray(batch.rowids))
+        assert np.array_equal(
+            batch.positions_of(batch.rowids[::-1] + [10**6]),
+            np.arange(len(batch))[::-1],
+        )
+
+    @given(operations)
+    @settings(max_examples=60, deadline=None)
+    def test_random_dml_keeps_the_array_exact(self, ops):
+        db = fresh_db()
+        table = db.catalog.table("p")
+        db.execute(self.AGGREGATE)
+        assert table.column_batch()._np_rowids is not None
+        for operation in ops:
+            run_operation(db, table, operation)
+            self.assert_array_matches(table)
+        assert table.batch_drops == 0
+
+    def test_insert_update_delete_restore_and_rollback(self):
+        db = fresh_db()
+        table = db.catalog.table("p")
+        db.execute(self.AGGREGATE)
+        statements = [
+            "INSERT INTO p VALUES (40, 1, 1.0, 'a', TRUE)",
+            "UPDATE p SET n = 9, id = 41 WHERE id = 40",
+            "DELETE FROM p WHERE id = 3",
+        ]
+        for sql in statements:
+            db.execute(sql)
+            self.assert_array_matches(table)
+        db.execute("BEGIN")
+        db.execute("DELETE FROM p WHERE id = 5")
+        db.execute("INSERT INTO p VALUES (50, 1, 1.0, 'b', FALSE)")
+        db.execute("ROLLBACK")  # restore(5) lands at the end of the scan
+        self.assert_array_matches(table)
+        assert table.column_batch().rowids[-1] == 5
+        assert table.batch_builds == 1 and table.batch_drops == 0
+
+    def test_the_copy_budget_still_drops_the_batch(self):
+        bound = columns_module.MAX_UNREAD_COPIES
+        db = fresh_db(rows=4 * bound)
+        table = db.catalog.table("p")
+        db.execute("SELECT COUNT(*) FROM p")  # rowid array, no column
+        assert table.column_batch()._np_cache == {}
+        db.insert_rows(
+            "p", [(1000 + i, 1, 1.0, "z", None) for i in range(2 * bound)]
+        )
+        assert (table.batch_patches, table.batch_drops) == (bound, 1)
+        assert_live_equals_rebuild(table, every_column=True)
+
+    def test_a_footprint_never_aliases_the_array(self):
+        db = fresh_db(rows=200)
+        table = db.catalog.table("p")
+        result = db.execute("SELECT COUNT(*) FROM p WHERE n >= 0")
+        array = table.column_batch().numpy_rowids()
+        assert len(result.touched) >= 48
+        assert not np.shares_memory(result.touched.rowids, array)
+        before = result.touched.rowids.copy()
+        db.execute("DELETE FROM p WHERE id = 5")
+        assert np.array_equal(result.touched.rowids, before)
+
+    def test_rowids_past_int64_keep_the_scalar_path(self):
+        db = fresh_db()
+        table = db.catalog.table("p")
+        batch = table.column_batch()
+        batch.rowids.append(INT64_MAX + 1)  # as if the heap allocated it
+        batch._ascending = batch.rowids == sorted(batch.rowids)
+        assert batch.numpy_rowids() is None
+        assert batch.positions_of([INT64_MAX + 1, 2, 99]).tolist() == [12, 1]
+
+    def test_mixed_rw_statement_shapes_never_build_the_array(self):
+        db = fresh_db(rows=300)
+        table = db.catalog.table("p")
+        for key in range(1, 60):
+            db.execute(f"SELECT * FROM p WHERE id = {key}")
+            db.execute(f"SELECT * FROM p WHERE id >= {key} AND id < {key + 10}")
+            db.execute(f"UPDATE p SET x = {key / 4} WHERE id = {key}")
+            db.execute(f"INSERT INTO p VALUES ({1000 + key}, 1, 2.0, 'n', TRUE)")
+            db.execute(f"DELETE FROM p WHERE id = {1000 + key}")
+        assert table.column_batch()._np_rowids is None
+
+    def test_a_large_index_probe_builds_it_and_a_small_one_does_not(self):
+        db = fresh_db(rows=300)
+        table = db.catalog.table("p")
+        db.execute("SELECT id FROM p WHERE n = 3 AND id < 20")  # 60 hits
+        assert table.column_batch()._np_rowids is not None
+        db = fresh_db(rows=100)
+        db.execute("SELECT id FROM p WHERE n = 3")  # 20 candidates
+        assert db.catalog.table("p").column_batch()._np_rowids is None

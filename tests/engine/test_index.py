@@ -158,3 +158,89 @@ class TestCreateIndexFactory:
     def test_unknown_column_raises(self):
         with pytest.raises(CatalogError):
             create_index("d", make_table(), "missing")
+
+
+def walked_lookup(index, key):
+    """The entry walk ``OrderedIndex.lookup`` used before it sliced."""
+    import bisect
+
+    from repro.engine.types import sort_key
+
+    if key is None:
+        return []
+    target = sort_key(key)
+    low = bisect.bisect_left(index._keys, (target, 0))
+    result = []
+    for value, rowid in index._entries[low:]:
+        if sort_key(value) != target:
+            break
+        result.append(rowid)
+    return result
+
+
+class TestOrderedLookupBySlice:
+    """``lookup`` returns one slice between two bisects: the rowids the
+    entry walk returns, in the same order."""
+
+    PROBES = [1, 1.0, True, False, 0, 2, 2.5, 7, -3, None, "x", float("nan")]
+
+    def numbers(self):
+        table = HeapTable(
+            TableSchema(
+                "t",
+                [
+                    Column("id", DataType.INTEGER, primary_key=True),
+                    Column("i", DataType.INTEGER),
+                    Column("f", DataType.FLOAT),
+                    Column("b", DataType.BOOLEAN),
+                ],
+            )
+        )
+        for rowid in range(1, 41):
+            table.insert(
+                (
+                    rowid,
+                    None if rowid % 9 == 0 else rowid % 4,
+                    None if rowid % 7 == 0 else (rowid % 5) / 2,
+                    rowid % 3 == 0,
+                )
+            )
+        return table
+
+    def assert_same(self, index):
+        for key in self.PROBES:
+            assert index.lookup(key) == walked_lookup(index, key), key
+
+    def test_duplicates_mixed_numbers_nulls_and_absent_keys(self):
+        table = self.numbers()
+        for column in ("i", "f", "b"):
+            index = OrderedIndex(f"o_{column}", table, column)
+            self.assert_same(index)
+        index = OrderedIndex("o_i", table, "i")
+        assert index.lookup(1) == index.lookup(1.0) != []
+        assert index.lookup(True) == []  # a bool is not the int 1
+        assert index.lookup(7) == [] and index.lookup(None) == []
+
+    def test_after_updates_and_deletes(self):
+        table = self.numbers()
+        index = OrderedIndex("o_f", table, "f")
+        for rowid in range(1, 41, 3):
+            row = table.get(rowid)
+            table.update(rowid, (row[0], row[1], (rowid % 3) / 2, row[3]))
+        for rowid in range(2, 41, 5):
+            table.delete(rowid)
+        self.assert_same(index)
+        assert index.lookup(0.5) == sorted(
+            rowid for rowid, row in table.scan() if row[2] == 0.5
+        )
+
+    def test_a_nan_entry_keeps_the_walk(self):
+        table = self.numbers()
+        index = OrderedIndex("o_f", table, "f")
+        nan = float("nan")
+        table.update(5, (5, 1, nan, False))
+        assert index._nans == 1
+        self.assert_same(index)
+        table.delete(5)
+        assert index._nans == 0
+        self.assert_same(index)
